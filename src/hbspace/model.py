@@ -6,17 +6,19 @@ co-analytic, where A is the outer defect factor with A*A + B*B = I.  The
 squared space norm is ||f||_2^2 + ||f_1||_2^2.
 
 The analytic-part condition is solved in one of two ways: by pointwise
-division against A* on the grid followed by an analytic projection (fast,
-for factors bounded away from zero) or by back-substitution on the
-upper-triangular block-Toeplitz coefficient system (stable when A degenerates
-on the boundary).  Either way the returned residual is measured directly on
-the grid, so it certifies the solve.
+multiplication with the A*^{-1} grid samples, computed once per handle,
+followed by an analytic projection (fast, for factors bounded away from
+zero), or by one banded LAPACK solve of the upper-triangular block-Toeplitz
+coefficient system (stable when A degenerates on the boundary).  Either way
+the returned residual is measured directly on the grid, so it certifies the
+solve.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .errors import ExtremeTypeError, NumericalError
 from .harmonic import DEFAULT_GRID
@@ -27,12 +29,14 @@ from .series import (
     horner,
     shift_down,
     shift_up,
+    szego_taylor,
 )
 from .spectral import MatrixSymbol, factor_residual, matrix_outer_factor
 from .symbols import RowSymbol, gram_matrix, kernel_eval
 
 _INNER_TOL = 1e-10
 _FFT_PATH_FLOOR = 1e-2
+_GRAM_BLOCK = 16
 
 
 @dataclass
@@ -101,19 +105,22 @@ class SpaceHandle:
         self.factorization = None
         self._gram: np.ndarray | None = None
         self._monomial_pairs: list[ModelPair] = []
+        # A* and, on the FFT route, A*^{-1} sampled on the grid
+        self._ah_samples: np.ndarray | None = None
+        self._ah_inv: np.ndarray | None = None
+        # triangular-route band matrix, see _triangular_band
+        self._band: np.ndarray | None = None
 
         n = symbol.n
         if n == 0:
             self.mode = "analytic"
             self._rows = np.zeros((n_grid, 0), dtype=complex)
-            self._a_samples = np.zeros((n_grid, 0, 0), dtype=complex)
             self._use_fft_path = True
             return
         self._rows = symbol.boundary_rows(n_grid)
         defect = 1.0 - np.sum(np.abs(self._rows) ** 2, axis=1)
         if n == 1 and float(np.max(np.abs(defect))) <= _INNER_TOL:
             self.mode = "inner"
-            self._a_samples = None
             self._use_fft_path = False
             return
         eye = np.eye(n, dtype=complex)
@@ -122,9 +129,12 @@ class SpaceHandle:
         self.mode = "analytic"
         self.factor = report.symbol
         self.factorization = report
-        self._a_samples = report.symbol.samples(n_grid)
-        smin = float(np.min(np.linalg.svd(self._a_samples, compute_uv=False)))
+        a_samples = report.symbol.samples(n_grid)
+        smin = float(np.min(np.linalg.svd(a_samples, compute_uv=False)))
         self._use_fft_path = smin > _FFT_PATH_FLOOR
+        self._ah_samples = np.conj(np.transpose(a_samples, (0, 2, 1)))
+        if self._use_fft_path:
+            self._ah_inv = np.linalg.inv(self._ah_samples)
 
     # -- basic structure ---------------------------------------------------
 
@@ -194,8 +204,7 @@ class SpaceHandle:
         r = self._rows.conj() * fsamp[:, None]
         if self.mode == "analytic" and companions.size:
             f1samp = self._companion_boundary(companions)
-            ah = np.conj(np.transpose(self._a_samples, (0, 2, 1)))
-            r = r + np.einsum("jik,jk->ji", ah, f1samp)
+            r = r + np.einsum("jik,jk->ji", self._ah_samples, f1samp)
         rhat = np.fft.fft(r, axis=0) / self.n_grid
         plus = rhat[: self.n_grid // 2]
         return float(np.sqrt(np.sum(np.abs(plus) ** 2))), rhat
@@ -208,27 +217,46 @@ class SpaceHandle:
         return uhat[: self.n_grid // 2]
 
     def _solve_fft(self, u_plus: np.ndarray, degree: int) -> np.ndarray:
-        full = np.zeros((self.n_grid, self.n), dtype=complex)
-        full[: u_plus.shape[0]] = u_plus
-        u_samp = np.fft.ifft(full, axis=0) * self.n_grid
-        ah = np.conj(np.transpose(self._a_samples, (0, 2, 1)))
-        w = np.linalg.solve(ah, u_samp[:, :, None])[:, :, 0]
-        what = np.fft.fft(w, axis=0) / self.n_grid
+        # ifft's 1/N is the whole normalization of the sample-multiply-project round trip
+        u_samp = np.fft.ifft(u_plus, n=self.n_grid, axis=0)
+        w = np.einsum("jik,jk->ji", self._ah_inv, u_samp)
+        what = np.fft.fft(w, axis=0)
         return -what[: degree + 1].T.copy()
 
-    def _solve_triangular(self, u_plus: np.ndarray, degree: int) -> np.ndarray:
+    def _triangular_band(self, degree: int) -> tuple[tuple[int, int], np.ndarray]:
+        """LAPACK band storage of the system sum_m A_m* x[k + m] = -u[k].
+
+        Unknowns are ordered x[0], x[1], ..., x[degree] with n entries each,
+        so the block upper-triangular Toeplitz matrix with A_m* on block
+        diagonal m has lower bandwidth n - 1 and upper bandwidth n (p + 1) - 1.
+        Band rows are constant along block columns; LAPACK reads none of the
+        band entries that fall outside the matrix, so one band, built per
+        handle at the widest degree asked for, serves every smaller degree.
+        """
+        n = self.n
         blocks = self.factor.coeffs
-        ah = [b.conj().T for b in blocks]
-        a0_inv = np.linalg.inv(ah[0])
-        p = len(ah) - 1
-        x = np.zeros((degree + 1, self.n), dtype=complex)
-        for k in range(degree, -1, -1):
-            rhs = -u_plus[k] if k < u_plus.shape[0] else np.zeros(self.n, dtype=complex)
-            for m in range(1, p + 1):
-                if k + m <= degree:
-                    rhs = rhs - ah[m] @ x[k + m]
-            x[k] = a0_inv @ rhs
-        return x.T.copy()
+        lower, upper = n - 1, n * blocks.shape[0] - 1
+        if self._band is None or self._band.shape[1] < (degree + 1) * n:
+            # entry (k n + i, (k + m) n + j) = conj(A_m[j, i]) sits in band row
+            # upper + i - j - m n of column (k + m) n + j
+            m, i, j = np.indices(blocks.shape)
+            pattern = np.zeros((lower + upper + 1, n), dtype=complex)
+            pattern[upper + i - j - m * n, j] = np.conj(blocks[m, j, i])
+            self._band = np.tile(pattern, max(degree + 1, self.n_grid // 2))
+        return (lower, upper), self._band[:, : (degree + 1) * n]
+
+    def _solve_triangular(self, u_plus: np.ndarray, degree: int) -> np.ndarray:
+        widths, band = self._triangular_band(degree)
+        rhs = np.zeros((degree + 1, self.n), dtype=complex)
+        top = min(degree + 1, u_plus.shape[0])
+        rhs[:top] = -u_plus[:top]
+        x = solve_banded(widths, band, rhs.ravel(), check_finite=False)
+        return x.reshape(degree + 1, self.n).T.copy()
+
+    def _solve(self, u_plus: np.ndarray, degree: int) -> np.ndarray:
+        if self._use_fft_path:
+            return self._solve_fft(u_plus, degree)
+        return self._solve_triangular(u_plus, degree)
 
     def embed(self, coeffs) -> ModelPair:
         """Compute the model pair of f; the residual certifies the solve."""
@@ -242,11 +270,7 @@ class SpaceHandle:
         if self.mode == "inner":
             residual, _ = self._residual_field(c, np.zeros((0, 0)))
             return ModelPair(c, np.zeros((0, c.size), dtype=complex), residual)
-        u_plus = self._u_plus_coeffs(c)
-        if self._use_fft_path:
-            companions = self._solve_fft(u_plus, self.degree)
-        else:
-            companions = self._solve_triangular(u_plus, self.degree)
+        companions = self._solve(self._u_plus_coeffs(c), self.degree)
         residual, _ = self._residual_field(c, companions)
         return ModelPair(c, companions, residual)
 
@@ -284,14 +308,37 @@ class SpaceHandle:
             e[k] = 1.0
             self._monomial_pairs.append(self.embed(e))
         if self._gram is None or self._gram.shape[0] <= degree:
-            m = degree + 1
-            g = np.empty((m, m), dtype=complex)
-            for j in range(m):
-                for k in range(j, m):
-                    g[j, k] = self.inner(self._monomial_pairs[k], self._monomial_pairs[j])
-                    g[k, j] = np.conj(g[j, k])
-            self._gram = g
+            self._gram = self._extend_gram(degree + 1)
         return self._gram[: degree + 1, : degree + 1]
+
+    def _companion_rows(self, start: int, stop: int) -> np.ndarray:
+        """Flattened companions of the stored monomials z^start..z^(stop-1)."""
+        return np.stack([p.companions.ravel() for p in self._monomial_pairs[start:stop]])
+
+    def _extend_gram(self, size: int) -> np.ndarray:
+        """The monomial Gram grown to ``size``: I plus the companion products.
+
+        Every monomial pair carries companions of the handle's width, so each
+        block of new columns is a product of stacked companions.  Blocks of
+        ``_GRAM_BLOCK`` monomials keep the stacked copies small; each block
+        above the diagonal is mirrored below it, so the Gram is exactly
+        Hermitian.
+        """
+        old = 0 if self._gram is None else self._gram.shape[0]
+        g = np.empty((size, size), dtype=complex)
+        g[:old, :old] = self._gram
+        for k0 in range(old, size, _GRAM_BLOCK):
+            k1 = min(k0 + _GRAM_BLOCK, size)
+            cols = self._companion_rows(k0, k1)
+            for j0 in range(0, k0, _GRAM_BLOCK):
+                j1 = min(j0 + _GRAM_BLOCK, k0)
+                block = self._companion_rows(j0, j1).conj() @ cols.T
+                g[j0:j1, k0:k1] = block
+                g[k0:k1, j0:j1] = block.conj().T
+            square = np.triu(cols.conj() @ cols.T, 1)
+            square += square.conj().T + np.diag(1.0 + np.sum(np.abs(cols) ** 2, axis=1))
+            g[k0:k1, k0:k1] = square
+        return g
 
     def poly_norm_sq(self, coeffs) -> float:
         """Squared space norm of a polynomial member.
@@ -355,12 +402,9 @@ class SpaceHandle:
         if abs(lam) >= 1.0:
             raise ValueError("evaluation point must satisfy |lam| < 1")
         rhat = self._coanalytic_spectrum(pair)
-        # u(lam) = sum_{m >= 1} rhat[N - m] conj(lam)**m, Horner from the deep tail
-        lam_bar = np.conj(lam)
-        u = np.zeros(self.n, dtype=complex)
-        for m in range(self.n_grid // 2, 0, -1):
-            u = u * lam_bar + rhat[self.n_grid - m]
-        u = u * lam_bar
+        # u(lam) = sum_{m = 1}^{N/2} rhat[N - m] conj(lam)**m
+        half = self.n_grid // 2
+        u = szego_taylor(lam, half)[1:] @ rhat[::-1][:half]
         a_lam_h = self.factor.at(lam).conj().T
         cond = np.linalg.cond(a_lam_h)
         if cond > 1e8:
@@ -403,11 +447,7 @@ class SpaceHandle:
             return MembershipReport(member, pair.residual,
                                     pair.norm if member else None, evidence)
         degree2 = min(2 * self.degree, self.n_grid // 2 - 1)
-        u_plus = self._u_plus_coeffs(c)
-        if self._use_fft_path:
-            comp2 = self._solve_fft(u_plus, degree2)
-        else:
-            comp2 = self._solve_triangular(u_plus, degree2)
+        comp2 = self._solve(self._u_plus_coeffs(c), degree2)
         res2, _ = self._residual_field(c, comp2)
         norm1 = pair.norm
         norm2 = float(np.sqrt(h2_norm_sq(c) + np.sum(np.abs(comp2) ** 2)))

@@ -6,6 +6,7 @@ algebra; no grids are involved.
 """
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 
 def as_coeffs(c) -> np.ndarray:
@@ -69,16 +70,18 @@ def geometric_divide(c, lam_bar, degree) -> np.ndarray:
     """Coefficients of f(z) / (1 - conj(lam) z) truncated at ``degree``.
 
     ``lam_bar`` is conj(lam) with |lam| < 1; the quotient series converges
-    geometrically and the truncation error is O(|lam|**degree).
+    geometrically and the truncation error is O(|lam|**degree).  The
+    recurrence q[k] = f[k] + conj(lam) q[k - 1] is the bidiagonal system
+    (I - conj(lam) S) q = f with S the down-shift.
     """
     a = as_coeffs(c)
-    q = np.zeros(degree + 1, dtype=complex)
-    acc = 0.0 + 0.0j
-    for k in range(degree + 1):
-        fk = a[k] if k < a.size else 0.0
-        acc = fk + lam_bar * acc
-        q[k] = acc
-    return q
+    rhs = np.zeros(degree + 1, dtype=complex)
+    top = min(a.size, degree + 1)
+    rhs[:top] = a[:top]
+    band = np.empty((2, degree + 1), dtype=complex)
+    band[0] = 1.0
+    band[1] = -lam_bar  # the last entry lies outside the matrix
+    return solve_banded((1, 0), band, rhs, check_finite=False)
 
 
 def series_divide(num, den, degree) -> np.ndarray:
@@ -99,14 +102,6 @@ def series_divide(num, den, degree) -> np.ndarray:
 def convolve(a, b) -> np.ndarray:
     """Product of two polynomials."""
     return np.convolve(as_coeffs(a), as_coeffs(b))
-
-
-def h2_inner(a, b) -> complex:
-    """Hardy-space inner product <a, b> = sum a_k conj(b_k)."""
-    a = as_coeffs(a)
-    b = as_coeffs(b)
-    m = min(a.size, b.size)
-    return complex(np.vdot(b[:m], a[:m]))
 
 
 def h2_norm_sq(a) -> float:

@@ -14,7 +14,6 @@ from scipy.linalg import cholesky, eigh, rq
 
 from .errors import ConvergenceError, ExtremeTypeError
 from .harmonic import grid_points, log_diagnostic
-from .series import trim
 
 _EPS_FLOOR = 1e-10
 _MAX_ITER = 200

@@ -9,7 +9,9 @@ from hbspace.catalog import (
     inner_symbol,
     rank1_half_symbol,
 )
+from hbspace.harmonic import DiskFunction
 from hbspace.model import SpaceHandle
+from hbspace.symbols import RowSymbol, weighted_space_symbol
 
 N_GRID = 1024
 
@@ -27,6 +29,22 @@ def rank1_half():
 @pytest.fixture(scope="session")
 def cusp():
     return SpaceHandle(cusp_symbol(N_GRID), n_grid=N_GRID)
+
+
+@pytest.fixture(scope="session")
+def two_term():
+    """Rank-2 symbol (z / sqrt(2), z^2 / 2)."""
+    return SpaceHandle(RowSymbol([
+        DiskFunction([0.0, 1.0 / np.sqrt(2.0)], n_boundary=N_GRID),
+        DiskFunction([0.0, 0.0, 0.5], n_boundary=N_GRID),
+    ]), n_grid=N_GRID)
+
+
+@pytest.fixture(scope="session")
+def weighted():
+    """Weighted Hardy space with weights (1, 2, 2.5, 3, 3, ...), a rank-3 symbol."""
+    return SpaceHandle(weighted_space_symbol([1.0, 2.0, 2.5, 3.0], n_boundary=N_GRID),
+                       n_grid=N_GRID)
 
 
 @pytest.fixture(scope="session")

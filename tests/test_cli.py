@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import hbspace
 from hbspace.cli import main
 
 
@@ -168,3 +173,13 @@ def test_thread_fanout_is_deterministic(tmp_path, capsys, monkeypatch):
                       "--out", str(d2)], capsys)
     assert code == 0
     assert (d1 / "kernel.csv").read_bytes() == (d2 / "kernel.csv").read_bytes()
+
+
+def test_import_stays_light():
+    # scipy.signal alone adds about a second to every cold command
+    src = str(Path(hbspace.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    subprocess.run([sys.executable, "-c",
+                    "import hbspace, sys; assert 'scipy.signal' not in sys.modules"],
+                   env=env, check=True, timeout=60)

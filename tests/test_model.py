@@ -257,12 +257,102 @@ def test_companion_stability_under_degree_doubling(rank1_half):
     assert np.max(np.abs(small - large[:, :w])) < 1e-8
 
 
-def test_triangular_and_fft_paths_agree(rank1_half, rng):
-    f = rng.normal(size=10) + 1j * rng.normal(size=10)
-    u_plus = rank1_half._u_plus_coeffs(f)
-    a = rank1_half._solve_fft(u_plus, 64)
-    b = rank1_half._solve_triangular(u_plus, 64)
-    assert np.max(np.abs(a - b)) < 1e-10
+def test_triangular_and_fft_paths_agree(rank1_half, two_term, weighted, rng):
+    for space in (rank1_half, two_term, weighted):  # n = 1, 2, 3
+        assert space._use_fft_path
+        f = rng.normal(size=10) + 1j * rng.normal(size=10)
+        u_plus = space._u_plus_coeffs(f)
+        doubled = min(2 * space.degree, space.n_grid // 2 - 1)
+        for degree in (64, space.degree, doubled):
+            a = space._solve_fft(u_plus, degree)
+            b = space._solve_triangular(u_plus, degree)
+            assert a.shape == b.shape == (space.n, degree + 1)
+            assert np.max(np.abs(a - b)) < 1e-10
+
+
+def _dense_block_toeplitz(blocks, degree):
+    """The matrix with block (k, k + m) = A_m*, assembled entry by entry."""
+    n = blocks.shape[1]
+    mat = np.zeros(((degree + 1) * n, (degree + 1) * n), dtype=complex)
+    for k in range(degree + 1):
+        for m in range(min(blocks.shape[0], degree + 1 - k)):
+            mat[k * n:(k + 1) * n, (k + m) * n:(k + m + 1) * n] = blocks[m].conj().T
+    return mat
+
+
+@pytest.fixture(scope="module")
+def ddelta():
+    """Sarason's D(delta_1) = H(b), b = (1 - tau) z / (1 - tau z), to degree 40."""
+    tau = (3.0 - np.sqrt(5.0)) / 2.0
+    b = np.zeros(41)
+    b[1:] = (1.0 - tau) * tau ** np.arange(40)
+    return SpaceHandle(RowSymbol([DiskFunction(b, n_boundary=N_GRID)]), n_grid=N_GRID)
+
+
+@pytest.mark.parametrize("name", ["ddelta", "weighted", "two_term"])
+def test_triangular_solve_matches_dense_block_toeplitz(name, request, rng):
+    space = request.getfixturevalue(name)
+    if name == "ddelta":
+        assert not space._use_fft_path
+        assert space.factor.coeffs.shape[0] > 8  # a wide band
+    f = rng.normal(size=12) + 1j * rng.normal(size=12)
+    u_plus = space._u_plus_coeffs(f)
+    degree = 64
+    got = space._solve_triangular(u_plus, degree)
+    dense = _dense_block_toeplitz(space.factor.coeffs, degree)
+    ref = np.linalg.solve(dense, -u_plus[: degree + 1].ravel()).reshape(degree + 1, -1).T
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_geometric_divide_matches_recurrence_and_multiplies_back():
+    degree = 2047
+    lam_bar = 0.95 * np.exp(-0.7j)
+    f = np.array([1.0, -0.5 + 0.25j, 2.0j, 0.3])
+    q = geometric_divide(f, lam_bar, degree)
+    assert q.shape == (degree + 1,)
+    ref = np.zeros(degree + 1, dtype=complex)
+    acc = 0.0
+    for k in range(degree + 1):
+        acc = (f[k] if k < f.size else 0.0) + lam_bar * acc
+        ref[k] = acc
+    assert np.max(np.abs(q - ref)) <= 1e-13 * np.max(np.abs(ref))
+    back = np.convolve(q, [1.0, -lam_bar])[: degree + 1]
+    target = np.zeros(degree + 1, dtype=complex)
+    target[: f.size] = f
+    assert np.max(np.abs(back - target)) < 1e-13
+
+
+def test_resolvent_correction_matches_horner(weighted, rng):
+    f = rng.normal(size=6) + 1j * rng.normal(size=6)
+    pair = weighted.embed(f)
+    rhat = weighted._coanalytic_spectrum(pair)
+    n_grid = weighted.n_grid
+    for lam in 0.9 * np.exp(2j * np.pi * rng.uniform(0, 1, 3)):
+        lam_bar = np.conj(lam)
+        u = np.zeros(weighted.n, dtype=complex)
+        for m in range(n_grid // 2, 0, -1):
+            u = u * lam_bar + rhat[n_grid - m]
+        ref = np.linalg.solve(weighted.factor.at(lam).conj().T, u * lam_bar)
+        got = weighted.resolvent_correction(pair, lam)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_monomial_gram_matches_pairwise_inner(weighted, cusp):
+    for space in (weighted, cusp):
+        space.monomial_gram(7)  # so the degree-40 Gram grows a cached smaller one
+        g = space.monomial_gram(40)
+        pairs = [space.embed(np.eye(k + 1)[k]) for k in range(41)]
+        ref = np.array([[space.inner(pk, pj) for pk in pairs] for pj in pairs])
+        assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_monomial_gram_hermitian_at_full_degree():
+    space = SpaceHandle(RowSymbol([DiskFunction([0.0, 0.5, 0.25], n_boundary=N_GRID)]),
+                        n_grid=N_GRID)
+    g = space.monomial_gram(255)
+    assert g.shape == (256, 256)
+    assert np.array_equal(g, g.conj().T)
+    assert np.min(np.linalg.eigvalsh(g)) >= 1.0 - 1e-10  # G = I + C* C
 
 
 def test_contractivity_over_random_members(rank1_half, rng):
@@ -288,12 +378,8 @@ def test_two_jump_weighted_space_gram_is_diagonal():
     assert estimate_rank(space.monomial_gram(32)) == 2
 
 
-def test_two_component_handle(rng):
-    sym = RowSymbol([
-        DiskFunction([0.0, 1.0 / np.sqrt(2.0)], n_boundary=N_GRID),
-        DiskFunction([0.0, 0.0, 0.5], n_boundary=N_GRID),
-    ])
-    space = SpaceHandle(sym, n_grid=N_GRID)
+def test_two_component_handle(two_term, rng):
+    space = two_term
     assert space.mode == "analytic"
     assert space.defect_identity_residual() < 1e-10
     pair = space.embed(np.array([0.0, 1.0]))
