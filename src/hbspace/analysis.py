@@ -64,8 +64,9 @@ class LimitSchedule:
 
 
 def _divided_difference_all(c: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    """Columns are the coefficients of (f - f(eta)) / (z - eta), one per eta."""
-    d = c.size - 1
+    """Columns are the coefficients of (f - f(eta)) / (z - eta), one per eta;
+    ``c`` is one polynomial or a matrix holding one polynomial column per eta."""
+    d = c.shape[0] - 1
     if d < 1:
         return np.zeros((1, etas.size), dtype=complex)
     q = np.empty((d, etas.size), dtype=complex)
@@ -79,7 +80,7 @@ def _divided_difference_all(c: np.ndarray, etas: np.ndarray) -> np.ndarray:
 def _quadratic_form(space, mat: np.ndarray) -> np.ndarray:
     """Space norms squared of the polynomial columns of ``mat``."""
     g = space.monomial_gram(mat.shape[0] - 1)
-    return np.einsum("am,ab,bm->m", np.conj(mat), g, mat).real
+    return np.einsum("am,am->m", np.conj(mat), g @ mat).real
 
 
 def _column_norms(space, mat: np.ndarray) -> np.ndarray:

@@ -59,9 +59,10 @@ _NAMED = {
     "h2": lambda **kw: SpaceHandle(h2_symbol(), **kw),
     "rank1-half": lambda **kw: SpaceHandle(rank1_half_symbol(kw.get("n_grid", DEFAULT_GRID)), **kw),
     "cusp": lambda **kw: SpaceHandle(cusp_symbol(kw.get("n_grid", DEFAULT_GRID)), **kw),
-    "dirichlet-origin": lambda **kw: dirichlet_origin(),
-    "dirichlet-half": lambda **kw: dirichlet_half(),
-    "dirichlet-pair": lambda **kw: dirichlet_pair(),
+    # Dirichlet-type spaces are exact and take no grid: only ``degree`` applies
+    "dirichlet-origin": lambda degree=128, **_: dirichlet_origin(degree),
+    "dirichlet-half": lambda degree=128, **_: dirichlet_half(degree),
+    "dirichlet-pair": lambda degree=128, **_: dirichlet_pair(degree),
 }
 
 
@@ -113,7 +114,7 @@ def space_from_json(obj, **kwargs):
             return SpaceHandle(symbol, **kwargs)
         if kind == "dirichlet":
             atoms = [(_parse_complex(a["z"]), float(a["c"])) for a in obj["atoms"]]
-            return DirichletSpace(MeasureSpec(atoms=atoms))
+            return DirichletSpace(MeasureSpec(atoms=atoms), degree=kwargs.get("degree", 128))
     except KeyError as exc:
         raise ConfigError(f"space definition missing field {exc}") from exc
     except InvariantViolation:

@@ -66,12 +66,19 @@ def _load_space(args):
     raise ConfigError("a space is required: --space FILE or --named NAME")
 
 
+def _finite(values, text: str):
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"non-finite value in {text!r}")
+    return values
+
+
 def _parse_coeffs(text) -> np.ndarray:
     try:
-        return np.array([complex(tok.strip().replace("i", "j"))
-                         for tok in text.split(",")], dtype=complex)
+        values = np.array([complex(tok.strip().replace("i", "j"))
+                           for tok in text.split(",")], dtype=complex)
     except ValueError as exc:
         raise ConfigError(f"cannot parse coefficient list {text!r}: {exc}")
+    return _finite(values, text)
 
 
 def _input_function(args, space) -> np.ndarray:
@@ -81,9 +88,7 @@ def _input_function(args, space) -> np.ndarray:
         return _parse_coeffs(args.coeffs)
     if args.kernel_at is not None:
         lam = complex(args.kernel_at.replace("i", "j"))
-        if not hasattr(space, "kernel_taylor"):
-            raise ConfigError("kernel inputs need a symbol-backed space")
-        return space.kernel_taylor(lam)
+        return space.kernel_taylor(_finite(lam, args.kernel_at))
     raise ConfigError("an input function is required: --coeffs or --kernel-at")
 
 
@@ -156,12 +161,8 @@ def cmd_kernel(args) -> int:
 def cmd_embed(args) -> int:
     space = _load_space(args)
     f = _input_function(args, space)
-    if isinstance(space, SpaceHandle):
-        pair = space.embed(f)
-        companions, residual, norm = pair.companions, pair.residual, pair.norm
-    else:
-        companions = np.array(space.companions(f))  # exact Dirichlet embedding
-        residual, norm = 0.0, space.norm(f)
+    pair = space.embed(f)
+    companions, residual, norm = pair.companions, pair.residual, pair.norm
     n = companions.shape[0]
     print(f"residual: {residual:.6e}")
     print(f"norm: {norm:.12g}")

@@ -55,10 +55,6 @@ class BoundaryGrid:
     def points(self) -> np.ndarray:
         return grid_points(self.n)
 
-    def mean(self) -> complex:
-        """Quadrature value of the normalized boundary integral."""
-        return complex(self.samples.mean())
-
 
 def fourier_coeffs(grid: BoundaryGrid) -> np.ndarray:
     """Fourier coefficients of the grid samples, orders -N/2 .. N/2-1.

@@ -15,7 +15,6 @@ solve.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -26,61 +25,23 @@ from .series import (
     as_coeffs,
     geometric_divide,
     h2_norm_sq,
-    horner,
     shift_down,
     shift_up,
     szego_taylor,
 )
 from .spectral import MatrixSymbol, factor_residual, matrix_outer_factor
-from .symbols import RowSymbol, gram_matrix, kernel_eval
+from .symbols import (
+    MembershipReport,
+    ModelPair,
+    RowSymbol,
+    gram_matrix,
+    kernel_eval,
+    pair_inner,
+)
 
 _INNER_TOL = 1e-10
 _FFT_PATH_FLOOR = 1e-2
 _GRAM_BLOCK = 16
-
-
-@dataclass
-class ModelPair:
-    """A member together with its companion coefficients (n, deg+1)."""
-
-    f: np.ndarray
-    companions: np.ndarray
-    residual: float
-
-    def __post_init__(self):
-        self.f = as_coeffs(self.f)
-        self.companions = np.atleast_2d(np.asarray(self.companions, dtype=complex))
-
-    @property
-    def n(self) -> int:
-        return self.companions.shape[0]
-
-    @property
-    def norm_sq(self) -> float:
-        total = h2_norm_sq(self.f)
-        if self.companions.size:
-            total += float(np.sum(np.abs(self.companions) ** 2))
-        return total
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(self.norm_sq))
-
-    def companion_at(self, lam) -> np.ndarray:
-        if self.n == 0:
-            return np.zeros(0, dtype=complex)
-        return np.array([horner(row, lam) for row in self.companions])
-
-
-@dataclass
-class MembershipReport:
-    member: bool
-    residual: float
-    norm: float | None
-    evidence: dict
-
-    def __bool__(self):
-        return self.member
 
 
 class SpaceHandle:
@@ -288,18 +249,12 @@ class SpaceHandle:
 
     def inner(self, pair_a: ModelPair, pair_b: ModelPair) -> complex:
         """Space inner product through the embedding."""
-        m = min(pair_a.f.size, pair_b.f.size)
-        total = complex(np.vdot(pair_b.f[:m], pair_a.f[:m]))
-        if pair_a.n and pair_b.n:
-            w = min(pair_a.companions.shape[1], pair_b.companions.shape[1])
-            total += complex(np.vdot(pair_b.companions[:, :w].ravel(),
-                                     pair_a.companions[:, :w].ravel()))
-        return total
+        return pair_inner(pair_a, pair_b)
 
     # -- fast polynomial norms via the monomial Gram ------------------------
 
-    def monomial_gram(self, degree: int) -> np.ndarray:
-        """Gram G[j, k] = <z^k, z^j> of monomials in the space norm."""
+    def monomial_pairs(self, degree: int) -> list[ModelPair]:
+        """Model pairs of 1, z, ..., z^degree, each embedded once per handle."""
         if self.mode == "inner":
             raise NumericalError("monomial Gram undefined: monomials may not be members")
         while len(self._monomial_pairs) <= degree:
@@ -307,6 +262,11 @@ class SpaceHandle:
             e = np.zeros(k + 1, dtype=complex)
             e[k] = 1.0
             self._monomial_pairs.append(self.embed(e))
+        return self._monomial_pairs[: degree + 1]
+
+    def monomial_gram(self, degree: int) -> np.ndarray:
+        """Gram G[j, k] = <z^k, z^j> of monomials in the space norm."""
+        self.monomial_pairs(degree)
         if self._gram is None or self._gram.shape[0] <= degree:
             self._gram = self._extend_gram(degree + 1)
         return self._gram[: degree + 1, : degree + 1]

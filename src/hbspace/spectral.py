@@ -83,10 +83,6 @@ def _min_eigenvalue(field: np.ndarray) -> float:
     return float(np.min(np.linalg.eigvalsh(field)))
 
 
-def _det_samples(field: np.ndarray) -> np.ndarray:
-    return np.linalg.det(field).real
-
-
 def factor_residual(a, phi) -> float:
     """sup over the grid of the spectral norm of A* A - Phi."""
     phi = _as_field(phi)
@@ -234,7 +230,7 @@ def matrix_outer_factor(phi, max_iter: int = _MAX_ITER, tol: float = _STEP_TOL,
     min_eig = _min_eigenvalue(phi)
     if min_eig < -1e-10 * max(scale, 1.0):
         raise ValueError("input field is not positive semidefinite")
-    dets = _det_samples(phi)
+    dets = np.linalg.det(phi).real
     if not log_diagnostic(np.maximum(dets, 0.0)).finite:
         raise ExtremeTypeError(
             "log det of the defect field is not integrable; no outer factor"

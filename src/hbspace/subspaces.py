@@ -9,16 +9,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
+from .analysis import LimitSchedule, _column_norms, _divided_difference_all
 from .errors import ConfigError, NumericalError
 from .model import SpaceHandle
 from .series import (
     as_coeffs,
     convolve,
-    divided_difference,
     horner,
     series_divide,
     shift_down,
-    shift_up,
     szego_taylor,
 )
 
@@ -99,11 +98,17 @@ class SubspaceBasis:
         return len(self.pairs)
 
 
-def _poly_inner(space, a, b) -> complex:
-    """Ambient inner product of two polynomial members."""
-    if hasattr(space, "inner") and isinstance(space, SpaceHandle):
-        return space.inner(space.embed(a), space.embed(b))
-    return space.inner(a, b)
+def _stack(pairs) -> np.ndarray:
+    """Rows (f, companions) of the pairs, each part zero-padded to its widest
+    occurrence, so that rows @ rows^H holds the inner products <p_i, p_j>."""
+    wf = max(p.f.size for p in pairs)
+    wc = max(p.companions.shape[1] for p in pairs)
+    n = pairs[0].n
+    rows = np.zeros((len(pairs), wf + n * wc), dtype=complex)
+    for row, p in zip(rows, pairs):
+        row[: p.f.size] = p.f
+        row[wf:].reshape(n, wc)[:, : p.companions.shape[1]] = p.companions
+    return rows
 
 
 def intersect_model_space(space, theta: BlaschkeProduct,
@@ -112,57 +117,38 @@ def intersect_model_space(space, theta: BlaschkeProduct,
 
     Candidates come from the model-space basis; non-members are filtered out
     by the membership test and the rest Gram-Schmidted through a Cholesky of
-    their Gram.
+    their Gram.  Each member and each basis vector is embedded once.
     """
-    if not getattr(space, "mz_invariant", False):
+    if not space.mz_invariant:
         raise ConfigError("intersection machinery needs a forward-shift-invariant space")
-    degree = degree if degree is not None else min(getattr(space, "degree", 256), 256)
-    candidates = model_space_basis(theta, degree)
-    members = []
-    for c in candidates:
-        if hasattr(space, "membership"):
-            if space.membership(c).member:
-                members.append(c)
-        else:
-            members.append(c)  # embedded Dirichlet spaces contain all polynomials
+    degree = degree if degree is not None else min(space.degree, 256)
+    members = [c for c in model_space_basis(theta, degree) if space.membership(c).member]
     if not members:
         return SubspaceBasis([], np.zeros((0, 0)))
-    d = len(members)
-    gm = np.empty((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            gm[i, j] = _poly_inner(space, members[i], members[j])
+    raw = _stack([space.embed(m) for m in members])
+    gm = raw @ raw.conj().T
     low = cholesky(0.5 * (gm + gm.conj().T), lower=True)
     width = max(m.size for m in members)
-    rows = np.zeros((d, width), dtype=complex)
-    for i, m in enumerate(members):
-        rows[i, : m.size] = m
-    ortho = solve_triangular(low, rows, lower=True)
+    ortho = solve_triangular(low, raw[:, :width], lower=True)
     coeffs = [np.trim_zeros(row, "b") if np.any(row) else row[:1] for row in ortho]
-    pairs = [space.embed(c) if hasattr(space, "embed") else c for c in coeffs]
-    gram = np.empty((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            gram[i, j] = _poly_inner(space, coeffs[i], coeffs[j])
-    return SubspaceBasis(pairs, gram, coeffs=coeffs, raw_gram=gm)
+    pairs = [space.embed(c) for c in coeffs]
+    rows = _stack(pairs)
+    return SubspaceBasis(pairs, rows @ rows.conj().T, coeffs=coeffs, raw_gram=gm)
 
 
 def backward_invariance_residual(space, basis: SubspaceBasis) -> float:
     """Largest relative residual of projecting L(basis member) back onto the
     subspace; certifies backward-shift invariance of the intersection."""
-    worst = 0.0
-    for c in basis.coeffs:
-        lc = shift_down(as_coeffs(c))
-        total = space.poly_norm_sq(lc)
-        if total <= 1e-24:
-            continue
-        proj = 0.0
-        for b in basis.coeffs:
-            coef = _poly_inner(space, lc, b)
-            proj += abs(coef) ** 2
-        rel = max(total - proj, 0.0) / total
-        worst = max(worst, float(np.sqrt(rel)))
-    return worst
+    if not basis.dim:
+        return 0.0
+    rows = _stack([space.embed(shift_down(c)) for c in basis.coeffs]
+                  + basis.pairs)
+    lrows, brows = rows[: basis.dim], rows[basis.dim:]
+    total = np.sum(np.abs(lrows) ** 2, axis=1)
+    proj = np.sum(np.abs(lrows @ brows.conj().T) ** 2, axis=1)
+    live = total > 1e-24
+    rel = np.maximum(total[live] - proj[live], 0.0) / total[live]
+    return float(np.sqrt(np.max(rel, initial=0.0)))
 
 
 @dataclass
@@ -175,35 +161,26 @@ class PolyDensityResult:
 def poly_density_residual(space, coeffs, degrees) -> PolyDensityResult:
     """Best polynomial-approximation residuals per degree in the space norm.
 
-    Computed through one Cholesky of the monomial Gram, so the squared
+    Computed through one Cholesky of the cached monomial Gram, so the squared
     projections accumulate as partial sums of nonnegative terms and the
-    residual sequence is exactly nonincreasing.
+    residual sequence is exactly nonincreasing.  f is embedded once; its
+    inner products with the monomials come from the cached monomial pairs.
     """
-    if not getattr(space, "mz_invariant", False):
+    if not space.mz_invariant:
         raise ConfigError("polynomial approximation needs a forward-shift-invariant space")
     degrees = sorted(int(d) for d in degrees)
     if not degrees or degrees[0] < 0:
         raise ConfigError("need a nonempty list of nonnegative degrees")
-    c = as_coeffs(coeffs)
     dmax = degrees[-1]
-    gm = np.empty((dmax + 1, dmax + 1), dtype=complex)
-    mono = [np.eye(dmax + 1, dtype=complex)[k][: k + 1] for k in range(dmax + 1)]
-    for i in range(dmax + 1):
-        for j in range(i, dmax + 1):
-            gm[i, j] = _poly_inner(space, mono[i], mono[j])
-            gm[j, i] = np.conj(gm[i, j])
-    b = np.array([_poly_inner(space, c, mono[i]) for i in range(dmax + 1)])
-    norm_sq = float(np.real(_poly_inner(space, c, c)))
+    gm = space.monomial_gram(dmax)
+    rows = _stack([space.embed(coeffs)] + space.monomial_pairs(dmax))
+    b = rows[1:].conj() @ rows[0]  # b[j] = <f, z^j>
+    norm_sq = float(np.sum(np.abs(rows[0]) ** 2))
     truncated_solve = False
     try:
         low = cholesky(0.5 * (gm + gm.conj().T), lower=True)
         t = solve_triangular(low, b, lower=True)
-        partial = 0.0
-        partials = np.empty(dmax + 1)
-        for k in range(dmax + 1):
-            partial = partial + float(np.abs(t[k]) ** 2)
-            partials[k] = partial
-        proj_sq = partials[degrees]
+        proj_sq = np.cumsum(np.abs(t) ** 2)[degrees]
     except np.linalg.LinAlgError:
         truncated_solve = True
         proj_sq = np.empty(len(degrees))
@@ -239,8 +216,6 @@ def nearly_invariant_norm(space, phi, f, schedule=None,
     Grid points where |phi| < 1e-6 are skipped and logged; more than 5%
     skipped aborts the estimate.
     """
-    from .analysis import LimitSchedule  # local import to avoid a cycle
-
     phi = as_coeffs(phi)
     f = as_coeffs(f)
     schedule = schedule or LimitSchedule(k_min=4, k_max=8)
@@ -267,14 +242,14 @@ def nearly_invariant_norm(space, phi, f, schedule=None,
         skip_log.append((r, int(np.sum(~keep))))
         skipped += int(np.sum(~keep))
         total += m
-        vals = []
-        for eta, pv in zip(lam[keep], phi_vals[keep]):
-            ratio = horner(f, eta) / pv
-            h = f_pad - ratio * phi_pad
-            q = divided_difference(h, eta)
-            vals.append(space.poly_norm_sq(shift_up(q)) - space.poly_norm_sq(q))
-        if not vals:
+        if not np.any(keep):
             raise NumericalError("every quadrature node was skipped")
+        eta = lam[keep]
+        ratio = horner(f, eta) / phi_vals[keep]
+        # column j holds the coefficients of L^phi_eta f at eta = eta[j]
+        q = _divided_difference_all(f_pad[:, None] - phi_pad[:, None] * ratio, eta)
+        zq = np.vstack([np.zeros((1, eta.size), dtype=complex), q])
+        vals = _column_norms(space, zq) - _column_norms(space, q)
         rows.append((r, quotient_norm_sq + float(np.mean(vals))))
     frac = skipped / max(total, 1)
     if frac > 0.05:

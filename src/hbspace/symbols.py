@@ -25,6 +25,61 @@ _INDEPENDENCE_TOL = 1e-10
 
 
 @dataclass
+class ModelPair:
+    """A member together with its companion coefficients, one row per component."""
+
+    f: np.ndarray
+    companions: np.ndarray
+    residual: float
+
+    def __post_init__(self):
+        self.f = as_coeffs(self.f)
+        self.companions = np.atleast_2d(np.asarray(self.companions, dtype=complex))
+
+    @property
+    def n(self) -> int:
+        return self.companions.shape[0]
+
+    @property
+    def norm_sq(self) -> float:
+        total = h2_norm_sq(self.f)
+        if self.companions.size:
+            total += float(np.sum(np.abs(self.companions) ** 2))
+        return total
+
+    @property
+    def norm(self) -> float:
+        return float(np.sqrt(self.norm_sq))
+
+    def companion_at(self, lam) -> np.ndarray:
+        if self.n == 0:
+            return np.zeros(0, dtype=complex)
+        return np.array([horner(row, lam) for row in self.companions])
+
+
+def pair_inner(pair_a: ModelPair, pair_b: ModelPair) -> complex:
+    """Space inner product <a, b> of two model pairs."""
+    m = min(pair_a.f.size, pair_b.f.size)
+    total = complex(np.vdot(pair_b.f[:m], pair_a.f[:m]))
+    if pair_a.n and pair_b.n:
+        w = min(pair_a.companions.shape[1], pair_b.companions.shape[1])
+        total += complex(np.vdot(pair_b.companions[:, :w].ravel(),
+                                 pair_a.companions[:, :w].ravel()))
+    return total
+
+
+@dataclass
+class MembershipReport:
+    member: bool
+    residual: float
+    norm: float | None
+    evidence: dict
+
+    def __bool__(self):
+        return self.member
+
+
+@dataclass
 class RowSymbol:
     """Validated row symbol; immutable after construction.
 
@@ -41,10 +96,6 @@ class RowSymbol:
             comps.append(c if isinstance(c, DiskFunction) else DiskFunction(c))
         self.components = comps
         self._validate()
-
-    @property
-    def rank_declared(self) -> int:
-        return len(self.components)
 
     @property
     def n(self) -> int:
@@ -189,14 +240,6 @@ class MeasureSpec:
             cleaned.append((loc, weight))
         self.atoms = cleaned
 
-    @property
-    def total_mass(self) -> float:
-        mass = sum(w for _, w in self.atoms)
-        if self.ac_density is not None:
-            samples = getattr(self.ac_density, "samples", self.ac_density)
-            mass += float(np.mean(np.real(samples)))
-        return mass
-
 
 class DirichletSpace:
     """Local Dirichlet space of a finitely supported measure, handled through
@@ -238,6 +281,16 @@ class DirichletSpace:
         c = as_coeffs(coeffs)
         return [np.sqrt(w) * divided_difference(c, loc) for loc, w in self.measure.atoms]
 
+    def embed(self, coeffs) -> ModelPair:
+        """The model pair of f; exact, so its residual is 0."""
+        c = as_coeffs(coeffs)
+        return ModelPair(c, np.array(self.companions(c)), 0.0)
+
+    def membership(self, coeffs) -> MembershipReport:
+        """Every polynomial is a member of a Dirichlet-type space."""
+        norm = self.embed(coeffs).norm
+        return MembershipReport(True, 0.0, norm, {"residual": 0.0, "degree": self.degree})
+
     def companions_at(self, coeffs, lam) -> np.ndarray:
         return np.array([horner(q, lam) for q in self.companions(coeffs)])
 
@@ -248,13 +301,13 @@ class DirichletSpace:
     def norm(self, coeffs) -> float:
         return float(np.sqrt(max(self.poly_norm_sq(coeffs), 0.0)))
 
-    def inner(self, a, b) -> complex:
-        """Space inner product <a, b> through the embedding."""
-        ca, cb = as_coeffs(a), as_coeffs(b)
-        total = _h2_pair(ca, cb)
-        for qa, qb in zip(self.companions(ca), self.companions(cb)):
-            total += _h2_pair(qa, qb)
-        return total
+    def inner(self, pair_a: ModelPair, pair_b: ModelPair) -> complex:
+        """Space inner product through the embedding."""
+        return pair_inner(pair_a, pair_b)
+
+    def monomial_pairs(self, degree: int) -> list[ModelPair]:
+        """Model pairs of 1, z, ..., z^degree."""
+        return [self.embed(np.eye(1, k + 1, k)[0]) for k in range(degree + 1)]
 
     def monomial_gram(self, degree: int) -> np.ndarray:
         """Gram G[j, k] = <z^k, z^j> of the monomials up to ``degree``."""
@@ -300,16 +353,6 @@ class DirichletSpace:
         solver = self._kernel_solver(degree)
         mono_lam = np.conj(lam) ** np.arange(degree + 1)
         return cho_solve(solver, mono_lam)
-
-
-def _h2_pair(a, b) -> complex:
-    m = min(a.size, b.size)
-    return complex(np.vdot(b[:m], a[:m]))
-
-
-def dirichlet_point_mass_space(measure: MeasureSpec, degree: int = 128) -> DirichletSpace:
-    """Construct the embedded Dirichlet-type space of an atomic measure."""
-    return DirichletSpace(measure, degree=degree)
 
 
 def dirichlet_norm(coeffs, measure: MeasureSpec, n_grid: int = DEFAULT_GRID) -> float:

@@ -88,6 +88,26 @@ def test_embed_subcommand(tmp_path, capsys):
     assert (tmp_path / "embed.csv").exists()
 
 
+def test_non_finite_inputs_exit_2(capsys):
+    for args in (["embed", "--named", "rank1-half", "--coeffs", "nan,1", "--json"],
+                 ["norm", "--named", "dirichlet-origin", "--coeffs", "nan,1"],
+                 ["norm", "--named", "rank1-half", "--coeffs", "1e400,1"],
+                 ["poly-density", "--named", "rank1-half", "--kernel-at", "nan"]):
+        code, out, err = run(args, capsys)
+        assert code == 2, args
+        assert "non-finite" in err
+        assert "NaN" not in out
+
+
+def test_embed_dirichlet_space(capsys):
+    code, out, _ = run(["embed", "--named", "dirichlet-origin", "--coeffs", "0,1", "--json"],
+                       capsys)
+    assert code == 0
+    report = json.loads(out[out.index("{"):])
+    assert report["residual"] == 0.0
+    assert abs(report["norm"] - 2.0 ** 0.5) < 1e-15
+
+
 def test_norm_formula_subcommand(tmp_path, capsys):
     code, out, _ = run(["norm-formula", "--named", "rank1-half", "--coeffs", "0,1",
                         "--quick", "--out", str(tmp_path)], capsys)

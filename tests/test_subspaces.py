@@ -2,9 +2,19 @@ import numpy as np
 import pytest
 
 from hbspace.analysis import LimitSchedule
+from hbspace.catalog import rank1_half_symbol
 from hbspace.errors import ConfigError
-from hbspace.harmonic import grid_points
-from hbspace.series import convolve, h2_norm_sq, szego_taylor
+from hbspace.harmonic import DiskFunction, grid_points
+from hbspace.model import SpaceHandle
+from hbspace.series import (
+    convolve,
+    divided_difference,
+    h2_norm_sq,
+    horner,
+    shift_up,
+    szego_taylor,
+)
+from hbspace.symbols import RowSymbol
 from hbspace.subspaces import (
     BlaschkeProduct,
     backward_invariance_residual,
@@ -100,6 +110,74 @@ def test_backward_invariance_of_intersections(h2, rank1_half):
         assert backward_invariance_residual(space, basis) <= 1e-6
 
 
+def test_intersect_on_dirichlet_space(d_pair):
+    # Dirichlet companions of members, basis vectors and their backward
+    # shifts have different widths; every one of them must be kept
+    theta = BlaschkeProduct([0.3, -0.4j])
+    basis = intersect_model_space(d_pair, theta)
+    assert basis.dim == theta.degree
+    assert np.max(np.abs(basis.gram - np.eye(2))) < 1e-10
+    assert backward_invariance_residual(d_pair, basis) <= 1e-6
+
+
+def _pairwise_poly_density(space, f, degrees):
+    """Reference residuals from one embed per inner product and a dense solve
+    of the normal equations; returns (squared residuals, ||f||^2)."""
+    dmax = max(degrees)
+    mono = [np.eye(dmax + 1)[k][: k + 1] for k in range(dmax + 1)]
+
+    def inner(a, b):
+        return space.inner(space.embed(a), space.embed(b))
+
+    gram = np.array([[inner(mono[k], mono[j]) for k in range(dmax + 1)]
+                     for j in range(dmax + 1)])
+    b = np.array([inner(f, m) for m in mono])
+    norm_sq = inner(f, f).real
+    proj = [np.vdot(b[: d + 1], np.linalg.solve(gram[: d + 1, : d + 1], b[: d + 1])).real
+            for d in degrees]
+    return np.maximum(norm_sq - np.array(proj), 0.0), norm_sq
+
+
+@pytest.mark.parametrize("name,lam", [("rank1_half", 0.5), ("cusp", 0.4), ("d_pair", 0.4)])
+def test_poly_density_matches_pairwise_reference(request, name, lam):
+    # rank1_half takes the FFT route, cusp the triangular one.  Residuals are
+    # square roots of differences of nearly equal numbers, so agreement is
+    # stated on squared residuals relative to ||f||^2.
+    space = request.getfixturevalue(name)
+    f = space.kernel_taylor(lam)
+    degrees = list(range(0, 25, 2))
+    res = poly_density_residual(space, f, degrees)
+    ref_sq, norm_sq = _pairwise_poly_density(space, f, degrees)
+    assert np.max(np.abs(res.residuals ** 2 - ref_sq)) <= 1e-12 * norm_sq
+
+
+def test_poly_density_complex_gram_matches_least_squares():
+    # a symbol with a complex monomial Gram: the normal equations need G, not conj(G)
+    symbol = RowSymbol([DiskFunction([0.0, 0.3, 0.4j], n_boundary=1024)])
+    space = SpaceHandle(symbol, n_grid=1024)
+    f = space.kernel_taylor(0.5 + 0.2j)
+    degrees = [0, 2, 4, 6]
+    res = poly_density_residual(space, f, degrees)
+    ref_sq, norm_sq = _pairwise_poly_density(space, f, degrees)
+    assert np.max(np.abs(res.residuals ** 2 - ref_sq)) <= 1e-12 * norm_sq
+    assert res.residuals[-1] < 0.1 * res.residuals[0]
+
+
+def test_poly_density_embeds_each_vector_once(monkeypatch):
+    space = SpaceHandle(rank1_half_symbol(1024), n_grid=1024)
+    kernel = space.kernel_taylor(0.5)
+    calls = []
+    embed = SpaceHandle.embed
+
+    def counting_embed(self, coeffs):
+        calls.append(1)
+        return embed(self, coeffs)
+
+    monkeypatch.setattr(SpaceHandle, "embed", counting_embed)
+    poly_density_residual(space, kernel, range(0, 25, 2))
+    assert len(calls) <= 26
+
+
 def test_poly_density_hardy_monomial(h2):
     res = poly_density_residual(h2, np.array([0.0, 1.0]), [0, 1, 2])
     assert np.allclose(res.residuals, [1.0, 0.0, 0.0], atol=1e-12)
@@ -153,6 +231,24 @@ def test_nearly_invariant_consistency_in_rank_one(rank1_half):
         result = nearly_invariant_norm(rank1_half, phi, f, sched)
         target = rank1_half.poly_norm_sq(f)
         assert abs(result.final - target) / target < 2e-2
+
+
+@pytest.mark.parametrize("name", ["rank1_half", "two_term", "weighted"])
+def test_nearly_invariant_matches_per_node_reference(request, name):
+    space = request.getfixturevalue(name)
+    phi = np.array([0.0, 1.0]) / np.sqrt(space.poly_norm_sq(np.array([0.0, 1.0])))
+    f = np.array([0.0, 0.4, -0.3 + 0.2j, 0.1])
+    phi_pad = np.concatenate([phi, np.zeros(f.size - phi.size)])
+    sched = LimitSchedule(4, 6)
+    result = nearly_invariant_norm(space, phi, f, sched)
+    for (r, value), (_, m) in zip(result.rows, sched):
+        total = 0.0
+        for eta in r * np.exp(2j * np.pi * np.arange(m) / m):
+            h = f - (horner(f, eta) / horner(phi, eta)) * phi_pad
+            q = divided_difference(h, eta)
+            total += space.poly_norm_sq(shift_up(q)) - space.poly_norm_sq(q)
+        ref = result.quotient_norm_sq + total / m
+        assert abs(value - ref) <= 1e-12 * abs(ref)
 
 
 def test_quotient_membership_self(rank1_half):

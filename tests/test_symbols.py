@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hbspace.catalog import named_space, space_from_json
 from hbspace.errors import InvariantViolation, NumericalError
 from hbspace.harmonic import DiskFunction
 from hbspace.symbols import (
@@ -202,6 +203,24 @@ def test_dirichlet_norm_routes_agree(rng, d_pair):
         direct = dirichlet_norm(c, d_pair.measure)
         embedded = d_pair.norm(c)
         assert abs(direct - embedded) / embedded < 1e-6
+
+
+def test_dirichlet_embed_is_exact(d_pair):
+    c = np.array([1.0, -0.5, 0.25j, 2.0])
+    pair = d_pair.embed(c)
+    assert pair.residual == 0.0
+    assert np.array_equal(pair.companions, np.array(d_pair.companions(c)))
+    assert pair.norm_sq == pytest.approx(d_pair.poly_norm_sq(c), rel=1e-15)
+    e = d_pair.embed(np.array([0.0, 1.0]))
+    assert d_pair.inner(pair, e) == pytest.approx(d_pair.monomial_gram(3)[1] @ c, rel=1e-14)
+    assert d_pair.membership(c).member
+
+
+def test_named_dirichlet_spaces_honour_degree():
+    assert named_space("dirichlet-pair", degree=64).degree == 64
+    assert named_space("dirichlet-origin", n_grid=2048).degree == 128
+    spec = {"kind": "dirichlet", "atoms": [{"z": [0.5, 0.0], "c": 1.0}]}
+    assert space_from_json(spec, degree=32).degree == 32
 
 
 def test_dirichlet_rejects_density():
