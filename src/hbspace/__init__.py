@@ -27,7 +27,7 @@ from .symbols import (
     kernel_eval,
     weighted_space_symbol,
 )
-from .spectral import MatrixSymbol, factor_residual, matrix_outer_factor
+from .spectral import MatrixSymbol, factor_residual, matrix_outer_factor, row_defect_factor
 from .model import ModelPair, SpaceHandle
 from .analysis import (
     LimitSchedule,
@@ -75,6 +75,7 @@ __all__ = [
     "MatrixSymbol",
     "factor_residual",
     "matrix_outer_factor",
+    "row_defect_factor",
     "ModelPair",
     "SpaceHandle",
     "LimitSchedule",

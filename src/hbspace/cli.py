@@ -72,10 +72,18 @@ def _finite(values, text: str):
     return values
 
 
+def _complex(text: str) -> complex:
+    """complex() of one token, with a trailing i read as the imaginary unit
+    (so that inf and nan keep their meaning)."""
+    text = text.strip()
+    if text.endswith("i"):
+        text = text[:-1] + "j"
+    return complex(text)
+
+
 def _parse_coeffs(text) -> np.ndarray:
     try:
-        values = np.array([complex(tok.strip().replace("i", "j"))
-                           for tok in text.split(",")], dtype=complex)
+        values = np.array([_complex(tok) for tok in text.split(",")], dtype=complex)
     except ValueError as exc:
         raise ConfigError(f"cannot parse coefficient list {text!r}: {exc}")
     return _finite(values, text)
@@ -87,7 +95,7 @@ def _input_function(args, space) -> np.ndarray:
     if args.coeffs:
         return _parse_coeffs(args.coeffs)
     if args.kernel_at is not None:
-        lam = complex(args.kernel_at.replace("i", "j"))
+        lam = _complex(args.kernel_at)
         return space.kernel_taylor(_finite(lam, args.kernel_at))
     raise ConfigError("an input function is required: --coeffs or --kernel-at")
 
@@ -130,8 +138,7 @@ def cmd_kernel(args) -> int:
         for chunk in args.pairs.split(";"):
             z_text, _, lam_text = chunk.partition(":")
             try:
-                pts.append((complex(z_text.replace("i", "j")),
-                            complex(lam_text.replace("i", "j"))))
+                pts.append((_complex(z_text), _complex(lam_text)))
             except ValueError as exc:
                 raise ConfigError(f"cannot parse evaluation pair {chunk!r}: {exc}")
         pts = np.array(pts)

@@ -2,7 +2,8 @@
 
 A member f of the space attached to a row symbol B has a unique companion
 vector f_1 in the Hardy space of C^n making B* f + A* f_1 strictly
-co-analytic, where A is the outer defect factor with A*A + B*B = I.  The
+co-analytic, where A is the outer defect factor with A*A + B*B = I, taken
+exactly from the polynomial symbol by ``spectral.row_defect_factor``.  The
 squared space norm is ||f||_2^2 + ||f_1||_2^2.
 
 The analytic-part condition is solved in one of two ways: by pointwise
@@ -23,17 +24,19 @@ from .errors import ExtremeTypeError, NumericalError
 from .harmonic import DEFAULT_GRID
 from .series import (
     as_coeffs,
+    finite_coeffs,
     geometric_divide,
     h2_norm_sq,
     shift_down,
     shift_up,
     szego_taylor,
 )
-from .spectral import MatrixSymbol, factor_residual, matrix_outer_factor
+from .spectral import MatrixSymbol, factor_residual, row_defect_factor
 from .symbols import (
     MembershipReport,
     ModelPair,
     RowSymbol,
+    _check_strict_interior,
     gram_matrix,
     kernel_eval,
     pair_inner,
@@ -84,9 +87,7 @@ class SpaceHandle:
             self.mode = "inner"
             self._use_fft_path = False
             return
-        eye = np.eye(n, dtype=complex)
-        phi = eye[None] - self._rows.conj()[:, :, None] * self._rows[:, None, :]
-        report = matrix_outer_factor(phi)
+        report = row_defect_factor(symbol.coefficient_matrix(), n_grid)
         self.mode = "analytic"
         self.factor = report.symbol
         self.factorization = report
@@ -127,6 +128,7 @@ class SpaceHandle:
 
     def kernel_taylor(self, lam, degree: int | None = None) -> np.ndarray:
         """Taylor coefficients of the kernel function at lam."""
+        _check_strict_interior(lam)
         degree = self.degree if degree is None else degree
         width = max([c.taylor.size for c in self.symbol.components], default=1)
         num = np.zeros(width, dtype=complex)
@@ -221,7 +223,7 @@ class SpaceHandle:
 
     def embed(self, coeffs) -> ModelPair:
         """Compute the model pair of f; the residual certifies the solve."""
-        c = as_coeffs(coeffs)
+        c = finite_coeffs(coeffs)
         if c.size - 1 > self.degree:
             raise ValueError(
                 f"input degree {c.size - 1} exceeds the handle's budget {self.degree}"
@@ -306,7 +308,7 @@ class SpaceHandle:
         Inner mode uses the Hardy norm (the space embeds isometrically);
         analytic mode uses the cached monomial Gram.
         """
-        c = as_coeffs(coeffs)
+        c = finite_coeffs(coeffs)
         if self.mode == "inner" or self.n == 0:
             return h2_norm_sq(c)
         g = self.monomial_gram(c.size - 1)
@@ -395,8 +397,9 @@ class SpaceHandle:
 
     def membership(self, coeffs) -> MembershipReport:
         """Membership verdict by residual size and stability under a degree
-        doubling; the verdict (not an exception) is the result."""
-        c = as_coeffs(coeffs)
+        doubling; the verdict (not an exception) is the result.  Non-finite
+        coefficients raise ValueError."""
+        c = finite_coeffs(coeffs)
         pair = self.embed(c)
         scale = 1.0 + pair.norm
         evidence = {"residual": pair.residual, "degree": self.degree}

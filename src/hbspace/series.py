@@ -16,6 +16,14 @@ def as_coeffs(c) -> np.ndarray:
     return a
 
 
+def finite_coeffs(c) -> np.ndarray:
+    """``as_coeffs`` for public entry points: refuses NaN and infinities."""
+    a = as_coeffs(c)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("coefficients must be finite")
+    return a
+
+
 def trim(c, tol=0.0) -> np.ndarray:
     """Drop trailing coefficients with magnitude <= tol (keeps at least one)."""
     a = as_coeffs(c)

@@ -2,22 +2,36 @@
 
 Given Hermitian PSD boundary samples Phi(zeta), find the analytic outer
 matrix function A with A(zeta)* A(zeta) = Phi(zeta), normalized so A(0) is
-lower triangular with positive diagonal.  Primary algorithm is Wilson's
-Newton-type iteration; fallbacks are an exact root-splitting path for scalar
-trigonometric polynomials and Bauer's block-Toeplitz Cholesky.
+lower triangular with positive diagonal.
+
+Defect fields Phi = I - B*B of polynomial rows B, which is every symbol a
+``SpaceHandle`` holds, are factored exactly by ``row_defect_factor``: the
+scalar defect 1 - |B|^2 is split by its roots, and the lossless row
+(B, reversed scalar factor) is peeled into degree-one paraunitary factors
+whose completion carries A.  General sampled fields go through Wilson's
+Newton-type iteration in ``matrix_outer_factor``, with a floor on fields
+touching zero and the exact root splitter as the scalar fallback.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, eigh, rq
+from scipy.linalg import eigh, rq
 
 from .errors import ConvergenceError, ExtremeTypeError
-from .harmonic import grid_points, log_diagnostic
+from .harmonic import log_diagnostic
+from .series import trim
 
 _EPS_FLOOR = 1e-10
 _MAX_ITER = 200
 _STEP_TOL = 1e-12
+# exact route: roots within _CIRCLE_TOL of the circle are split pairs of a
+# double root; a defect whose coefficients all stay below _ZERO_DEFECT is zero
+_CIRCLE_TOL = 1e-5
+_ZERO_DEFECT = 1e-12
+# the scalar fallback of matrix_outer_factor takes sampled fields of at most
+# this Laurent degree
+_ROOTS_MAX_DEGREE = 64
 
 
 @dataclass
@@ -151,74 +165,138 @@ def _gauge_fix(coeffs: np.ndarray) -> np.ndarray:
     return np.einsum("ij,kjl->kil", u, coeffs)
 
 
-def _scalar_roots_factor(phi_scalar: np.ndarray) -> np.ndarray | None:
-    """Exact factor for a scalar trigonometric polynomial via root splitting.
+def _default_target(phi: np.ndarray) -> float:
+    return 1e-9 * (1.0 + float(np.max(np.abs(phi), initial=0.0)))
 
-    Returns Taylor coefficients (d+1, 1, 1) or None if the data is not a
-    trigonometric polynomial of modest degree.
+
+def _outer_from_laurent(d) -> np.ndarray:
+    """Taylor coefficients of the outer polynomial a with |a|^2 = d on the circle.
+
+    ``d[m]`` is the Laurent coefficient of order m >= 0 of a nonnegative
+    trigonometric polynomial (order -m carries conj(d[m])).  The roots of
+    z^q d(z) come in pairs r, 1/conj(r); a keeps the ones outside the disk.
+    Roots on the circle have even multiplicity and split numerically into
+    close pairs: each pair becomes the unit-normalized mean of its two roots.
+    The gain makes sum |a_k|^2 = d[0], with a(0) > 0.
     """
-    n_grid = phi_scalar.size
-    c = np.fft.fft(phi_scalar) / n_grid
-    mags = np.abs(c)
-    scale = float(mags.max())
-    band = np.nonzero(mags > 1e-12 * scale)[0]
-    orders = np.where(band <= n_grid // 2, band, band - n_grid)
-    p = int(np.max(np.abs(orders)))
-    if p == 0:
-        return np.sqrt(np.abs(c[0].real)).reshape(1, 1, 1).astype(complex)
-    if p > 64 or np.any(np.abs(orders) > p):
-        return None
-    # Laurent polynomial z**p Phi(z) has roots in 1/conj pairs.
-    laurent = np.zeros(2 * p + 1, dtype=complex)
-    for k in range(-p, p + 1):
-        laurent[k + p] = c[k % n_grid]
-    roots = np.roots(laurent[::-1])
-    outside = roots[np.abs(roots) > 1.0]
-    if outside.size != p:
-        return None
-    a1 = np.ones(1, dtype=complex)
-    for r in outside:
-        a1 = np.convolve(a1, np.array([1.0, -1.0 / r]))
-    zeta = grid_points(n_grid)
-    mod2 = np.abs(np.polyval(a1[::-1], zeta)) ** 2
-    j = int(np.argmax(phi_scalar))
-    gain = np.sqrt(phi_scalar[j].real / mod2[j])
-    return (gain * a1).reshape(-1, 1, 1)
+    d = trim(d)
+    q = d.size - 1
+    if q == 0:
+        return np.sqrt(np.abs(d[:1].real)).astype(complex)
+    roots = np.roots(np.concatenate([d[::-1], np.conj(d[1:])]))
+    modulus = np.abs(roots)
+    outside = roots[modulus > 1.0 + _CIRCLE_TOL]
+    circle = roots[np.abs(modulus - 1.0) <= _CIRCLE_TOL]
+    if circle.size % 2 or outside.size + circle.size // 2 != q:
+        raise ConvergenceError(
+            f"root splitting found {outside.size} roots outside the disk and "
+            f"{circle.size} on the circle for a defect of degree {q}")
+    if circle.size:
+        # pair neighbours by angle, starting after the widest gap so that no
+        # pair straddles the cut at angle pi
+        order = np.argsort(np.angle(circle))
+        angles = np.angle(circle[order])
+        gaps = np.diff(np.append(angles, angles[0] + 2.0 * np.pi))
+        order = np.roll(order, -(int(np.argmax(gaps)) + 1))
+        centers = circle[order].reshape(-1, 2).mean(axis=1)
+        outside = np.concatenate([outside, centers / np.abs(centers)])
+    # ascending coefficients of prod (1 - z / r) are np.poly of the 1 / r
+    a = np.poly(1.0 / outside).astype(complex)
+    return a * np.sqrt(d[0].real / np.sum(np.abs(a) ** 2))
 
 
-def _bauer_factor(phi: np.ndarray, blocks: int = 64) -> np.ndarray:
-    """Bauer's method on the transposed field.
+def _defect_laurent(rows: np.ndarray) -> np.ndarray:
+    """Laurent coefficients d[m], m = 0..p, of 1 - sum_i |b_i|^2 on the circle."""
+    p = rows.shape[1] - 1
+    lags = sum(np.convolve(row, np.conj(row[::-1])) for row in rows)
+    d = -lags[p:]  # index p + m of the autocorrelation is lag m
+    d[0] += 1.0
+    return d
 
-    The trailing block row of the Cholesky factor of the finite section
-    [hat(Phi^T)_{i-j}] converges (slowly but robustly) to the coefficients of
-    the left factor X with X X* = Phi^T; transposing blocks gives A with
-    A* A = Phi.
+
+def _lossless_completion(h: np.ndarray) -> np.ndarray:
+    """The rows completing a lossless row polynomial to a paraunitary matrix.
+
+    ``h[k]`` is the row coefficient of z^k, with h h* = 1 on the circle.  Each
+    peel writes h = h' V(z), V(z) = I - v v* + z v v*, v = h_top* / |h_top|;
+    h' = h V* has no z^(-1) term because h_0 h_top* = 0 (the top Laurent
+    coefficient of h h* = 1).  With W a constant unitary whose first row is
+    the constant row left, U = W V_p ... V_1 is paraunitary with first row h.
+    Returns the rows of U below h as coefficient blocks.
     """
-    n_grid, n, _ = phi.shape
-    phi_t = np.transpose(phi, (0, 2, 1))
-    lags = np.fft.fft(phi_t, axis=0) / n_grid  # lags[k] = hat(Phi^T)_k
-    t = np.zeros((blocks * n, blocks * n), dtype=complex)
-    for i in range(blocks):
-        for j in range(blocks):
-            t[i * n:(i + 1) * n, j * n:(j + 1) * n] = lags[(i - j) % n_grid]
-    low = cholesky(0.5 * (t + t.conj().T), lower=True)
-    last = low[(blocks - 1) * n: blocks * n]
-    coeffs = np.empty((blocks, n, n), dtype=complex)
-    for k in range(blocks):
-        x_k = last[:, (blocks - 1 - k) * n:(blocks - k) * n]
-        coeffs[k] = x_k.T
-    return coeffs
+    vs = []
+    while h.shape[0] > 1:
+        v = h[-1].conj() / np.linalg.norm(h[-1])
+        h = h[:-1] + np.outer(h[1:] @ v - h[:-1] @ v, v.conj())
+        vs.append(v)
+    q, _ = np.linalg.qr(h[0].conj()[:, None], mode="complete")
+    u = q.conj().T[None, 1:]  # the rows of W orthogonal to h[0]
+    for v in reversed(vs):
+        uv = (u @ v)[:, :, None] * v.conj()
+        grown = np.zeros((u.shape[0] + 1,) + u.shape[1:], dtype=complex)
+        grown[:-1] = u - uv
+        grown[1:] += uv
+        u = grown
+    return u
+
+
+def row_defect_factor(coeffs, n_grid: int) -> FactorizationReport:
+    """Exact outer factor of Phi = I - B*B for a polynomial row B.
+
+    ``coeffs[i, k]`` is the coefficient of z^k in b_i.  With a the outer
+    factor of the scalar defect d = 1 - |B|^2 and a_rev(z) = z^p conj(a(1/conj z)),
+    the row h = (B, a_rev) of degree p is lossless, so peeling gives the
+    paraunitary U = W V_p ... V_1 with first row h (``_lossless_completion``;
+    Vaidyanathan, Multirate Systems and Filter Banks, 1993, ch. 14).  Its
+    columns are orthonormal on the circle, so A = U[1:, :n] has
+    A*A = I - B*B, and det A is a constant times a, so A is outer.  The
+    result is certified on the N-point grid against the unregularized Phi.
+
+    Raises ExtremeTypeError when d is identically zero (the symbol is of
+    extreme type) and ConvergenceError when the certificate misses its target.
+    """
+    b = np.atleast_2d(np.asarray(coeffs, dtype=complex))
+    n, width = b.shape
+    d = _defect_laurent(b)
+    if float(np.max(np.abs(d))) <= _ZERO_DEFECT:
+        raise ExtremeTypeError(
+            "the defect 1 - |B|^2 vanishes identically; no outer factor")
+    a = _outer_from_laurent(d)
+    h = np.zeros((width, n + 1), dtype=complex)
+    h[:, :n] = b.T
+    h[width - a.size:, n] = np.conj(a[::-1])
+    u = _lossless_completion(h)
+    symbol = MatrixSymbol(trim_blocks(_gauge_fix(u[:, :, :n])))
+
+    padded = np.zeros((n_grid, n), dtype=complex)
+    padded[:width] = b.T
+    row_samples = np.fft.ifft(padded, axis=0) * n_grid
+    phi = np.eye(n)[None] - row_samples.conj()[:, :, None] * row_samples[:, None, :]
+    residual_target = _default_target(phi)
+    residual = factor_residual(symbol, phi)
+    if residual > residual_target:
+        raise ConvergenceError(
+            f"exact factor certified at residual {residual:.3e} "
+            f"(target {residual_target:.3e})",
+            residual=residual,
+        )
+    return FactorizationReport(symbol, residual, "exact", 0, 0.0)
 
 
 def matrix_outer_factor(phi, max_iter: int = _MAX_ITER, tol: float = _STEP_TOL,
                         eps_floor: float = _EPS_FLOOR,
                         residual_target: float | None = None) -> FactorizationReport:
-    """Outer spectral factor of a Hermitian PSD boundary field.
+    """Outer spectral factor of a Hermitian PSD boundary field by Wilson's
+    iteration.
 
     Raises ExtremeTypeError when log det Phi is not integrable (no analytic
     factor exists) and ConvergenceError when no route reaches the residual
-    target.  Fields touching zero are floored by eps * I and the
-    regularization is reported.
+    target.  Fields touching zero are floored by eps * I before the
+    iteration, and ``regularization`` reports that floor.  A scalar field
+    that Wilson leaves above the target and that is a trigonometric
+    polynomial of degree <= 64 is factored exactly from its unregularized
+    samples by root splitting (method ``roots``).  Polynomial row symbols
+    should use ``row_defect_factor``.
     """
     phi = _hermitize(_as_field(phi))
     n_grid, n, _ = phi.shape
@@ -226,7 +304,7 @@ def matrix_outer_factor(phi, max_iter: int = _MAX_ITER, tol: float = _STEP_TOL,
         raise ValueError("matrix factorization is supported for n <= 8")
     scale = float(np.max(np.abs(phi))) if phi.size else 0.0
     if residual_target is None:
-        residual_target = 1e-9 * (1.0 + scale)
+        residual_target = _default_target(phi)
     min_eig = _min_eigenvalue(phi)
     if min_eig < -1e-10 * max(scale, 1.0):
         raise ValueError("input field is not positive semidefinite")
@@ -249,20 +327,13 @@ def matrix_outer_factor(phi, max_iter: int = _MAX_ITER, tol: float = _STEP_TOL,
     method = "wilson"
 
     if residual > residual_target and n == 1:
-        alt = _scalar_roots_factor(work[:, 0, 0].real)
-        if alt is not None:
-            alt_symbol = MatrixSymbol(_gauge_fix(alt))
+        laurent = np.fft.fft(phi[:, 0, 0])[: n_grid // 2] / n_grid
+        laurent = trim(laurent, 1e-12 * scale)
+        if laurent.size <= _ROOTS_MAX_DEGREE + 1:
+            alt_symbol = MatrixSymbol(_outer_from_laurent(laurent)[:, None, None])
             alt_residual = factor_residual(alt_symbol, phi)
             if alt_residual < residual:
                 symbol, residual, method = alt_symbol, alt_residual, "roots"
-
-    if residual > residual_target:
-        alt = _bauer_factor(work)
-        alt_symbol = MatrixSymbol(_gauge_fix(_analytic_coeffs(
-            MatrixSymbol(alt).samples(n_grid))))
-        alt_residual = factor_residual(alt_symbol, phi)
-        if alt_residual < residual:
-            symbol, residual, method = alt_symbol, alt_residual, "bauer"
 
     if residual > residual_target:
         raise ConvergenceError(

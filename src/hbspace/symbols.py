@@ -17,7 +17,7 @@ from scipy.linalg import cho_factor, cho_solve, eigh, solve
 
 from .errors import InvariantViolation, NumericalError
 from .harmonic import DEFAULT_GRID, DiskFunction, boundary_from_taylor, grid_points
-from .series import as_coeffs, divided_difference, h2_norm_sq, horner
+from .series import as_coeffs, divided_difference, finite_coeffs, h2_norm_sq, horner
 
 _VALIDATION_SEED = 0x5EED
 _CONTRACTION_SLOP = 1e-10
@@ -156,7 +156,7 @@ class RowSymbol:
 
 def _check_strict_interior(*points):
     for p in points:
-        if abs(p) >= 1.0:
+        if not abs(p) < 1.0:  # NaN fails this test too
             raise ValueError(f"kernel arguments must satisfy |z| < 1, got |z| = {abs(p)}")
 
 
@@ -283,7 +283,7 @@ class DirichletSpace:
 
     def embed(self, coeffs) -> ModelPair:
         """The model pair of f; exact, so its residual is 0."""
-        c = as_coeffs(coeffs)
+        c = finite_coeffs(coeffs)
         return ModelPair(c, np.array(self.companions(c)), 0.0)
 
     def membership(self, coeffs) -> MembershipReport:
@@ -295,7 +295,7 @@ class DirichletSpace:
         return np.array([horner(q, lam) for q in self.companions(coeffs)])
 
     def poly_norm_sq(self, coeffs) -> float:
-        c = as_coeffs(coeffs)
+        c = finite_coeffs(coeffs)
         return h2_norm_sq(c) + sum(h2_norm_sq(q) for q in self.companions(c))
 
     def norm(self, coeffs) -> float:
@@ -349,6 +349,7 @@ class DirichletSpace:
         return 0.5 * (k + k.conj().T)
 
     def kernel_taylor(self, lam, degree: int | None = None) -> np.ndarray:
+        _check_strict_interior(lam)
         degree = self.degree if degree is None else degree
         solver = self._kernel_solver(degree)
         mono_lam = np.conj(lam) ** np.arange(degree + 1)

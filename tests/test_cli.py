@@ -92,7 +92,10 @@ def test_non_finite_inputs_exit_2(capsys):
     for args in (["embed", "--named", "rank1-half", "--coeffs", "nan,1", "--json"],
                  ["norm", "--named", "dirichlet-origin", "--coeffs", "nan,1"],
                  ["norm", "--named", "rank1-half", "--coeffs", "1e400,1"],
-                 ["poly-density", "--named", "rank1-half", "--kernel-at", "nan"]):
+                 ["poly-density", "--named", "rank1-half", "--kernel-at", "nan"],
+                 ["embed", "--named", "rank1-half", "--coeffs", "inf,1", "--json"],
+                 ["norm", "--named", "dirichlet-origin", "--coeffs", "1,-inf"],
+                 ["embed", "--named", "cusp", "--kernel-at", "inf", "--json"]):
         code, out, err = run(args, capsys)
         assert code == 2, args
         assert "non-finite" in err
@@ -146,6 +149,24 @@ def test_factor_subcommand(capsys):
     code, out, _ = run(["factor", "--named", "cusp"], capsys)
     assert code == 0
     assert "residual" in out
+    assert "method: exact  iterations: 0" in out
+    assert "regularization: 0\n" in out
+
+
+def test_kernel_at_outside_the_disk_exits_2(capsys):
+    for name in ("rank1-half", "dirichlet-origin"):
+        code, out, err = run(["embed", "--named", name, "--kernel-at", "1.5", "--json"],
+                             capsys)
+        assert code == 2, name
+        assert "< 1" in err
+        assert "Infinity" not in out
+
+
+def test_imaginary_unit_parsing(capsys):
+    # k(z, lam) = (1 - z conj(lam) / 2) / (1 - z conj(lam)) on rank1-half
+    code, out, _ = run(["kernel", "--named", "rank1-half", "--pairs", "0.5i:0.5i"], capsys)
+    assert code == 0
+    assert out.strip().endswith("= 1.16666666667+0j")
 
 
 def test_rank_subcommand(capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hbspace.catalog import cusp_symbol
 from hbspace.errors import ExtremeTypeError
 from hbspace.harmonic import DiskFunction
 from hbspace.model import SpaceHandle
@@ -289,6 +290,15 @@ def ddelta():
     return SpaceHandle(RowSymbol([DiskFunction(b, n_boundary=N_GRID)]), n_grid=N_GRID)
 
 
+def test_ddelta_gram_matches_local_dirichlet_closed_form(ddelta):
+    # D(delta_1) has <z^k, z^j> = delta_jk + min(j, k); the factor is exact,
+    # so only roundoff separates the two (an eps-floored factor was off by 4e-3)
+    assert ddelta.factorization.method == "exact"
+    k = np.arange(21)
+    target = np.eye(21) + np.minimum(k[:, None], k[None, :])
+    assert np.max(np.abs(ddelta.monomial_gram(20) - target)) <= 1e-11
+
+
 @pytest.mark.parametrize("name", ["ddelta", "weighted", "two_term"])
 def test_triangular_solve_matches_dense_block_toeplitz(name, request, rng):
     space = request.getfixturevalue(name)
@@ -393,3 +403,45 @@ def test_two_component_handle(two_term, rng):
         combo += c * space.kernel_taylor(complex(lam))
     target = float(np.real(np.vdot(coeff, g @ coeff)))
     assert abs(space.embed(combo).norm_sq - target) / target < 1e-6
+
+
+@pytest.mark.parametrize("n_grid", [1024, 4096])
+def test_cusp_monomial_norms_are_exact(n_grid):
+    # the cusp's outer factor is (1 - z) / 2, which gives ||z^k||^2 = 4k - 2
+    space = SpaceHandle(cusp_symbol(n_grid), n_grid=n_grid)
+    report = space.factorization
+    assert (report.method, report.iterations, report.regularization) == ("exact", 0, 0.0)
+    k = np.arange(1, 21)
+    norms = np.diagonal(space.monomial_gram(20)).real[1:]
+    assert np.max(np.abs(norms - (4 * k - 2)) / (4 * k - 2)) <= 1e-10
+
+
+def test_rank_two_extreme_symbol_rejected():
+    # |z / sqrt(2)|^2 + |z^2 / sqrt(2)|^2 = 1 on the circle: no defect factor
+    symbol = RowSymbol([DiskFunction([0.0, 2 ** -0.5], n_boundary=N_GRID),
+                        DiskFunction([0.0, 0.0, 2 ** -0.5], n_boundary=N_GRID)])
+    with pytest.raises(ExtremeTypeError):
+        SpaceHandle(symbol, n_grid=N_GRID)
+
+
+@pytest.mark.parametrize("lam", [1.5, 1.0, -1j, 0.6 + 0.8j, np.nan, complex(np.inf, 0.0)])
+def test_kernel_taylor_rejects_points_off_the_disk(rank1_half, d_origin, lam):
+    for space in (rank1_half, d_origin):
+        with pytest.raises(ValueError):
+            space.kernel_taylor(lam)
+        with pytest.raises(ValueError):
+            space.kernel(lam, 0.0)
+        with pytest.raises(ValueError):
+            space.gram([0.1, lam])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("space_name,method", [
+    ("rank1_half", "embed"), ("rank1_half", "membership"),
+    ("rank1_half", "poly_norm_sq"), ("cusp", "membership"),
+    ("d_origin", "embed"), ("d_origin", "norm"), ("d_origin", "poly_norm_sq"),
+])
+def test_non_finite_coefficients_rejected(request, space_name, method, bad):
+    space = request.getfixturevalue(space_name)
+    with pytest.raises(ValueError, match="finite"):
+        getattr(space, method)([bad, 1.0])

@@ -3,7 +3,12 @@ import pytest
 
 from hbspace.errors import ExtremeTypeError
 from hbspace.harmonic import grid_points, outer_from_modulus
-from hbspace.spectral import MatrixSymbol, factor_residual, matrix_outer_factor
+from hbspace.spectral import (
+    MatrixSymbol,
+    factor_residual,
+    matrix_outer_factor,
+    row_defect_factor,
+)
 
 N = 1024
 
@@ -121,6 +126,10 @@ def test_boundary_zero_field_is_regularized():
     rep = matrix_outer_factor(phi)
     assert rep.regularization > 0
     assert rep.residual < 1e-8
+    # Wilson stalls on the floored field; the scalar fallback root-splits the
+    # unregularized samples and returns the exact factor (1 - z) / 2
+    assert rep.method == "roots"
+    assert np.max(np.abs(rep.symbol.coeffs[:, 0, 0] - [0.5, -0.5])) < 1e-14
 
 
 def test_extreme_type_field_rejected():
@@ -146,3 +155,63 @@ def test_indefinite_field_rejected():
     phi = np.full(N, -1.0, dtype=complex)
     with pytest.raises(ValueError):
         matrix_outer_factor(phi)
+
+
+# -- the exact route for polynomial rows ----------------------------------------
+
+RANK2_EXAMPLE = [[0.0, 0.4, 0.4, 0.0, 0.0], [0.0, 0.0, 0.0, 0.3, 0.3]]
+
+
+def _row_samples(rows, n_grid):
+    b = np.atleast_2d(np.asarray(rows, dtype=complex))
+    padded = np.zeros((n_grid, b.shape[0]), dtype=complex)
+    padded[: b.shape[1]] = b.T
+    return np.fft.ifft(padded, axis=0) * n_grid
+
+
+def _row_field(rows, n_grid):
+    """Samples of I - B*B for the coefficient rows of B."""
+    samples = _row_samples(rows, n_grid)
+    return np.eye(samples.shape[1])[None] - samples.conj()[:, :, None] * samples[:, None, :]
+
+
+def _random_row(rng, rank, sup):
+    """Random row with B(0) = 0, scaled so that max |B|^2 on a fine grid is sup."""
+    degree = int(rng.integers(rank, 7))
+    rows = np.zeros((rank, degree + 1), dtype=complex)
+    rows[:, 1:] = rng.normal(size=(rank, degree)) + 1j * rng.normal(size=(rank, degree))
+    energy = np.sum(np.abs(_row_samples(rows, 1 << 12)) ** 2, axis=1)
+    return rows * np.sqrt(sup / np.max(energy))
+
+
+def _min_det_inside(symbol, radius=0.99, count=256):
+    circle = radius * np.exp(2j * np.pi * np.arange(count) / count)
+    return min(abs(np.linalg.det(symbol.at(z))) for z in circle)
+
+
+@pytest.mark.parametrize("n_grid", [1024, 4096])
+def test_rank_two_example_factors_exactly(n_grid):
+    # det(I - B*B) = sin^2(theta / 2) touches zero at z = 1
+    rep = row_defect_factor(RANK2_EXAMPLE, n_grid)
+    assert (rep.method, rep.iterations, rep.regularization) == ("exact", 0, 0.0)
+    assert rep.residual <= 1e-12
+    assert factor_residual(rep.symbol, _row_field(RANK2_EXAMPLE, n_grid)) <= 1e-12
+    assert _min_det_inside(rep.symbol) > 1e-3  # outer: no zero inside the disk
+
+
+@pytest.mark.parametrize("sup", [0.5, 0.9])
+def test_exact_factor_matches_wilson_on_interior_rows(sup):
+    rng = np.random.default_rng(20)
+    for rank in (1, 2, 3):
+        for _ in range(4):
+            rows = _random_row(rng, rank, sup)
+            exact = row_defect_factor(rows, N)
+            wilson = matrix_outer_factor(_row_field(rows, N))
+            assert wilson.regularization == 0.0
+            a, w = exact.symbol.coeffs, wilson.symbol.coeffs
+            width = max(a.shape[0], w.shape[0])
+            a = np.concatenate([a, np.zeros((width - a.shape[0],) + a.shape[1:])])
+            w = np.concatenate([w, np.zeros((width - w.shape[0],) + w.shape[1:])])
+            assert np.max(np.abs(a - w)) <= 1e-12
+            assert exact.residual <= 1e-13
+            assert _min_det_inside(exact.symbol) > 0.0
