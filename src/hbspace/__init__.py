@@ -27,7 +27,13 @@ from .symbols import (
     kernel_eval,
     weighted_space_symbol,
 )
-from .spectral import MatrixSymbol, factor_residual, matrix_outer_factor, row_defect_factor
+from .spectral import (
+    MatrixSymbol,
+    defect_identity_bound,
+    factor_residual,
+    matrix_outer_factor,
+    row_defect_factor,
+)
 from .model import ModelPair, SpaceHandle
 from .analysis import (
     LimitSchedule,
@@ -73,6 +79,7 @@ __all__ = [
     "kernel_eval",
     "weighted_space_symbol",
     "MatrixSymbol",
+    "defect_identity_bound",
     "factor_residual",
     "matrix_outer_factor",
     "row_defect_factor",

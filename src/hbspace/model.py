@@ -3,8 +3,9 @@
 A member f of the space attached to a row symbol B has a unique companion
 vector f_1 in the Hardy space of C^n making B* f + A* f_1 strictly
 co-analytic, where A is the outer defect factor with A*A + B*B = I, taken
-exactly from the polynomial symbol by ``spectral.row_defect_factor``.  The
-squared space norm is ||f||_2^2 + ||f_1||_2^2.
+exactly from the polynomial symbol by ``spectral.row_defect_factor`` and
+bounded over the whole circle from Laurent coefficients.  The squared space
+norm is ||f||_2^2 + ||f_1||_2^2.
 
 The analytic-part condition is solved in one of two ways: by pointwise
 multiplication with the A*^{-1} grid samples, computed once per handle,
@@ -31,7 +32,7 @@ from .series import (
     shift_up,
     szego_taylor,
 )
-from .spectral import MatrixSymbol, factor_residual, row_defect_factor
+from .spectral import MatrixSymbol, defect_identity_bound, row_defect_factor
 from .symbols import (
     MembershipReport,
     ModelPair,
@@ -87,12 +88,15 @@ class SpaceHandle:
             self.mode = "inner"
             self._use_fft_path = False
             return
-        report = row_defect_factor(symbol.coefficient_matrix(), n_grid)
+        report = row_defect_factor(symbol.coefficient_matrix())
         self.mode = "analytic"
         self.factor = report.symbol
         self.factorization = report
         a_samples = report.symbol.samples(n_grid)
-        smin = float(np.min(np.linalg.svd(a_samples, compute_uv=False)))
+        # A*A = I - B*B has eigenvalues 1 (n - 1 times) and 1 - |B|^2, so the
+        # smallest singular value of A is read off the defect, up to the
+        # certified residual
+        smin = float(np.sqrt(max(float(np.min(defect)), 0.0)))
         self._use_fft_path = smin > _FFT_PATH_FLOOR
         self._ah_samples = np.conj(np.transpose(a_samples, (0, 2, 1)))
         if self._use_fft_path:
@@ -113,12 +117,11 @@ class SpaceHandle:
         return self.symbol.truncated
 
     def defect_identity_residual(self) -> float:
-        """sup on the grid of || A*A + B*B - I ||."""
+        """Bound on sup over the whole circle of || A*A + B*B - I ||, from
+        the Laurent coefficients of the factor and the symbol."""
         if self.mode != "analytic" or self.n == 0:
             return 0.0
-        eye = np.eye(self.n, dtype=complex)
-        phi = eye[None] - self._rows.conj()[:, :, None] * self._rows[:, None, :]
-        return factor_residual(self.factor, phi)
+        return defect_identity_bound(self.factor.coeffs, self.symbol.coefficient_matrix())
 
     def kernel(self, z, lam) -> complex:
         return kernel_eval(self.symbol, z, lam)

@@ -8,9 +8,12 @@ Defect fields Phi = I - B*B of polynomial rows B, which is every symbol a
 ``SpaceHandle`` holds, are factored exactly by ``row_defect_factor``: the
 scalar defect 1 - |B|^2 is split by its roots, and the lossless row
 (B, reversed scalar factor) is peeled into degree-one paraunitary factors
-whose completion carries A.  General sampled fields go through Wilson's
+whose completion carries A.  The factor is certified by
+``defect_identity_bound``, which bounds A*A + B*B - I over the whole circle
+from its Laurent coefficients.  General sampled fields go through Wilson's
 Newton-type iteration in ``matrix_outer_factor``, with a floor on fields
-touching zero and the exact root splitter as the scalar fallback.
+touching zero and the exact root splitter as the scalar fallback; they are
+checked on their grid by ``factor_residual``.
 """
 
 from dataclasses import dataclass
@@ -18,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh, rq
 
-from .errors import ConvergenceError, ExtremeTypeError
+from .errors import ConvergenceError, ExtremeTypeError, InvariantViolation
 from .harmonic import log_diagnostic
 from .series import trim
+from .symbols import _CONTRACTION_SLOP
 
 _EPS_FLOOR = 1e-10
 _MAX_ITER = 200
@@ -29,6 +33,8 @@ _STEP_TOL = 1e-12
 # double root; a defect whose coefficients all stay below _ZERO_DEFECT is zero
 _CIRCLE_TOL = 1e-5
 _ZERO_DEFECT = 1e-12
+# bound on sup over the circle of ||A*A + B*B - I|| that certifies an exact factor
+_CERTIFY_TARGET = 1e-9
 # the scalar fallback of matrix_outer_factor takes sampled fields of at most
 # this Laurent degree
 _ROOTS_MAX_DEGREE = 64
@@ -107,6 +113,29 @@ def factor_residual(a, phi) -> float:
     return float(np.max(np.linalg.norm(diff, ord=2, axis=(1, 2))))
 
 
+def defect_identity_bound(factor_coeffs, row_coeffs) -> float:
+    """Bound over the whole circle of the spectral norm of A*A + B*B - I.
+
+    ``factor_coeffs[k]`` is the n x n Taylor block A_k and ``row_coeffs[i, k]``
+    the coefficient of z^k in b_i.  With M_k the (n + 1) x n block stacking A_k
+    over the row b_k, the Laurent coefficient of order m >= 0 is
+    E_m = sum_k M_k* M_{k+m} - delta_{m0} I, and E_{-m} = E_m*, so
+    ||E_0|| + 2 sum_{m >= 1} ||E_m|| bounds the norm at every point of the circle.
+    """
+    a = np.asarray(factor_coeffs, dtype=complex)
+    b = np.atleast_2d(np.asarray(row_coeffs, dtype=complex))
+    n = a.shape[1]
+    width = max(a.shape[0], b.shape[1])
+    blocks = np.zeros((width, n + 1, n), dtype=complex)
+    blocks[: a.shape[0], :n] = a
+    blocks[: b.shape[1], n] = b.T
+    lags = np.stack([np.einsum("kji,kjl->il", blocks[: width - lag].conj(), blocks[lag:])
+                     for lag in range(width)])
+    lags[0] -= np.eye(n)
+    norms = np.linalg.norm(lags, ord=2, axis=(1, 2))
+    return float(norms[0] + 2.0 * np.sum(norms[1:]))
+
+
 def _analytic_coeffs(samples: np.ndarray, tol: float = 1e-13) -> np.ndarray:
     """Analytic-part Taylor blocks of sampled matrix data, tail-trimmed."""
     n_grid = samples.shape[0]
@@ -178,6 +207,10 @@ def _outer_from_laurent(d) -> np.ndarray:
     Roots on the circle have even multiplicity and split numerically into
     close pairs: each pair becomes the unit-normalized mean of its two roots.
     The gain makes sum |a_k|^2 = d[0], with a(0) > 0.
+
+    Between two neighbouring circle roots d keeps one sign, so d is evaluated
+    at the middle of every arc they cut: a value below -_CONTRACTION_SLOP
+    means d is negative somewhere on the circle and raises InvariantViolation.
     """
     d = trim(d)
     q = d.size - 1
@@ -187,18 +220,28 @@ def _outer_from_laurent(d) -> np.ndarray:
     modulus = np.abs(roots)
     outside = roots[modulus > 1.0 + _CIRCLE_TOL]
     circle = roots[np.abs(modulus - 1.0) <= _CIRCLE_TOL]
+    if circle.size:
+        circle = circle[np.argsort(np.angle(circle))]
+        angles = np.angle(circle)
+        gaps = np.diff(np.append(angles, angles[0] + 2.0 * np.pi))
+        middles = angles + 0.5 * gaps
+        values = d[0].real + 2.0 * np.real(
+            np.exp(1j * np.outer(middles, np.arange(1, q + 1))) @ d[1:])
+        worst = int(np.argmin(values))
+        if values[worst] < -_CONTRACTION_SLOP:
+            raise InvariantViolation(
+                f"the defect is negative on the circle: {values[worst]:.3e} at "
+                f"angle {np.angle(np.exp(1j * middles[worst])):.6f}; the symbol "
+                "is not a contraction")
+        # pair neighbours by angle, starting after the widest gap so that no
+        # pair straddles the cut at angle pi
+        circle = np.roll(circle, -(int(np.argmax(gaps)) + 1))
     if circle.size % 2 or outside.size + circle.size // 2 != q:
         raise ConvergenceError(
             f"root splitting found {outside.size} roots outside the disk and "
             f"{circle.size} on the circle for a defect of degree {q}")
     if circle.size:
-        # pair neighbours by angle, starting after the widest gap so that no
-        # pair straddles the cut at angle pi
-        order = np.argsort(np.angle(circle))
-        angles = np.angle(circle[order])
-        gaps = np.diff(np.append(angles, angles[0] + 2.0 * np.pi))
-        order = np.roll(order, -(int(np.argmax(gaps)) + 1))
-        centers = circle[order].reshape(-1, 2).mean(axis=1)
+        centers = circle.reshape(-1, 2).mean(axis=1)
         outside = np.concatenate([outside, centers / np.abs(centers)])
     # ascending coefficients of prod (1 - z / r) are np.poly of the 1 / r
     a = np.poly(1.0 / outside).astype(complex)
@@ -240,7 +283,7 @@ def _lossless_completion(h: np.ndarray) -> np.ndarray:
     return u
 
 
-def row_defect_factor(coeffs, n_grid: int) -> FactorizationReport:
+def row_defect_factor(coeffs) -> FactorizationReport:
     """Exact outer factor of Phi = I - B*B for a polynomial row B.
 
     ``coeffs[i, k]`` is the coefficient of z^k in b_i.  With a the outer
@@ -250,10 +293,13 @@ def row_defect_factor(coeffs, n_grid: int) -> FactorizationReport:
     Vaidyanathan, Multirate Systems and Filter Banks, 1993, ch. 14).  Its
     columns are orthonormal on the circle, so A = U[1:, :n] has
     A*A = I - B*B, and det A is a constant times a, so A is outer.  The
-    result is certified on the N-point grid against the unregularized Phi.
+    residual is ``defect_identity_bound``: bounded over the whole circle from
+    Laurent coefficients, against the unregularized Phi.
 
     Raises ExtremeTypeError when d is identically zero (the symbol is of
-    extreme type) and ConvergenceError when the certificate misses its target.
+    extreme type), InvariantViolation when d is negative somewhere on the
+    circle (B is not a contraction) and ConvergenceError when the bound
+    misses its target.
     """
     b = np.atleast_2d(np.asarray(coeffs, dtype=complex))
     n, width = b.shape
@@ -267,17 +313,11 @@ def row_defect_factor(coeffs, n_grid: int) -> FactorizationReport:
     h[width - a.size:, n] = np.conj(a[::-1])
     u = _lossless_completion(h)
     symbol = MatrixSymbol(trim_blocks(_gauge_fix(u[:, :, :n])))
-
-    padded = np.zeros((n_grid, n), dtype=complex)
-    padded[:width] = b.T
-    row_samples = np.fft.ifft(padded, axis=0) * n_grid
-    phi = np.eye(n)[None] - row_samples.conj()[:, :, None] * row_samples[:, None, :]
-    residual_target = _default_target(phi)
-    residual = factor_residual(symbol, phi)
-    if residual > residual_target:
+    residual = defect_identity_bound(symbol.coeffs, b)
+    if residual > _CERTIFY_TARGET:
         raise ConvergenceError(
             f"exact factor certified at residual {residual:.3e} "
-            f"(target {residual_target:.3e})",
+            f"(target {_CERTIFY_TARGET:.3e})",
             residual=residual,
         )
     return FactorizationReport(symbol, residual, "exact", 0, 0.0)
@@ -295,8 +335,8 @@ def matrix_outer_factor(phi, max_iter: int = _MAX_ITER, tol: float = _STEP_TOL,
     iteration, and ``regularization`` reports that floor.  A scalar field
     that Wilson leaves above the target and that is a trigonometric
     polynomial of degree <= 64 is factored exactly from its unregularized
-    samples by root splitting (method ``roots``).  Polynomial row symbols
-    should use ``row_defect_factor``.
+    samples by root splitting (method ``roots``, regularization 0).
+    Polynomial row symbols should use ``row_defect_factor``.
     """
     phi = _hermitize(_as_field(phi))
     n_grid, n, _ = phi.shape
@@ -333,7 +373,9 @@ def matrix_outer_factor(phi, max_iter: int = _MAX_ITER, tol: float = _STEP_TOL,
             alt_symbol = MatrixSymbol(_outer_from_laurent(laurent)[:, None, None])
             alt_residual = factor_residual(alt_symbol, phi)
             if alt_residual < residual:
+                # the root splitter factors the unregularized samples
                 symbol, residual, method = alt_symbol, alt_residual, "roots"
+                regularization = 0.0
 
     if residual > residual_target:
         raise ConvergenceError(

@@ -63,7 +63,7 @@ def _check_gram_psd(space, rng):
 
 def _check_defect_identity(space, rng):
     res = space.defect_identity_residual()
-    return CheckResult("defect-identity", res <= 1e-8, f"sup residual {res:.2e}")
+    return CheckResult("defect-identity", res <= 1e-8, f"bound over the circle {res:.2e}")
 
 
 def _check_embed_constant(space, rng):

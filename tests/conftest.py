@@ -14,6 +14,7 @@ from hbspace.model import SpaceHandle
 from hbspace.symbols import RowSymbol, weighted_space_symbol
 
 N_GRID = 1024
+RANK2_EXAMPLE = [[0.0, 0.4, 0.4, 0.0, 0.0], [0.0, 0.0, 0.0, 0.3, 0.3]]
 
 
 @pytest.fixture(scope="session")
@@ -69,3 +70,38 @@ def rng():
 
 def random_interior(rng, count, radius=0.85):
     return rng.uniform(0.05, radius, count) * np.exp(2j * np.pi * rng.uniform(0, 1, count))
+
+
+def scaled_row(rng, rank, sup):
+    """Random row coefficients with B(0) = 0 and rank components of degree
+    rank..6, scaled so that max sum |b_i|^2 over the whole circle is sup.
+    The grid maximum is refined by Newton steps on the trigonometric
+    polynomial, so sup = 1 touches 1 without crossing it."""
+    degree = int(rng.integers(rank, 7))
+    rows = np.zeros((rank, degree + 1), dtype=complex)
+    rows[:, 1:] = rng.normal(size=(rank, degree)) + 1j * rng.normal(size=(rank, degree))
+    lags = sum(np.convolve(r, np.conj(r[::-1])) for r in rows)  # orders -degree..degree
+    orders = np.arange(-degree, degree + 1)
+
+    def energy(theta, derivative=0):
+        waves = np.exp(1j * np.outer(np.atleast_1d(theta), orders))
+        return np.real(waves @ (lags * (1j * orders) ** derivative))
+
+    theta = 2.0 * np.pi * np.arange(4096) / 4096
+    t = theta[np.argmax(energy(theta))]
+    for _ in range(6):
+        curvature = energy(t, 2)[0]
+        if curvature < 0.0:  # zero only for a single monomial, whose energy is constant
+            t -= energy(t, 1)[0] / curvature
+    return rows * np.sqrt(sup / energy(t)[0])
+
+
+def noncontractive_row():
+    """A rank-3 row whose max sum |b_i|^2 is 1 on 8192 points, while between
+    them its defect 1 - sum |b_i|^2 dips to -1.77e-8."""
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        rows = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
+    rows[:, 0] = 0.0
+    samples = np.fft.ifft(rows, n=8192, axis=1) * 8192
+    return rows / np.sqrt(np.max(np.sum(np.abs(samples) ** 2, axis=0)))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import hbspace
 from hbspace.cli import main
+from conftest import noncontractive_row
 
 
 def run(args, capsys):
@@ -66,6 +67,15 @@ def test_contraction_violation_exits_1(tmp_path, capsys):
     code, _, err = run(["verify", "--space", str(definition)], capsys)
     assert code == 1
     assert "invariant failure" in err
+
+
+def test_noncontractive_between_grid_points_exits_1(tmp_path, capsys):
+    rows = [[[c.real, c.imag] for c in row] for row in noncontractive_row()]
+    definition = tmp_path / "space.json"
+    definition.write_text(json.dumps({"kind": "explicit", "components": rows}))
+    code, _, err = run(["verify", "--space", str(definition)], capsys)
+    assert code == 1
+    assert "negative on the circle" in err
 
 
 def test_missing_space_exits_2(capsys):
@@ -221,6 +231,11 @@ def test_import_stays_light():
     src = str(Path(hbspace.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    # of scipy's public subpackages only scipy.linalg may load on import
     subprocess.run([sys.executable, "-c",
-                    "import hbspace, sys; assert 'scipy.signal' not in sys.modules"],
+                    "import hbspace, sys\n"
+                    "loaded = {name.split('.')[1] for name, module in sys.modules.items()\n"
+                    "          if name.startswith('scipy.') and hasattr(module, '__path__')}\n"
+                    "extra = {name for name in loaded if not name.startswith('_')} - {'linalg'}\n"
+                    "assert not extra, sorted(extra)"],
                    env=env, check=True, timeout=60)

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from hbspace.catalog import cusp_symbol
-from hbspace.errors import ExtremeTypeError
+from hbspace.errors import ExtremeTypeError, InvariantViolation
 from hbspace.harmonic import DiskFunction
 from hbspace.model import SpaceHandle
 from hbspace.series import geometric_divide, shift_down, szego_taylor
-from hbspace.symbols import RowSymbol
-from conftest import N_GRID, random_interior
+from hbspace.spectral import MatrixSymbol, factor_residual
+from hbspace.symbols import RowSymbol, weighted_space_symbol
+from conftest import N_GRID, RANK2_EXAMPLE, noncontractive_row, random_interior, scaled_row
 
 
 def test_hardy_handle_is_degenerate(h2):
@@ -283,11 +284,16 @@ def _dense_block_toeplitz(blocks, degree):
 
 @pytest.fixture(scope="module")
 def ddelta():
+    return SpaceHandle(RowSymbol([DiskFunction(_ddelta_taylor(), n_boundary=N_GRID)]),
+                       n_grid=N_GRID)
+
+
+def _ddelta_taylor():
     """Sarason's D(delta_1) = H(b), b = (1 - tau) z / (1 - tau z), to degree 40."""
     tau = (3.0 - np.sqrt(5.0)) / 2.0
     b = np.zeros(41)
     b[1:] = (1.0 - tau) * tau ** np.arange(40)
-    return SpaceHandle(RowSymbol([DiskFunction(b, n_boundary=N_GRID)]), n_grid=N_GRID)
+    return b
 
 
 def test_ddelta_gram_matches_local_dirichlet_closed_form(ddelta):
@@ -445,3 +451,48 @@ def test_non_finite_coefficients_rejected(request, space_name, method, bad):
     space = request.getfixturevalue(space_name)
     with pytest.raises(ValueError, match="finite"):
         getattr(space, method)([bad, 1.0])
+
+
+def _row_symbol(rows, n_grid):
+    return RowSymbol([DiskFunction(r, n_boundary=n_grid) for r in rows])
+
+
+def _certified_symbols(n_grid):
+    """Cusp, D(delta_1), the rank-2 example, weighted and seeded random rows
+    of rank 1-3 at sup 0.5, 0.9 and touching 1."""
+    symbols = [cusp_symbol(n_grid), _row_symbol([_ddelta_taylor()], n_grid),
+               _row_symbol(RANK2_EXAMPLE, n_grid),
+               weighted_space_symbol([1.0, 2.0, 2.5, 3.0], n_boundary=n_grid)]
+    rng = np.random.default_rng(23)
+    for rank in (1, 2, 3):
+        for sup in (0.5, 0.9, 1.0):
+            symbols.append(_row_symbol(scaled_row(rng, rank, sup), n_grid))
+    return symbols
+
+
+@pytest.mark.parametrize("n_grid", [1024, 4096])
+def test_handle_certificate_bounds_the_grid_and_keeps_the_route(n_grid):
+    eps = 1e-6
+    routes = set()
+    for symbol in _certified_symbols(n_grid):
+        space = SpaceHandle(symbol, n_grid=n_grid)
+        rows = symbol.boundary_rows(n_grid)
+        field = np.eye(space.n)[None] - rows.conj()[:, :, None] * rows[:, None, :]
+        bound = space.defect_identity_residual()
+        assert factor_residual(space.factor, field) - 1e-14 <= bound <= 1e-12
+        # the route rule against the smallest singular value of A on the grid
+        smin = np.min(np.linalg.svd(space.factor.samples(n_grid), compute_uv=False))
+        assert space._use_fft_path == (smin > 1e-2)
+        routes.add(space._use_fft_path)
+        # the certificate is recomputed from the factor on every call
+        bumped = space.factor.coeffs.copy()
+        bumped[0] += eps * np.eye(space.n)
+        space.factor = MatrixSymbol(bumped)
+        assert space.defect_identity_residual() >= eps / 2
+    assert routes == {True, False}
+
+
+def test_noncontractive_row_handle_raises_invariant_violation():
+    symbol = _row_symbol(noncontractive_row(), 4096)  # passes the 4096-point check
+    with pytest.raises(InvariantViolation, match="not a contraction"):
+        SpaceHandle(symbol, n_grid=4096)

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from hbspace.errors import ExtremeTypeError
+from hbspace.errors import ExtremeTypeError, InvariantViolation
 from hbspace.harmonic import grid_points, outer_from_modulus
 from hbspace.spectral import (
     MatrixSymbol,
+    defect_identity_bound,
     factor_residual,
     matrix_outer_factor,
     row_defect_factor,
 )
+from conftest import RANK2_EXAMPLE, noncontractive_row, scaled_row
 
 N = 1024
 
@@ -124,11 +126,12 @@ def test_boundary_zero_field_is_regularized():
     zeta = grid_points(N)
     phi = (np.abs(1.0 - zeta) ** 2 / 4.0).astype(complex)  # sin^2(theta/2)
     rep = matrix_outer_factor(phi)
-    assert rep.regularization > 0
     assert rep.residual < 1e-8
     # Wilson stalls on the floored field; the scalar fallback root-splits the
-    # unregularized samples and returns the exact factor (1 - z) / 2
+    # unregularized samples and returns the exact factor (1 - z) / 2, so the
+    # report carries no regularization
     assert rep.method == "roots"
+    assert rep.regularization == 0
     assert np.max(np.abs(rep.symbol.coeffs[:, 0, 0] - [0.5, -0.5])) < 1e-14
 
 
@@ -158,8 +161,6 @@ def test_indefinite_field_rejected():
 
 
 # -- the exact route for polynomial rows ----------------------------------------
-
-RANK2_EXAMPLE = [[0.0, 0.4, 0.4, 0.0, 0.0], [0.0, 0.0, 0.0, 0.3, 0.3]]
 
 
 def _row_samples(rows, n_grid):
@@ -192,7 +193,7 @@ def _min_det_inside(symbol, radius=0.99, count=256):
 @pytest.mark.parametrize("n_grid", [1024, 4096])
 def test_rank_two_example_factors_exactly(n_grid):
     # det(I - B*B) = sin^2(theta / 2) touches zero at z = 1
-    rep = row_defect_factor(RANK2_EXAMPLE, n_grid)
+    rep = row_defect_factor(RANK2_EXAMPLE)
     assert (rep.method, rep.iterations, rep.regularization) == ("exact", 0, 0.0)
     assert rep.residual <= 1e-12
     assert factor_residual(rep.symbol, _row_field(RANK2_EXAMPLE, n_grid)) <= 1e-12
@@ -205,7 +206,7 @@ def test_exact_factor_matches_wilson_on_interior_rows(sup):
     for rank in (1, 2, 3):
         for _ in range(4):
             rows = _random_row(rng, rank, sup)
-            exact = row_defect_factor(rows, N)
+            exact = row_defect_factor(rows)
             wilson = matrix_outer_factor(_row_field(rows, N))
             assert wilson.regularization == 0.0
             a, w = exact.symbol.coeffs, wilson.symbol.coeffs
@@ -215,3 +216,44 @@ def test_exact_factor_matches_wilson_on_interior_rows(sup):
             assert np.max(np.abs(a - w)) <= 1e-12
             assert exact.residual <= 1e-13
             assert _min_det_inside(exact.symbol) > 0.0
+
+
+# -- the coefficient certificate --------------------------------------------------
+
+
+@pytest.mark.parametrize("n_grid", [1024, 4096])
+@pytest.mark.parametrize("sup", [0.5, 0.9, 1.0])
+def test_coefficient_bound_covers_the_grid_residual(n_grid, sup):
+    rng = np.random.default_rng(21)
+    for rank in (1, 2, 3):
+        for _ in range(3):
+            rows = scaled_row(rng, rank, sup)
+            rep = row_defect_factor(rows)
+            assert rep.residual == defect_identity_bound(rep.symbol.coeffs, rows)
+            grid = factor_residual(rep.symbol, _row_field(rows, n_grid))
+            assert grid - 1e-14 <= rep.residual <= 1e-12
+
+
+@pytest.mark.parametrize("sup", [0.5, 1.0])
+def test_coefficient_bound_first_order_growth(sup):
+    # an error of size eps in any one coefficient block shows in the bound,
+    # which stays above the sampled residual of the perturbed factor
+    rng = np.random.default_rng(22)
+    eps = 1e-6
+    for rank in (1, 2, 3):
+        rows = scaled_row(rng, rank, sup)
+        a = row_defect_factor(rows).symbol.coeffs
+        field = _row_field(rows, N)
+        for k in range(a.shape[0] + 1):
+            bumped = np.concatenate([a, np.zeros((1, rank, rank))])
+            bumped[k] += eps * np.eye(rank)
+            bound = defect_identity_bound(bumped, rows)
+            assert bound >= eps / 2
+            assert bound >= factor_residual(MatrixSymbol(bumped), field) - 1e-14
+
+
+def test_noncontractive_row_refused_as_invariant_violation():
+    # the defect is nonnegative on every grid point but dips to -1.77e-8 in
+    # between; the midpoint of its two circle roots exposes it
+    with pytest.raises(InvariantViolation, match="negative on the circle: -1.7"):
+        row_defect_factor(noncontractive_row())
