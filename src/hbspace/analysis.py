@@ -20,7 +20,6 @@ from .series import (
     horner,
     shift_down,
     shift_up,
-    szego_taylor,
 )
 from .symbols import MeasureSpec, RowSymbol
 
@@ -279,11 +278,17 @@ def reverse_carleson(space, schedule: LimitSchedule | None = None,
                      lam_points: int = 64, deep_level: int = 16) -> ReverseCarlesonReport:
     """Reverse-Carleson diagnostics for a forward-shift-invariant space.
 
-    h2(lam) = 1 / ((1 - r^2) k(r lam, r lam)) is formula-exact and evaluated
-    at the deep radius 1 - 2**-deep_level; h1(lam) = (1 - r^2) ||k_{r lam}||^2
-    needs the embedding and is capped at degree * (1 - r) >= 16, with both
-    radii recorded.  For polynomial symbols the minimal boundary density
-    g = 1 / (1 - sum |b_i|^2) is reported for comparison.
+    h2(lam) = 1 / ((1 - r^2) k(r lam, r lam)) is formula-exact; its kernel
+    diagonals come from one ``space.gram`` per radius.  h1(lam) =
+    (1 - r^2) ||s_{r lam}||^2, s the Szego kernel, comes from the space's
+    closed form ``szego_density``: 1 + ||A(w)^{-*} B(w)*||^2 for a factored
+    symbol and 1 + sum c_i |w|^2 / |1 - conj(w) z_i|^2 for atoms c_i at z_i.
+    Both are reported at the deep radius 1 - 2**-deep_level, lowered to the
+    deepest level within ``space.kernel_radius`` when the kernel is a
+    degree-truncated one; the radius used is recorded.  ``sup_kernel`` and
+    ``sup_resolvent`` are the largest circle means of h2 and h1 over the
+    schedule radii within that radius.  For polynomial symbols the minimal
+    boundary density g = 1 / (1 - sum |b_i|^2) is reported for comparison.
     """
     if not getattr(space, "mz_invariant", False):
         return ReverseCarlesonReport(False, None, None, None, np.zeros(0),
@@ -292,26 +297,21 @@ def reverse_carleson(space, schedule: LimitSchedule | None = None,
                                           "forward-shift invariant")
     lam = np.exp(2j * np.pi * np.arange(lam_points) / lam_points)
     schedule = schedule or LimitSchedule(k_min=3, k_max=6)
+    radii = (1.0 - 2.0 ** (-k) for k in range(deep_level, 0, -1))
+    r_deep = next((r for r in radii if r <= space.kernel_radius), None)
+    if r_deep is None:
+        raise ConfigError(f"no radius 1 - 2**-k lies within the kernel radius "
+                          f"{space.kernel_radius}")
 
-    r_deep = 1.0 - 2.0 ** (-deep_level)
-    h2 = np.array([1.0 / ((1.0 - r_deep ** 2) * space.kernel(r_deep * l, r_deep * l).real)
-                   for l in lam])
+    def densities(r):
+        diag = np.diagonal(space.gram(r * lam)).real
+        return 1.0 / ((1.0 - r ** 2) * diag), space.szego_density(r * lam)
 
-    degree = getattr(space, "degree", None)
-    sup_kernel = 0.0
-    sup_resolvent = None
-    h1 = None
-    radius_h1 = None
-    for r, _ in schedule:
-        k_mean = float(np.mean([1.0 / ((1.0 - r ** 2) * space.kernel(r * l, r * l).real)
-                                for l in lam]))
-        sup_kernel = max(sup_kernel, k_mean)
-        if degree is not None and degree * (1.0 - r) < 16.0:
-            continue
-        vals = np.array([space.norm(szego_taylor(r * l, degree or 256)) ** 2 for l in lam])
-        h1 = (1.0 - r ** 2) * vals
-        radius_h1 = r
-        sup_resolvent = max(sup_resolvent or 0.0, float(np.mean(h1)))
+    means = [[float(np.mean(h)) for h in densities(r)]
+             for r in schedule.radii if r <= space.kernel_radius]
+    sup_kernel = max((m[0] for m in means), default=None)
+    sup_resolvent = max((m[1] for m in means), default=None)
+    h2, h1 = densities(r_deep)
 
     g = None
     admits = None
@@ -331,7 +331,7 @@ def reverse_carleson(space, schedule: LimitSchedule | None = None,
     elif hasattr(space, "measure"):
         admits = dirichlet_reverse_carleson(space.measure, lam_points).admits
     return ReverseCarlesonReport(True, admits, sup_resolvent, sup_kernel, lam,
-                                 h1, h2, g, radius_h1, r_deep)
+                                 h1, h2, g, r_deep, r_deep)
 
 
 @dataclass

@@ -174,7 +174,7 @@ def gram_matrix(symbol: RowSymbol, points) -> np.ndarray:
     if np.unique(np.round(pts, 14)).size != pts.size:
         raise ValueError("Gram points must be distinct")
     if symbol.n:
-        rows = np.array([symbol.row_at(p) for p in pts])  # (m, n)
+        rows = np.stack([horner(c.taylor, pts) for c in symbol.components], axis=1)  # (m, n)
         bb = rows @ rows.conj().T  # (j, i) -> B(lam_j) B(lam_i)*
     else:
         bb = np.zeros((pts.size, pts.size), dtype=complex)
@@ -271,6 +271,26 @@ class DirichletSpace:
     @property
     def rank(self) -> int:
         return len(self.measure.atoms)
+
+    @property
+    def kernel_radius(self) -> float:
+        """Largest radius at which the degree-truncated kernel is resolved:
+        degree * (1 - r) >= 16, the rule of ``analysis.LimitSchedule``."""
+        return 1.0 - 16.0 / self.degree
+
+    def szego_density(self, points) -> np.ndarray:
+        """(1 - |w|^2) ||s_w||^2 for the Szego kernel s_w = 1 / (1 - conj(w) z).
+
+        The embedding coordinate of s_w for the atom c at z is
+        sqrt(c) conj(w) s_w(z) s_w, so the value is
+        1 + sum c |w|^2 / |1 - conj(w) z|^2, exact at every interior point.
+        """
+        pts = np.asarray(points, dtype=complex)
+        _check_strict_interior(*pts.ravel())
+        total = np.ones(pts.shape)
+        for loc, weight in self.measure.atoms:
+            total += weight * np.abs(pts) ** 2 / np.abs(1.0 - np.conj(pts) * loc) ** 2
+        return total
 
     @property
     def n(self) -> int:

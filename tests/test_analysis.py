@@ -199,6 +199,37 @@ def test_reverse_carleson_cusp_rate(cusp):
     assert 0.3 < errs[2] / errs[1] < 0.7
 
 
+@pytest.mark.parametrize("name", ["h2", "rank1_half", "cusp", "two_term", "weighted"])
+def test_reverse_carleson_h1_meets_g_at_the_deep_radius(name, request):
+    space = request.getfixturevalue(name)
+    rc = reverse_carleson(space, deep_level=16)
+    assert rc.radius_h1 == rc.radius_h2 == 1.0 - 2.0 ** -16
+    ok = np.isfinite(rc.g) & (rc.g <= 20.0)
+    assert np.max(np.abs(rc.h1[ok] - rc.g[ok]) / rc.g[ok]) <= 1e-3
+
+
+def test_reverse_carleson_cusp_h1_is_exact(cusp):
+    # b = z (1 + z) / 2 and a = (1 - z) / 2 give h1(w) = 1 + |w (1 + w) / (1 - w)|^2;
+    # a degree-256 embed of the Szego kernel was 2.7e-7 off at this radius
+    rc = reverse_carleson(cusp, deep_level=4)
+    assert rc.radius_h1 == 0.9375
+    w = 0.9375 * rc.lam
+    exact = 1.0 + np.abs(w * (1.0 + w) / (1.0 - w)) ** 2
+    assert np.max(np.abs(rc.h1 - exact) / exact) <= 1e-12
+
+
+def test_reverse_carleson_dirichlet_kernel_stays_resolved(d_origin, rank1_half):
+    # D(delta_0) = H(z / sqrt(2)); the degree-128 kernel is evaluated only
+    # where degree * (1 - r) >= 16, so h2 must match the symbol route there
+    rc = reverse_carleson(d_origin, deep_level=16)
+    assert rc.radius_h2 == rc.radius_h1 == 1.0 - 2.0 ** -3
+    ref = reverse_carleson(rank1_half, LimitSchedule(k_min=3, k_max=3), deep_level=3)
+    assert ref.radius_h2 == rc.radius_h2
+    assert np.max(np.abs(rc.h2 - ref.h2)) <= 1e-12
+    assert np.max(np.abs(rc.h1 - ref.h1)) <= 1e-12
+    assert rc.sup_kernel == pytest.approx(ref.sup_kernel, abs=1e-12)
+
+
 def test_reverse_carleson_inapplicable_for_inner(inner_space):
     rc = reverse_carleson(inner_space)
     assert not rc.applicable

@@ -251,23 +251,56 @@ def test_isometry_on_kernel_combinations(h2, rank1_half, cusp, rng):
 
 
 def test_companion_stability_under_degree_doubling(rank1_half):
+    # the correlation g grown by doubling keeps its head, and the companions
+    # it gives match those of a handle that solved for every coefficient at once
     f = szego_taylor(0.8, rank1_half.degree)
-    u_plus = rank1_half._u_plus_coeffs(f)
-    small = rank1_half._solve_fft(u_plus, rank1_half.degree // 2)
-    large = rank1_half._solve_fft(u_plus, rank1_half.degree)
+    grown = SpaceHandle(rank1_half.symbol, n_grid=rank1_half.n_grid)
+    small = grown._correlation(rank1_half.degree // 2 + 1).copy()
+    large = grown._correlation(rank1_half.degree + 1)
     w = small.shape[1]
     assert np.max(np.abs(small - large[:, :w])) < 1e-8
+    direct = SpaceHandle(rank1_half.symbol, n_grid=rank1_half.n_grid).embed(f)
+    assert np.max(np.abs(grown.embed(f).companions - direct.companions)) < 1e-8
+
+
+def _grid_b_star_f(space, f):
+    """Samples of B* f on the circle grid, shape (N, n)."""
+    fsamp = np.fft.ifft(f, n=space.n_grid) * space.n_grid
+    return space.symbol.boundary_rows(space.n_grid).conj() * fsamp[:, None]
+
+
+def _grid_u_plus(space, f):
+    """Analytic-part coefficients of B* f from the circle grid, shape (N/2, n)."""
+    u = _grid_b_star_f(space, f)
+    return (np.fft.fft(u, axis=0) / space.n_grid)[: space.n_grid // 2]
+
+
+def _grid_fft_companions(space, u_plus, degree):
+    """Companions by pointwise multiplication with the A*^{-1} grid samples
+    and analytic projection."""
+    a_samples = space.factor.samples(space.n_grid)
+    ah_inv = np.linalg.inv(np.conj(np.transpose(a_samples, (0, 2, 1))))
+    u_samp = np.fft.ifft(u_plus, n=space.n_grid, axis=0)
+    w = np.einsum("jik,jk->ji", ah_inv, u_samp)
+    return -np.fft.fft(w, axis=0)[: degree + 1].T
+
+
+def _padded(companions, degree):
+    out = np.zeros((companions.shape[0], degree + 1), dtype=complex)
+    out[:, : companions.shape[1]] = companions
+    return out
 
 
 def test_triangular_and_fft_paths_agree(rank1_half, two_term, weighted, rng):
+    # the companions from the triangular solve for g against the grid FFT route
     for space in (rank1_half, two_term, weighted):  # n = 1, 2, 3
-        assert space._use_fft_path
         f = rng.normal(size=10) + 1j * rng.normal(size=10)
-        u_plus = space._u_plus_coeffs(f)
+        u_plus = _grid_u_plus(space, f)
+        got = space.embed(f).companions
         doubled = min(2 * space.degree, space.n_grid // 2 - 1)
         for degree in (64, space.degree, doubled):
-            a = space._solve_fft(u_plus, degree)
-            b = space._solve_triangular(u_plus, degree)
+            a = _grid_fft_companions(space, u_plus, degree)
+            b = _padded(got, degree)
             assert a.shape == b.shape == (space.n, degree + 1)
             assert np.max(np.abs(a - b)) < 1e-10
 
@@ -279,6 +312,16 @@ def _dense_block_toeplitz(blocks, degree):
     for k in range(degree + 1):
         for m in range(min(blocks.shape[0], degree + 1 - k)):
             mat[k * n:(k + 1) * n, (k + m) * n:(k + m + 1) * n] = blocks[m].conj().T
+    return mat
+
+
+def _dense_lower_block_toeplitz(blocks, degree):
+    """The matrix with block (m, m - k) = A_k*, assembled entry by entry."""
+    n = blocks.shape[1]
+    mat = np.zeros(((degree + 1) * n, (degree + 1) * n), dtype=complex)
+    for m in range(degree + 1):
+        for k in range(min(blocks.shape[0], m + 1)):
+            mat[m * n:(m + 1) * n, (m - k) * n:(m - k + 1) * n] = blocks[k].conj().T
     return mat
 
 
@@ -307,17 +350,44 @@ def test_ddelta_gram_matches_local_dirichlet_closed_form(ddelta):
 
 @pytest.mark.parametrize("name", ["ddelta", "weighted", "two_term"])
 def test_triangular_solve_matches_dense_block_toeplitz(name, request, rng):
+    # the companions solve the upper-triangular block-Toeplitz system
+    # sum_m A_m* x[k + m] = -u[k] exactly, so its truncation at any degree
     space = request.getfixturevalue(name)
     if name == "ddelta":
-        assert not space._use_fft_path
         assert space.factor.coeffs.shape[0] > 8  # a wide band
     f = rng.normal(size=12) + 1j * rng.normal(size=12)
-    u_plus = space._u_plus_coeffs(f)
+    u_plus = _grid_u_plus(space, f)
     degree = 64
-    got = space._solve_triangular(u_plus, degree)
+    got = _padded(space.embed(f).companions, degree)
     dense = _dense_block_toeplitz(space.factor.coeffs, degree)
     ref = np.linalg.solve(dense, -u_plus[: degree + 1].ravel()).reshape(degree + 1, -1).T
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("name", ["ddelta", "cusp", "weighted", "two_term"])
+def test_correlation_matches_dense_lower_triangular_solve(name, request):
+    # g_0, g_1, ... solve sum_k A_k* g_{m-k} = B_m*
+    space = request.getfixturevalue(name)
+    degree = 80
+    rhs = np.zeros((degree + 1, space.n), dtype=complex)
+    rows = space.symbol.coefficient_matrix()
+    rhs[: rows.shape[1]] = rows.T.conj()
+    dense = _dense_lower_block_toeplitz(space.factor.coeffs, degree)
+    ref = np.linalg.solve(dense, rhs.ravel()).reshape(degree + 1, -1).T
+    got = space._correlation(degree + 1)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("name", ["h2", "rank1_half", "cusp", "two_term", "weighted",
+                                  "ddelta", "d_pair"])
+def test_szego_density_matches_embedded_szego_kernel(name, request, rng):
+    # (1 - |w|^2) ||s_w||^2 from the closed form against the embedding
+    space = request.getfixturevalue(name)
+    pts = 0.5 * np.exp(2j * np.pi * rng.uniform(0, 1, 6))
+    closed = space.szego_density(pts)
+    embedded = np.array([(1.0 - abs(w) ** 2) * space.norm(szego_taylor(w, space.degree)) ** 2
+                         for w in pts])
+    assert np.max(np.abs(closed - embedded) / embedded) <= 1e-12
 
 
 def test_geometric_divide_matches_recurrence_and_multiplies_back():
@@ -338,10 +408,19 @@ def test_geometric_divide_matches_recurrence_and_multiplies_back():
     assert np.max(np.abs(back - target)) < 1e-13
 
 
+def _grid_spectrum(space, pair):
+    """Order spectrum of B* f + A* f_1 from the circle grid, in FFT layout."""
+    n_grid = space.n_grid
+    f1samp = np.fft.ifft(pair.companions.T, n=n_grid, axis=0) * n_grid
+    a_h = np.conj(np.transpose(space.factor.samples(n_grid), (0, 2, 1)))
+    r = _grid_b_star_f(space, pair.f) + np.einsum("jik,jk->ji", a_h, f1samp)
+    return np.fft.fft(r, axis=0) / n_grid
+
+
 def test_resolvent_correction_matches_horner(weighted, rng):
     f = rng.normal(size=6) + 1j * rng.normal(size=6)
     pair = weighted.embed(f)
-    rhat = weighted._coanalytic_spectrum(pair)
+    rhat = _grid_spectrum(weighted, pair)
     n_grid = weighted.n_grid
     for lam in 0.9 * np.exp(2j * np.pi * rng.uniform(0, 1, 3)):
         lam_bar = np.conj(lam)
@@ -473,6 +552,7 @@ def _certified_symbols(n_grid):
 @pytest.mark.parametrize("n_grid", [1024, 4096])
 def test_handle_certificate_bounds_the_grid_and_keeps_the_route(n_grid):
     eps = 1e-6
+    f = np.array([0.3, -0.2 + 0.5j, 0.7, 0.1j])
     routes = set()
     for symbol in _certified_symbols(n_grid):
         space = SpaceHandle(symbol, n_grid=n_grid)
@@ -480,10 +560,12 @@ def test_handle_certificate_bounds_the_grid_and_keeps_the_route(n_grid):
         field = np.eye(space.n)[None] - rows.conj()[:, :, None] * rows[:, None, :]
         bound = space.defect_identity_residual()
         assert factor_residual(space.factor, field) - 1e-14 <= bound <= 1e-12
-        # the route rule against the smallest singular value of A on the grid
+        # one route serves factors bounded away from zero and factors that
+        # degenerate on the circle (smallest singular value of A at most 1e-2)
+        pair = space.embed(f)
+        assert pair.residual <= space.tol_solve * (1.0 + pair.norm)
         smin = np.min(np.linalg.svd(space.factor.samples(n_grid), compute_uv=False))
-        assert space._use_fft_path == (smin > 1e-2)
-        routes.add(space._use_fft_path)
+        routes.add(bool(smin > 1e-2))
         # the certificate is recomputed from the factor on every call
         bumped = space.factor.coeffs.copy()
         bumped[0] += eps * np.eye(space.n)
