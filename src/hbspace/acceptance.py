@@ -13,7 +13,6 @@ from functools import lru_cache
 import numpy as np
 
 from .analysis import (
-    LimitSchedule,
     cauchy_dual,
     dirichlet_reverse_carleson,
     mz_test,
@@ -175,20 +174,18 @@ def criterion_05(quick=False) -> tuple[bool, str]:
     """Radial norm formula and the pointwise defect identity."""
     hb = _spaces()["rank1-half"]
     z = np.array([0.0, 1.0])
-    k_max = 8 if quick else 10
-    est = norm_limit_estimate(hb, z, LimitSchedule(4, k_max))
+    est = norm_limit_estimate(hb, z)
     rel = abs(est.final - 2.0) / 2.0
-    tol = 4e-2 if quick else 1e-2
-    if rel > tol:
-        return False, f"norm-formula estimate {est.final:.6f} off 2.0 by {rel:.3e}"
+    if rel > 1e-12:
+        return False, f"norm-formula limit {est.final:.15g} off 2.0 by {rel:.3e}"
     rng = np.random.default_rng(SEED + 5)
     worst = 0.0
     for lam in _random_points(rng, 20):
         lhs, rhs = pointwise_defect(hb, z, lam)
         worst = max(worst, abs(lhs - rhs) / (1.0 + hb.poly_norm_sq(z)))
     passed = worst <= 1e-6
-    return passed, (f"estimate at r=1-2^-{k_max}: {est.final:.6f} "
-                    f"(rel err {rel:.2e}); pointwise identity off {worst:.2e}")
+    return passed, (f"limit at r = 1: {est.final:.15g} (rel err {rel:.2e}); "
+                    f"pointwise identity off {worst:.2e}")
 
 
 def criterion_06(quick=False) -> tuple[bool, str]:

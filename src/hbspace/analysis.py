@@ -4,7 +4,8 @@ Everything here is phrased against a "space" object exposing
 ``poly_norm_sq``, ``norm``, ``companions_at``, ``kernel`` and
 ``mz_invariant`` (both the factored symbol handles and the embedded
 Dirichlet-type spaces qualify).  The shift quantities are exact polynomial
-coefficient operations; only the radial limits carry discretization.
+coefficient operations, and so are the radial limits of the norm formula and
+the wandering norm; only the boundary diagnostics sample grids.
 """
 
 from dataclasses import dataclass, field
@@ -28,9 +29,10 @@ from .symbols import MeasureSpec, RowSymbol
 class LimitSchedule:
     """Radii r_k = 1 - 2**-k with per-radius quadrature grids.
 
-    Grid sizes must satisfy M * (1 - r) >= 16 so that near-singular
-    integrands stay resolved; the default M = 16 * 2**k sits exactly on the
-    constraint.
+    The grids serve only ``subspaces.nearly_invariant_norm``, whose integrand
+    is rational.  Grid sizes must satisfy M * (1 - r) >= 16 so that
+    near-singular integrands stay resolved; the default M = 16 * 2**k sits
+    exactly on the constraint.
     """
 
     k_min: int = 4
@@ -95,10 +97,6 @@ class LimitEstimate:
     extrapolated: float | None
 
     @property
-    def radii(self):
-        return [r for r, _ in self.rows]
-
-    @property
     def values(self):
         return [v for _, v in self.rows]
 
@@ -111,21 +109,36 @@ def _richardson(rows) -> float | None:
     return float((h1 * v2 - h2 * v1) / (h1 - h2))
 
 
+def _radial_limit(c: np.ndarray, schedule: LimitSchedule | None, integrand) -> LimitEstimate:
+    """Circle means of ``integrand(r, q)`` at the schedule radii (the rows)
+    and at r = 1 (``final``), where column j of q holds L_{r_j lam_j} f.
+
+    The nodes lam are the 2d + 2 roots of unity for f of degree d (an empty
+    vector is the zero polynomial).  Each integrand is a trigonometric
+    polynomial in lam of degree <= d - 1, so these means are exact at every
+    radius, r = 1 included.
+    """
+    radii = np.array([*(schedule or LimitSchedule()).radii, 1.0])
+    m = 2 * max(c.size, 1)
+    r = np.repeat(radii, m)
+    q = _divided_difference_all(c, r * np.tile(np.exp(2j * np.pi * np.arange(m) / m), radii.size))
+    means = integrand(r, q).reshape(radii.size, m).mean(axis=1)
+    rows = [(float(rk), float(v)) for rk, v in zip(radii[:-1], means[:-1])]
+    return LimitEstimate(rows, float(means[-1]), _richardson(rows))
+
+
 def norm_limit_estimate(space, coeffs, schedule: LimitSchedule | None = None) -> LimitEstimate:
-    """Radial estimates of the squared space norm through the shift formula:
-    ||f||_2^2 + mean over the circle of ||z L_{r lam} f||^2 - r^2 ||L_{r lam} f||^2.
+    """The squared space norm through the shift formula:
+    ||f||_2^2 + mean over the circle of ||z L_{r lam} f||^2 - r^2 ||L_{r lam} f||^2,
+    at each schedule radius and, as ``final``, exactly at r = 1.
     """
     c = as_coeffs(coeffs)
-    schedule = schedule or LimitSchedule()
     base = h2_norm_sq(c)
-    rows = []
-    for r, m in schedule:
-        lam = np.exp(2j * np.pi * np.arange(m) / m)
-        q = _divided_difference_all(c, r * lam)
-        zq = np.vstack([np.zeros((1, m), dtype=complex), q])
-        vals = _column_norms(space, zq) - r ** 2 * _column_norms(space, q)
-        rows.append((r, base + float(np.mean(vals))))
-    return LimitEstimate(rows, rows[-1][1], _richardson(rows))
+
+    def integrand(r, q):
+        zq = np.vstack([np.zeros((1, q.shape[1]), dtype=complex), q])
+        return base + _column_norms(space, zq) - r ** 2 * _column_norms(space, q)
+    return _radial_limit(c, schedule, integrand)
 
 
 def pointwise_defect(space, coeffs, lam) -> tuple[float, float]:
@@ -139,16 +152,10 @@ def pointwise_defect(space, coeffs, lam) -> tuple[float, float]:
 
 
 def wandering_norm(space, coeffs, schedule: LimitSchedule | None = None) -> LimitEstimate:
-    """Estimates of lim (1 - r^2) * mean ||L_{r lam} f||^2; zero exactly when
-    the model has no unitary part."""
-    c = as_coeffs(coeffs)
-    schedule = schedule or LimitSchedule()
-    rows = []
-    for r, m in schedule:
-        lam = np.exp(2j * np.pi * np.arange(m) / m)
-        q = _divided_difference_all(c, r * lam)
-        rows.append((r, (1.0 - r ** 2) * float(np.mean(_column_norms(space, q)))))
-    return LimitEstimate(rows, rows[-1][1], _richardson(rows))
+    """(1 - r^2) * mean ||L_{r lam} f||^2 at each schedule radius; ``final``,
+    its value at r = 1, is exactly 0: a polynomial has no unitary part."""
+    return _radial_limit(as_coeffs(coeffs), schedule,
+                         lambda r, q: (1.0 - r ** 2) * _column_norms(space, q))
 
 
 def backward_iterates(space, coeffs, n_max: int) -> np.ndarray:
@@ -172,6 +179,15 @@ def norm_identity_deviation(space, members) -> float:
     return worst
 
 
+def _boundary_defect(symbol: RowSymbol):
+    """The sampler thetas -> 1 - sum |b_i(e^{i theta})|^2."""
+    def defect(thetas):
+        z = np.exp(1j * thetas)
+        return 1.0 - sum((np.abs(horner(c.taylor, z)) ** 2 for c in symbol.components),
+                         np.zeros_like(thetas))
+    return defect
+
+
 @dataclass
 class MzReport:
     invariant: bool
@@ -187,16 +203,8 @@ class MzReport:
 def mz_test(symbol: RowSymbol, base_n: int = 4096, levels: int = 3,
             slack: float = 1.0) -> MzReport:
     """Forward-shift invariance test: integrability of log(1 - sum |b_i|^2)."""
-    comps = [c.taylor for c in symbol.components]
-
-    def defect(thetas):
-        z = np.exp(1j * thetas)
-        total = np.zeros_like(thetas)
-        for c in comps:
-            total += np.abs(horner(c, z)) ** 2
-        return 1.0 - total
-
-    verdict = log_diagnostic(defect, levels=levels, base_n=base_n, slack=slack)
+    verdict = log_diagnostic(_boundary_defect(symbol), levels=levels, base_n=base_n,
+                             slack=slack)
     note = ""
     if symbol.truncated:
         note = "truncated symbol: verdict not conclusive for the full space"
@@ -317,13 +325,7 @@ def reverse_carleson(space, schedule: LimitSchedule | None = None,
     admits = None
     symbol = getattr(space, "symbol", None)
     if symbol is not None:
-        def defect_at(thetas):
-            z = np.exp(1j * thetas)
-            total = np.zeros_like(thetas)
-            for c in symbol.components:
-                total += np.abs(horner(c.taylor, z)) ** 2
-            return 1.0 - total
-
+        defect_at = _boundary_defect(symbol)
         boundary_defect = np.maximum(defect_at(np.angle(lam)), 0.0)
         g = np.where(boundary_defect > 1e-14,
                      1.0 / np.maximum(boundary_defect, 1e-300), np.inf)

@@ -214,6 +214,7 @@ def cmd_norm_formula(args) -> int:
     print(f"direct norm^2: {direct:.12g}")
     for r, v in est.rows:
         print(f"r = {r:.10f}  estimate = {v:.12g}")
+    print(f"limit (r = 1): {est.final:.12g}")
     if est.extrapolated is not None:
         print(f"extrapolated: {est.extrapolated:.12g} (advisory)")
     if args.out:

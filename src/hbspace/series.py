@@ -6,7 +6,7 @@ algebra; no grids are involved.
 """
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import ztbtrs
 
 
 def as_coeffs(c) -> np.ndarray:
@@ -75,36 +75,29 @@ def divided_difference(c, lam) -> np.ndarray:
 
 
 def geometric_divide(c, lam_bar, degree) -> np.ndarray:
-    """Coefficients of f(z) / (1 - conj(lam) z) truncated at ``degree``.
-
-    ``lam_bar`` is conj(lam) with |lam| < 1; the quotient series converges
-    geometrically and the truncation error is O(|lam|**degree).  The
-    recurrence q[k] = f[k] + conj(lam) q[k - 1] is the bidiagonal system
-    (I - conj(lam) S) q = f with S the down-shift.
-    """
-    a = as_coeffs(c)
-    rhs = np.zeros(degree + 1, dtype=complex)
-    top = min(a.size, degree + 1)
-    rhs[:top] = a[:top]
-    band = np.empty((2, degree + 1), dtype=complex)
-    band[0] = 1.0
-    band[1] = -lam_bar  # the last entry lies outside the matrix
-    return solve_banded((1, 0), band, rhs, check_finite=False)
+    """Coefficients of f(z) / (1 - conj(lam) z) truncated at ``degree``;
+    ``lam_bar`` is conj(lam), and for |lam| < 1 the truncation error is
+    O(|lam|**degree)."""
+    return series_divide(c, [1.0, -lam_bar], degree)
 
 
 def series_divide(num, den, degree) -> np.ndarray:
-    """Power-series quotient num/den truncated at ``degree``; den[0] != 0."""
+    """Power-series quotient num/den truncated at ``degree``; den[0] != 0.
+
+    The recurrence den[0] q[k] = num[k] - sum_{m >= 1} den[m] q[k - m],
+    scaled by 1/den[0], is a unit lower-triangular banded system, solved by
+    substitution: unlike a pivoting solver, an overflowing quotient runs to
+    inf/nan as the recurrence does instead of raising."""
     a = as_coeffs(num)
     b = as_coeffs(den)
     if abs(b[0]) == 0.0:
         raise ZeroDivisionError("denominator vanishes at z = 0")
-    q = np.zeros(degree + 1, dtype=complex)
-    for k in range(degree + 1):
-        acc = a[k] if k < a.size else 0.0
-        for m in range(1, min(k, b.size - 1) + 1):
-            acc -= b[m] * q[k - m]
-        q[k] = acc / b[0]
-    return q
+    rhs = np.zeros(degree + 1, dtype=complex)
+    rhs[:min(a.size, degree + 1)] = a[:degree + 1] / b[0]
+    band = np.empty((min(b.size, degree + 1), degree + 1), dtype=complex, order="F")
+    band[:] = (b[:band.shape[0]] / b[0])[:, None]  # entries past the matrix are not read
+    q, _ = ztbtrs(band, rhs[:, None], uplo="L", diag="U", overwrite_b=1)
+    return q[:, 0]
 
 
 def convolve(a, b) -> np.ndarray:

@@ -213,6 +213,12 @@ def nearly_invariant_norm(space, phi, f, schedule=None,
     ||z L^phi_{r lam} f||^2 - ||L^phi_{r lam} f||^2, where
     L^phi_lam f = L_lam (f - (f(lam)/phi(lam)) phi).
 
+    A formula under test, not an identity: with phi = z/||z||, its exact
+    r = 1 value is the space norm on the diagonal spaces (rank1-half,
+    two-term, weighted, dirichlet-origin) but misses by 7.0e-3 on cusp,
+    6.4e-2 on dirichlet-pair and 5.2e-2 on dirichlet-half.  The estimate is
+    the grid mean at the last schedule radius.
+
     Grid points where |phi| < 1e-6 are skipped and logged; more than 5%
     skipped aborts the estimate.
     """

@@ -3,6 +3,7 @@ import pytest
 
 from hbspace.catalog import (
     cusp_symbol,
+    dirichlet_half,
     dirichlet_origin,
     dirichlet_pair,
     h2_symbol,
@@ -48,6 +49,20 @@ def weighted():
                        n_grid=N_GRID)
 
 
+def ddelta_taylor():
+    """Sarason's D(delta_1) = H(b), b = (1 - tau) z / (1 - tau z), to degree 40."""
+    tau = (3.0 - np.sqrt(5.0)) / 2.0
+    b = np.zeros(41)
+    b[1:] = (1.0 - tau) * tau ** np.arange(40)
+    return b
+
+
+@pytest.fixture(scope="session")
+def ddelta():
+    return SpaceHandle(RowSymbol([DiskFunction(ddelta_taylor(), n_boundary=N_GRID)]),
+                       n_grid=N_GRID)
+
+
 @pytest.fixture(scope="session")
 def inner_space():
     return SpaceHandle(inner_symbol(N_GRID), n_grid=N_GRID)
@@ -61,6 +76,11 @@ def d_origin():
 @pytest.fixture(scope="session")
 def d_pair():
     return dirichlet_pair()
+
+
+@pytest.fixture(scope="session")
+def d_half():
+    return dirichlet_half()
 
 
 @pytest.fixture()

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from hbspace import analysis
 from hbspace.analysis import (
     LimitSchedule,
+    _column_norms,
+    _divided_difference_all,
     backward_iterates,
     bergman_dirichlet_unitary,
     cauchy_dual,
@@ -17,7 +20,7 @@ from hbspace.analysis import (
 )
 from hbspace.catalog import cusp_symbol, inner_symbol, rank1_half_symbol
 from hbspace.errors import ConfigError
-from hbspace.series import szego_taylor
+from hbspace.series import h2_norm_sq, szego_taylor
 from hbspace.symbols import MeasureSpec, weighted_space_symbol
 from conftest import random_interior
 
@@ -36,9 +39,9 @@ def test_schedule_validation():
 def test_norm_limit_hardy_z(h2):
     est = norm_limit_estimate(h2, np.array([0.0, 1.0]), LimitSchedule(4, 8))
     # estimate at radius r is 1 + (1 - r^2), limit 1
-    r = est.rows[-1][0]
-    assert est.final == pytest.approx(1.0 + (1.0 - r ** 2), rel=1e-12)
-    assert abs(est.final - 1.0) < 1e-2
+    r, value = est.rows[-1]
+    assert value == pytest.approx(1.0 + (1.0 - r ** 2), rel=1e-12)
+    assert est.final == pytest.approx(1.0, rel=1e-12)
 
 
 def test_norm_limit_constant_is_exact(rank1_half):
@@ -58,6 +61,66 @@ def test_norm_limit_matches_norm_on_rational(rank1_half):
     est = norm_limit_estimate(rank1_half, f, LimitSchedule(4, 10))
     target = rank1_half.poly_norm_sq(f)
     assert abs(est.final - target) / target < 1e-2
+
+
+def _grid_quadrature(space, c, schedule):
+    """Reference rows: the norm formula and the wandering norm averaged over
+    16 * 2**k equispaced nodes at each radius r = 1 - 2**-k."""
+    norm_rows, wandering_rows = [], []
+    for r, m in schedule:
+        lam = np.exp(2j * np.pi * np.arange(m) / m)
+        q = _divided_difference_all(c, r * lam)
+        zq = np.vstack([np.zeros((1, m), dtype=complex), q])
+        q_norms = _column_norms(space, q)
+        vals = _column_norms(space, zq) - r ** 2 * q_norms
+        norm_rows.append((r, h2_norm_sq(c) + float(np.mean(vals))))
+        wandering_rows.append((r, (1.0 - r ** 2) * float(np.mean(q_norms))))
+    return norm_rows, wandering_rows
+
+
+RADIAL_SPACES = ["h2", "rank1_half", "cusp", "two_term", "weighted", "ddelta",
+                 "d_origin", "d_pair", "d_half"]
+
+
+def _radial_inputs():
+    rng = np.random.default_rng(7)
+    inputs = [rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1) for d in (0, 1, 4, 12, 40)]
+    return inputs + [szego_taylor(0.5, 64)]
+
+
+@pytest.mark.parametrize("name", RADIAL_SPACES)
+def test_radial_rows_match_grid_quadrature(name, request):
+    space = request.getfixturevalue(name)
+    schedule = LimitSchedule(4, 8)
+    for c in _radial_inputs():
+        norm_rows, wandering_rows = _grid_quadrature(space, c, schedule)
+        est = norm_limit_estimate(space, c, schedule)
+        wand = wandering_norm(space, c, schedule)
+        for rows, ref in ((est.rows, norm_rows), (wand.rows, wandering_rows)):
+            assert [r for r, _ in rows] == [r for r, _ in ref]
+            scale = max(abs(v) for _, v in ref)
+            assert max(abs(v - w) for (_, v), (_, w) in zip(rows, ref)) <= 1e-13 * scale
+        direct = space.poly_norm_sq(c)
+        assert abs(est.final - direct) <= 1e-12 * direct
+        assert wand.final == 0.0
+
+
+def test_norm_limit_of_empty_input_is_zero(rank1_half):
+    assert norm_limit_estimate(rank1_half, []).final == 0.0
+    assert wandering_norm(rank1_half, []).values == [0.0] * 7
+
+
+def test_norm_limit_nodes_follow_the_degree(rank1_half, monkeypatch):
+    columns = []
+
+    def counting(c, etas):
+        columns.append(etas.size)
+        return _divided_difference_all(c, etas)
+
+    monkeypatch.setattr(analysis, "_divided_difference_all", counting)
+    schedule = LimitSchedule(4, 10)
+    norm_limit_estimate(rank1_half, np.arange(1.0, 6.0), schedule)
+    assert sum(columns) <= 10 * (len(schedule.radii) + 1)
 
 
 def test_pointwise_defect_examples(h2, rank1_half, rng):

@@ -123,9 +123,12 @@ def test_embed_dirichlet_space(capsys):
 
 def test_norm_formula_subcommand(tmp_path, capsys):
     code, out, _ = run(["norm-formula", "--named", "rank1-half", "--coeffs", "0,1",
-                        "--quick", "--out", str(tmp_path)], capsys)
+                        "--quick", "--json", "--out", str(tmp_path)], capsys)
     assert code == 0
     assert "direct norm^2: 2" in out
+    assert "limit (r = 1): 2" in out
+    report = json.loads(out[out.index("{"):])
+    assert report["relative_gap"] <= 1e-12
     assert (tmp_path / "norm_formula.csv").exists()
     assert (tmp_path / "norm_formula.svg").exists()
 

@@ -8,7 +8,14 @@ from hbspace.model import SpaceHandle
 from hbspace.series import geometric_divide, shift_down, szego_taylor
 from hbspace.spectral import MatrixSymbol, factor_residual
 from hbspace.symbols import RowSymbol, weighted_space_symbol
-from conftest import N_GRID, RANK2_EXAMPLE, noncontractive_row, random_interior, scaled_row
+from conftest import (
+    N_GRID,
+    RANK2_EXAMPLE,
+    ddelta_taylor,
+    noncontractive_row,
+    random_interior,
+    scaled_row,
+)
 
 
 def test_hardy_handle_is_degenerate(h2):
@@ -325,20 +332,6 @@ def _dense_lower_block_toeplitz(blocks, degree):
     return mat
 
 
-@pytest.fixture(scope="module")
-def ddelta():
-    return SpaceHandle(RowSymbol([DiskFunction(_ddelta_taylor(), n_boundary=N_GRID)]),
-                       n_grid=N_GRID)
-
-
-def _ddelta_taylor():
-    """Sarason's D(delta_1) = H(b), b = (1 - tau) z / (1 - tau z), to degree 40."""
-    tau = (3.0 - np.sqrt(5.0)) / 2.0
-    b = np.zeros(41)
-    b[1:] = (1.0 - tau) * tau ** np.arange(40)
-    return b
-
-
 def test_ddelta_gram_matches_local_dirichlet_closed_form(ddelta):
     # D(delta_1) has <z^k, z^j> = delta_jk + min(j, k); the factor is exact,
     # so only roundoff separates the two (an eps-floored factor was off by 4e-3)
@@ -539,7 +532,7 @@ def _row_symbol(rows, n_grid):
 def _certified_symbols(n_grid):
     """Cusp, D(delta_1), the rank-2 example, weighted and seeded random rows
     of rank 1-3 at sup 0.5, 0.9 and touching 1."""
-    symbols = [cusp_symbol(n_grid), _row_symbol([_ddelta_taylor()], n_grid),
+    symbols = [cusp_symbol(n_grid), _row_symbol([ddelta_taylor()], n_grid),
                _row_symbol(RANK2_EXAMPLE, n_grid),
                weighted_space_symbol([1.0, 2.0, 2.5, 3.0], n_boundary=n_grid)]
     rng = np.random.default_rng(23)

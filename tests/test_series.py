@@ -2,6 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hbspace import subspaces
 from hbspace.series import (
     convolve,
     divided_difference,
@@ -54,6 +55,46 @@ def test_series_divide_inverts(num, den):
     target[: min(a.size, 25)] = a[:25]
     scale = 1 + np.max(np.abs(q)) * np.max(np.abs(b))
     assert np.max(np.abs(rebuilt - target)) < 1e-9 * scale
+
+
+def _series_divide_loop(num, den, degree):
+    """Reference: the coefficient recurrence
+    den[0] q[k] = num[k] - sum_{m >= 1} den[m] q[k - m], one term at a time."""
+    a = np.asarray(num, dtype=complex)
+    b = np.asarray(den, dtype=complex)
+    q = np.zeros(degree + 1, dtype=complex)
+    for k in range(degree + 1):
+        acc = a[k] if k < a.size else 0.0
+        for m in range(1, min(k, b.size - 1) + 1):
+            acc -= b[m] * q[k - m]
+        q[k] = acc / b[0]
+    return q
+
+
+def test_series_divide_matches_recurrence_near_the_circle():
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        poles = rng.uniform(0.88, 0.95, 3) * np.exp(2j * np.pi * rng.uniform(size=3))
+        den = np.array([2.0 - 1.0j])
+        for b in poles:
+            den = convolve(den, np.array([1.0, -b]))  # zeros at 1 / b, outside the disk
+        num = rng.normal(size=6) + 1j * rng.normal(size=6)
+        q = series_divide(num, den, 2048)
+        ref = _series_divide_loop(num, den, 2048)
+        assert np.max(np.abs(q - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(series_divide([1.0, 2.0], [4.0], 3), [0.25, 0.5, 0.0, 0.0])
+
+
+def test_overflowing_quotient_is_not_a_member(rank1_half, monkeypatch):
+    phi = np.array([-0.3, 1.0])  # f / phi has a pole at 0.3
+    f = np.array([1.0, 0.5, 0.25])
+    with np.errstate(all="ignore"):
+        q = series_divide(f, phi, 2048)
+        report = subspaces.shift_subspace_membership(rank1_half, phi, f)
+        monkeypatch.setattr(subspaces, "series_divide", _series_divide_loop)
+        reference = subspaces.shift_subspace_membership(rank1_half, phi, f)
+    assert not np.all(np.isfinite(q))
+    assert not report.member and not reference.member
 
 
 @settings(max_examples=40, deadline=None)
