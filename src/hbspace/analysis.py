@@ -5,7 +5,9 @@ Everything here is phrased against a "space" object exposing
 ``mz_invariant`` (both the factored symbol handles and the embedded
 Dirichlet-type spaces qualify).  The shift quantities are exact polynomial
 coefficient operations, and so are the radial limits of the norm formula and
-the wandering norm; only the boundary diagnostics sample grids.
+the wandering norm.  The boundary verdicts, forward-shift invariance and the
+existence of a reverse-Carleson measure, are read off the defect split that
+a row symbol takes at validation, so no boundary diagnostic samples a grid.
 """
 
 from dataclasses import dataclass, field
@@ -13,15 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .harmonic import log_diagnostic
-from .series import (
-    as_coeffs,
-    divided_difference,
-    h2_norm_sq,
-    horner,
-    shift_down,
-    shift_up,
-)
+from .series import as_coeffs, divided_difference, h2_norm_sq, shift_down, shift_up
+from .spectral import laurent_values
 from .symbols import MeasureSpec, RowSymbol
 
 
@@ -179,37 +174,33 @@ def norm_identity_deviation(space, members) -> float:
     return worst
 
 
-def _boundary_defect(symbol: RowSymbol):
-    """The sampler thetas -> 1 - sum |b_i(e^{i theta})|^2."""
-    def defect(thetas):
-        z = np.exp(1j * thetas)
-        return 1.0 - sum((np.abs(horner(c.taylor, z)) ** 2 for c in symbol.components),
-                         np.zeros_like(thetas))
-    return defect
-
-
 @dataclass
 class MzReport:
     invariant: bool
     conclusive: bool
     log_estimate: float | None
-    estimates: list[float]
     note: str = ""
 
     def __bool__(self):
         return self.invariant
 
 
-def mz_test(symbol: RowSymbol, base_n: int = 4096, levels: int = 3,
-            slack: float = 1.0) -> MzReport:
-    """Forward-shift invariance test: integrability of log(1 - sum |b_i|^2)."""
-    verdict = log_diagnostic(_boundary_defect(symbol), levels=levels, base_n=base_n,
-                             slack=slack)
+def mz_test(symbol: RowSymbol) -> MzReport:
+    """Forward-shift invariance: log d is integrable, d = 1 - sum |b_i|^2 on
+    the circle.
+
+    d is a nonnegative trigonometric polynomial, so log d is integrable iff
+    d is not identically zero, and by Jensen its mean is log_estimate =
+    2 log a(0), with a the outer factor of the symbol's defect split
+    (Sarason, Sub-Hardy Hilbert Spaces in the Unit Disk, 1994, ch. IV-V).
+    The verdict is conclusive unless the symbol is a truncation.
+    """
+    a = symbol.defect.outer
     note = ""
     if symbol.truncated:
         note = "truncated symbol: verdict not conclusive for the full space"
-    return MzReport(verdict.finite, not symbol.truncated, verdict.estimate,
-                    verdict.estimates, note)
+    log_estimate = None if a is None else float(2.0 * np.log(a[0].real))
+    return MzReport(a is not None, not symbol.truncated, log_estimate, note)
 
 
 def cauchy_dual(gram: np.ndarray) -> np.ndarray:
@@ -267,21 +258,6 @@ class ReverseCarlesonReport:
     note: str = ""
 
 
-def _l1_growth(defect_sampler, base_n: int = 1024, levels: int = 3) -> bool:
-    """True when 1/defect looks integrable: midpoint-grid quadrature means of
-    the reciprocal must stabilize under genuine grid refinement (a boundary
-    zero of the defect makes them grow without bound)."""
-    floor = 1e-300
-    means = []
-    n = base_n
-    for _ in range(levels):
-        thetas = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-        vals = np.maximum(defect_sampler(thetas), floor)
-        means.append(float(np.mean(1.0 / vals)))
-        n *= 2
-    return means[-1] <= 1.5 * means[-2]
-
-
 def reverse_carleson(space, schedule: LimitSchedule | None = None,
                      lam_points: int = 64, deep_level: int = 16) -> ReverseCarlesonReport:
     """Reverse-Carleson diagnostics for a forward-shift-invariant space.
@@ -296,7 +272,10 @@ def reverse_carleson(space, schedule: LimitSchedule | None = None,
     degree-truncated one; the radius used is recorded.  ``sup_kernel`` and
     ``sup_resolvent`` are the largest circle means of h2 and h1 over the
     schedule radii within that radius.  For polynomial symbols the minimal
-    boundary density g = 1 / (1 - sum |b_i|^2) is reported for comparison.
+    boundary density g = 1 / d, d = 1 - sum |b_i|^2, is reported for
+    comparison from the Laurent coefficients of d.  A measure exists iff 1/d
+    is integrable, that is iff d has no circle root (its circle zeros have
+    even order), which the symbol's defect split records.
     """
     if not getattr(space, "mz_invariant", False):
         return ReverseCarlesonReport(False, None, None, None, np.zeros(0),
@@ -325,11 +304,10 @@ def reverse_carleson(space, schedule: LimitSchedule | None = None,
     admits = None
     symbol = getattr(space, "symbol", None)
     if symbol is not None:
-        defect_at = _boundary_defect(symbol)
-        boundary_defect = np.maximum(defect_at(np.angle(lam)), 0.0)
+        boundary_defect = np.maximum(laurent_values(symbol.defect.laurent, np.angle(lam)), 0.0)
         g = np.where(boundary_defect > 1e-14,
                      1.0 / np.maximum(boundary_defect, 1e-300), np.inf)
-        admits = _l1_growth(defect_at)
+        admits = symbol.defect.circle_roots.size == 0
     elif hasattr(space, "measure"):
         admits = dirichlet_reverse_carleson(space.measure, lam_points).admits
     return ReverseCarlesonReport(True, admits, sup_resolvent, sup_kernel, lam,

@@ -49,8 +49,6 @@ from .symbols import (
     pair_inner,
 )
 
-_INNER_TOL = 1e-10
-
 
 def _fft_size(length: int) -> int:
     return 1 << max(length - 1, 1).bit_length()
@@ -60,10 +58,11 @@ class SpaceHandle:
     """A ready-to-compute space: symbol, defect factor, caches.
 
     Modes: ``analytic`` (the defect factor exists; forward shift available)
-    and ``inner`` (unimodular scalar symbol; the space sits isometrically in
-    the Hardy space and only backward-shift operations apply).  Construction
-    fails with ExtremeTypeError for symbols whose log-defect is not
-    integrable and that are not inner.
+    and ``inner`` (a scalar symbol whose defect vanishes identically; the
+    space sits isometrically in the Hardy space and only backward-shift
+    operations apply).  Both read the symbol's defect split, so a build
+    splits no roots of its own.  Construction fails with ExtremeTypeError for
+    rows of rank >= 2 whose defect vanishes identically.
     """
 
     # the kernel is closed-form, so it is resolved at every radius
@@ -89,11 +88,11 @@ class SpaceHandle:
             return
         rows = symbol.coefficient_matrix()
         # w[k] = [B_k*, A_k*], the Taylor blocks in conj(zeta) of [B*, A*]
-        if n == 1 and float(np.max(np.abs(symbol.defect_samples(n_grid)))) <= _INNER_TOL:
+        if n == 1 and symbol.defect.outer is None:  # d = 0: b is inner
             self.mode = "inner"
             self._w = rows.T.conj()[:, :, None]
             return
-        report = row_defect_factor(rows)
+        report = row_defect_factor(rows, symbol.defect)
         self.factor = report.symbol
         self.factorization = report
         a = report.symbol.coeffs

@@ -5,10 +5,12 @@ matrix function A with A(zeta)* A(zeta) = Phi(zeta), normalized so A(0) is
 lower triangular with positive diagonal.
 
 Defect fields Phi = I - B*B of polynomial rows B, which is every symbol a
-``SpaceHandle`` holds, are factored exactly by ``row_defect_factor``: the
-scalar defect 1 - |B|^2 is split by its roots, and the lossless row
-(B, reversed scalar factor) is peeled into degree-one paraunitary factors
-whose completion carries A.  The factor is certified by
+``SpaceHandle`` holds, are factored exactly by ``row_defect_factor``.  The
+scalar defect d = 1 - |B|^2 is a trigonometric polynomial; ``defect_split``
+splits it by its roots once, which decides the sign of d on the circle and
+gives its outer factor and circle zeros (``DefectSplit``).  The lossless row
+(B, reversed scalar factor) is then peeled into degree-one paraunitary
+factors whose completion carries A.  The factor is certified by
 ``defect_identity_bound``, which bounds A*A + B*B - I over the whole circle
 from its Laurent coefficients.  General sampled fields go through Wilson's
 Newton-type iteration in ``matrix_outer_factor``, with a floor on fields
@@ -24,17 +26,19 @@ from scipy.linalg import eigh, rq
 from .errors import ConvergenceError, ExtremeTypeError, InvariantViolation
 from .harmonic import log_diagnostic
 from .series import trim
-from .symbols import _CONTRACTION_SLOP
 
 _EPS_FLOOR = 1e-10
 _MAX_ITER = 200
 _STEP_TOL = 1e-12
-# exact route: roots within _CIRCLE_TOL of the circle are split pairs of a
-# double root; a defect whose coefficients all stay below _ZERO_DEFECT is zero
+# exact route: roots with |log |r|| <= _CIRCLE_TOL (a test symmetric under
+# r -> 1 / conj(r)) are split pairs of a double root; a defect whose
+# coefficients all stay below _ZERO_DEFECT is zero
 _CIRCLE_TOL = 1e-5
 _ZERO_DEFECT = 1e-12
 # bound on sup over the circle of ||A*A + B*B - I|| that certifies an exact factor
 _CERTIFY_TARGET = 1e-9
+# a row whose defect falls below -_CONTRACTION_SLOP on the circle is no contraction
+_CONTRACTION_SLOP = 1e-10
 # the scalar fallback of matrix_outer_factor takes sampled fields of at most
 # this Laurent degree
 _ROOTS_MAX_DEGREE = 64
@@ -198,63 +202,94 @@ def _default_target(phi: np.ndarray) -> float:
     return 1e-9 * (1.0 + float(np.max(np.abs(phi), initial=0.0)))
 
 
-def _outer_from_laurent(d) -> np.ndarray:
-    """Taylor coefficients of the outer polynomial a with |a|^2 = d on the circle.
+def laurent_values(d, thetas) -> np.ndarray:
+    """Values at exp(i theta) of the real trigonometric polynomial whose
+    Laurent coefficient of order m >= 0 is ``d[m]`` (order -m carries conj(d[m]))."""
+    waves = np.exp(1j * np.outer(thetas, np.arange(1, d.size)))
+    return d[0].real + 2.0 * np.real(waves @ d[1:])
 
-    ``d[m]`` is the Laurent coefficient of order m >= 0 of a nonnegative
-    trigonometric polynomial (order -m carries conj(d[m])).  The roots of
-    z^q d(z) come in pairs r, 1/conj(r); a keeps the ones outside the disk.
-    Roots on the circle have even multiplicity and split numerically into
-    close pairs: each pair becomes the unit-normalized mean of its two roots.
-    The gain makes sum |a_k|^2 = d[0], with a(0) > 0.
 
-    Between two neighbouring circle roots d keeps one sign, so d is evaluated
-    at the middle of every arc they cut: a value below -_CONTRACTION_SLOP
-    means d is negative somewhere on the circle and raises InvariantViolation.
+def _outer_from_laurent(d) -> tuple[np.ndarray, np.ndarray]:
+    """The outer polynomial a with |a|^2 = d on the circle, and the circle zeros of d.
+
+    ``d[m]`` is the Laurent coefficient of order m >= 0 of a real
+    trigonometric polynomial.  The roots of z^q d(z) come in pairs
+    r, 1/conj(r); a keeps the ones outside the disk.  Roots on the circle of
+    a nonnegative d have even multiplicity and split numerically into close
+    pairs: each pair becomes the unit-normalized mean of its two roots, which
+    is returned as a circle zero.  The gain makes sum |a_k|^2 = d[0], with
+    a(0) > 0.
+
+    The sign of d is decided here.  Between two neighbouring circle roots d
+    keeps one sign, so d is evaluated at the middle of every arc they cut,
+    or at one point when there is no circle root: a value below
+    -_CONTRACTION_SLOP raises InvariantViolation, and so does an odd number
+    of circle roots, since then one has odd order and d changes sign there.
     """
     d = trim(d)
     q = d.size - 1
-    if q == 0:
-        return np.sqrt(np.abs(d[:1].real)).astype(complex)
-    roots = np.roots(np.concatenate([d[::-1], np.conj(d[1:])]))
-    modulus = np.abs(roots)
-    outside = roots[modulus > 1.0 + _CIRCLE_TOL]
-    circle = roots[np.abs(modulus - 1.0) <= _CIRCLE_TOL]
-    if circle.size:
-        circle = circle[np.argsort(np.angle(circle))]
-        angles = np.angle(circle)
-        gaps = np.diff(np.append(angles, angles[0] + 2.0 * np.pi))
-        middles = angles + 0.5 * gaps
-        values = d[0].real + 2.0 * np.real(
-            np.exp(1j * np.outer(middles, np.arange(1, q + 1))) @ d[1:])
-        worst = int(np.argmin(values))
-        if values[worst] < -_CONTRACTION_SLOP:
-            raise InvariantViolation(
-                f"the defect is negative on the circle: {values[worst]:.3e} at "
-                f"angle {np.angle(np.exp(1j * middles[worst])):.6f}; the symbol "
-                "is not a contraction")
-        # pair neighbours by angle, starting after the widest gap so that no
-        # pair straddles the cut at angle pi
-        circle = np.roll(circle, -(int(np.argmax(gaps)) + 1))
-    if circle.size % 2 or outside.size + circle.size // 2 != q:
+    roots = np.roots(np.concatenate([d[::-1], np.conj(d[1:])])) if q else np.zeros(0)
+    log_modulus = np.log(np.abs(roots))
+    outside = roots[log_modulus > _CIRCLE_TOL]
+    circle = roots[np.abs(log_modulus) <= _CIRCLE_TOL]
+    circle = circle[np.argsort(np.angle(circle))]
+    angles = np.angle(circle) if circle.size else np.zeros(1)  # one arc: the circle
+    gaps = np.diff(np.append(angles, angles[0] + 2.0 * np.pi))
+    middles = angles + 0.5 * gaps
+    values = laurent_values(d, middles)
+    worst = int(np.argmin(values))
+    if values[worst] < -_CONTRACTION_SLOP:
+        raise InvariantViolation(
+            f"the defect is negative on the circle: {values[worst]:.3e} at "
+            f"angle {np.angle(np.exp(1j * middles[worst])):.6f}; the symbol "
+            "is not a contraction")
+    if circle.size % 2:
+        raise InvariantViolation(
+            f"the defect has {circle.size} roots on the circle, so it changes sign "
+            "at one of odd order; the symbol is not a contraction")
+    # pair neighbours by angle, starting after the widest gap so that no pair
+    # straddles the cut at angle pi
+    circle = np.roll(circle, -(int(np.argmax(gaps)) + 1))
+    if outside.size + circle.size // 2 != q:
         raise ConvergenceError(
             f"root splitting found {outside.size} roots outside the disk and "
             f"{circle.size} on the circle for a defect of degree {q}")
-    if circle.size:
-        centers = circle.reshape(-1, 2).mean(axis=1)
-        outside = np.concatenate([outside, centers / np.abs(centers)])
+    centers = np.exp(1j * np.angle(circle.reshape(-1, 2).mean(axis=1)))
     # ascending coefficients of prod (1 - z / r) are np.poly of the 1 / r
-    a = np.poly(1.0 / outside).astype(complex)
-    return a * np.sqrt(d[0].real / np.sum(np.abs(a) ** 2))
+    a = np.atleast_1d(np.poly(1.0 / np.concatenate([outside, centers]))).astype(complex)
+    return a * np.sqrt(np.abs(d[0].real) / np.sum(np.abs(a) ** 2)), centers
 
 
 def _defect_laurent(rows: np.ndarray) -> np.ndarray:
     """Laurent coefficients d[m], m = 0..p, of 1 - sum_i |b_i|^2 on the circle."""
     p = rows.shape[1] - 1
-    lags = sum(np.convolve(row, np.conj(row[::-1])) for row in rows)
+    lags = sum((np.convolve(row, np.conj(row[::-1])) for row in rows),
+               np.zeros(2 * p + 1, dtype=complex))
     d = -lags[p:]  # index p + m of the autocorrelation is lag m
     d[0] += 1.0
     return d
+
+
+@dataclass
+class DefectSplit:
+    """The defect d = 1 - sum_i |b_i|^2 of a polynomial row, split once:
+    ``laurent[m]`` is its Laurent coefficient of order m >= 0, ``outer`` the
+    outer polynomial a with |a|^2 = d and a(0) > 0 (None when d vanishes
+    identically) and ``circle_roots`` each zero of d on the circle, once."""
+
+    laurent: np.ndarray
+    outer: np.ndarray | None
+    circle_roots: np.ndarray
+
+
+def defect_split(coeffs) -> DefectSplit:
+    """The defect of the row ``coeffs[i, k]`` (coefficient of z^k in b_i) by
+    one root split, which also refuses a d that is negative on the circle.
+    sum_i |b_i|^2 is subharmonic, so that bound covers the disk."""
+    d = _defect_laurent(np.atleast_2d(np.asarray(coeffs, dtype=complex)))
+    if float(np.max(np.abs(d))) <= _ZERO_DEFECT:
+        return DefectSplit(d, None, np.zeros(0, dtype=complex))
+    return DefectSplit(d, *_outer_from_laurent(d))
 
 
 def _lossless_completion(h: np.ndarray) -> np.ndarray:
@@ -283,7 +318,7 @@ def _lossless_completion(h: np.ndarray) -> np.ndarray:
     return u
 
 
-def row_defect_factor(coeffs) -> FactorizationReport:
+def row_defect_factor(coeffs, split: DefectSplit | None = None) -> FactorizationReport:
     """Exact outer factor of Phi = I - B*B for a polynomial row B.
 
     ``coeffs[i, k]`` is the coefficient of z^k in b_i.  With a the outer
@@ -296,6 +331,7 @@ def row_defect_factor(coeffs) -> FactorizationReport:
     residual is ``defect_identity_bound``: bounded over the whole circle from
     Laurent coefficients, against the unregularized Phi.
 
+    ``split`` is the row's ``defect_split``, taken here when not given.
     Raises ExtremeTypeError when d is identically zero (the symbol is of
     extreme type), InvariantViolation when d is negative somewhere on the
     circle (B is not a contraction) and ConvergenceError when the bound
@@ -303,11 +339,10 @@ def row_defect_factor(coeffs) -> FactorizationReport:
     """
     b = np.atleast_2d(np.asarray(coeffs, dtype=complex))
     n, width = b.shape
-    d = _defect_laurent(b)
-    if float(np.max(np.abs(d))) <= _ZERO_DEFECT:
+    a = (defect_split(b) if split is None else split).outer
+    if a is None:
         raise ExtremeTypeError(
             "the defect 1 - |B|^2 vanishes identically; no outer factor")
-    a = _outer_from_laurent(d)
     h = np.zeros((width, n + 1), dtype=complex)
     h[:, :n] = b.T
     h[width - a.size:, n] = np.conj(a[::-1])
@@ -370,7 +405,7 @@ def matrix_outer_factor(phi, max_iter: int = _MAX_ITER, tol: float = _STEP_TOL,
         laurent = np.fft.fft(phi[:, 0, 0])[: n_grid // 2] / n_grid
         laurent = trim(laurent, 1e-12 * scale)
         if laurent.size <= _ROOTS_MAX_DEGREE + 1:
-            alt_symbol = MatrixSymbol(_outer_from_laurent(laurent)[:, None, None])
+            alt_symbol = MatrixSymbol(_outer_from_laurent(laurent)[0][:, None, None])
             alt_residual = factor_residual(alt_symbol, phi)
             if alt_residual < residual:
                 # the root splitter factors the unregularized samples

@@ -274,13 +274,20 @@ class QuotientMembershipReport:
 
 def _tail_stable(coeffs: np.ndarray, label: str, evidence: dict) -> bool:
     """Square-summability heuristic: the last dyadic block of coefficients
-    must not carry growing mass."""
+    must not carry growing mass, unless its norm is below 1e-10.  Masses are
+    taken relative to scale = max |c|, so an overflowing tail cannot square
+    to inf; a non-finite one is unstable."""
     c = as_coeffs(coeffs)
+    scale = float(np.max(np.abs(c), initial=0.0))
+    if not np.isfinite(scale):
+        evidence[label] = {"head": None, "tail": None, "scale": scale}
+        return False
+    c = c / scale if scale > 0.0 else c
     half = c.size // 2
     head = float(np.sum(np.abs(c[:half]) ** 2))
     tail = float(np.sum(np.abs(c[half:]) ** 2))
-    evidence[label] = {"head": head, "tail": tail}
-    return tail <= 0.05 * (head + tail) + 1e-20
+    evidence[label] = {"head": head, "tail": tail, "scale": scale}
+    return tail <= 0.05 * (head + tail) or scale * tail ** 0.5 <= 1e-10
 
 
 def shift_subspace_membership(space, phi, f, degree: int = 2048) -> QuotientMembershipReport:

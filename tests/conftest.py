@@ -16,6 +16,9 @@ from hbspace.symbols import RowSymbol, weighted_space_symbol
 
 N_GRID = 1024
 RANK2_EXAMPLE = [[0.0, 0.4, 0.4, 0.0, 0.0], [0.0, 0.0, 0.0, 0.3, 0.3]]
+# b = 1.1 z (1 + z) / 2: the defect 0.395 - 0.605 cos(theta) changes sign at
+# two simple circle roots, cos(theta) = 0.395 / 0.605
+ODD_ROOT_ROW = [[0.0, 0.55, 0.55]]
 
 
 @pytest.fixture(scope="session")

@@ -18,11 +18,12 @@ from hbspace.analysis import (
     shift_intertwine_residual,
     wandering_norm,
 )
-from hbspace.catalog import cusp_symbol, inner_symbol, rank1_half_symbol
-from hbspace.errors import ConfigError
+from hbspace.catalog import cusp_symbol, h2_symbol, inner_symbol, rank1_half_symbol
+from hbspace.errors import ConfigError, InvariantViolation
+from hbspace.model import SpaceHandle
 from hbspace.series import h2_norm_sq, szego_taylor
-from hbspace.symbols import MeasureSpec, weighted_space_symbol
-from conftest import random_interior
+from hbspace.symbols import MeasureSpec, RowSymbol, weighted_space_symbol
+from conftest import ODD_ROOT_ROW, random_interior, scaled_row
 
 
 def test_schedule_validation():
@@ -197,16 +198,59 @@ def test_norm_identity_deviation_split(inner_space, h2, rank1_half, rng):
 
 
 def test_mz_verdicts():
-    assert mz_test(rank1_half_symbol(512), base_n=1024).invariant
-    report = mz_test(cusp_symbol(512), base_n=1024)
+    assert mz_test(rank1_half_symbol(512)).invariant
+    report = mz_test(cusp_symbol(512))
     assert report.invariant
-    assert abs(report.log_estimate + 2.0 * np.log(2.0)) < 1e-2
-    assert not mz_test(inner_symbol(512), base_n=1024).invariant
+    assert abs(report.log_estimate + 2.0 * np.log(2.0)) < 1e-12
+    assert not mz_test(inner_symbol(512)).invariant
+
+
+def _fine_defect(rows, n_grid=1 << 16):
+    """1 - sum |b_i|^2 on 2^16 circle points, independent of the defect split."""
+    samples = np.fft.ifft(np.atleast_2d(rows), n=n_grid, axis=1) * n_grid
+    return 1.0 - np.sum(np.abs(samples) ** 2, axis=0)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_exact_verdicts_agree_with_a_fine_minimum(rank):
+    # seeded rows at sup 0.5, 0.9, touching 1 and crossing it (1.1): the
+    # contraction, admits and invariance verdicts against a 2^16-point minimum
+    rng = np.random.default_rng(40 + rank)
+    for sup in (0.5, 0.9, 1.0, 1.1):
+        rows = scaled_row(rng, rank, sup)
+        d = _fine_defect(rows)
+        if np.min(d) < -1e-10:
+            with pytest.raises(InvariantViolation, match="not a contraction"):
+                RowSymbol(list(rows))
+            continue
+        symbol = RowSymbol(list(rows))
+        report = mz_test(symbol)
+        assert report.invariant == bool(np.max(np.abs(d)) > 1e-12)
+        if not report.invariant:
+            continue
+        rc = reverse_carleson(SpaceHandle(symbol, n_grid=1024), deep_level=8)
+        assert rc.admits == bool(np.min(d) > 1e-6), (rank, sup, np.min(d))
+        if rc.admits:  # log d is smooth, so the grid mean is spectrally accurate
+            assert abs(report.log_estimate - np.mean(np.log(d))) <= 1e-12
+
+
+def test_odd_root_row_is_refused():
+    d = _fine_defect(ODD_ROOT_ROW)
+    assert np.min(d) < -0.2 and np.max(d) > 0.9  # d changes sign on the circle
+    with pytest.raises(InvariantViolation, match="not a contraction"):
+        RowSymbol(ODD_ROOT_ROW)
+
+
+def test_hardy_space_verdicts(h2):
+    report = mz_test(h2_symbol())
+    assert report.invariant and report.conclusive
+    assert report.log_estimate == 0.0
+    assert reverse_carleson(h2).admits
 
 
 def test_mz_truncated_symbols_flagged():
     sym = weighted_space_symbol(np.arange(1.0, 40.0), degree=12, n_boundary=512)
-    report = mz_test(sym, base_n=1024)
+    report = mz_test(sym)
     assert not report.conclusive
     assert "truncated" in report.note
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import hbspace
 from hbspace.cli import main
-from conftest import noncontractive_row
+from conftest import ODD_ROOT_ROW, noncontractive_row
 
 
 def run(args, capsys):
@@ -76,6 +77,15 @@ def test_noncontractive_between_grid_points_exits_1(tmp_path, capsys):
     code, _, err = run(["verify", "--space", str(definition)], capsys)
     assert code == 1
     assert "negative on the circle" in err
+
+
+def test_odd_root_row_exits_1(tmp_path, capsys):
+    definition = tmp_path / "space.json"
+    definition.write_text(json.dumps({"kind": "explicit", "components": ODD_ROOT_ROW}))
+    for command in ("verify", "mz-test"):
+        code, _, err = run([command, "--space", str(definition)], capsys)
+        assert code == 1, command
+        assert "not a contraction" in err
 
 
 def test_missing_space_exits_2(capsys):
@@ -149,6 +159,11 @@ def test_mz_test_subcommand(capsys):
     code, out, _ = run(["mz-test", "--named", "dirichlet-pair"], capsys)
     assert code == 0
     assert "invariant: True" in out
+    code, out, _ = run(["mz-test", "--named", "cusp", "--json"], capsys)
+    assert code == 0
+    report = json.loads(out[out.index("{"):])
+    assert report["invariant"] and report["conclusive"]
+    assert abs(report["log_estimate"] + 2.0 * math.log(2.0)) <= 1e-12
 
 
 def test_poly_density_subcommand(tmp_path, capsys):

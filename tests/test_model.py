@@ -6,6 +6,7 @@ from hbspace.errors import ExtremeTypeError, InvariantViolation
 from hbspace.harmonic import DiskFunction
 from hbspace.model import SpaceHandle
 from hbspace.series import geometric_divide, shift_down, szego_taylor
+from hbspace import spectral
 from hbspace.spectral import MatrixSymbol, factor_residual
 from hbspace.symbols import RowSymbol, weighted_space_symbol
 from conftest import (
@@ -270,10 +271,15 @@ def test_companion_stability_under_degree_doubling(rank1_half):
     assert np.max(np.abs(grown.embed(f).companions - direct.companions)) < 1e-8
 
 
+def _boundary_rows(symbol, n_grid):
+    """Samples of the row on the circle grid, shape (n_grid, n)."""
+    return np.fft.ifft(symbol.coefficient_matrix(), n=n_grid, axis=1).T * n_grid
+
+
 def _grid_b_star_f(space, f):
     """Samples of B* f on the circle grid, shape (N, n)."""
     fsamp = np.fft.ifft(f, n=space.n_grid) * space.n_grid
-    return space.symbol.boundary_rows(space.n_grid).conj() * fsamp[:, None]
+    return _boundary_rows(space.symbol, space.n_grid).conj() * fsamp[:, None]
 
 
 def _grid_u_plus(space, f):
@@ -549,7 +555,7 @@ def test_handle_certificate_bounds_the_grid_and_keeps_the_route(n_grid):
     routes = set()
     for symbol in _certified_symbols(n_grid):
         space = SpaceHandle(symbol, n_grid=n_grid)
-        rows = symbol.boundary_rows(n_grid)
+        rows = _boundary_rows(symbol, n_grid)
         field = np.eye(space.n)[None] - rows.conj()[:, :, None] * rows[:, None, :]
         bound = space.defect_identity_residual()
         assert factor_residual(space.factor, field) - 1e-14 <= bound <= 1e-12
@@ -568,6 +574,23 @@ def test_handle_certificate_bounds_the_grid_and_keeps_the_route(n_grid):
 
 
 def test_noncontractive_row_handle_raises_invariant_violation():
-    symbol = _row_symbol(noncontractive_row(), 4096)  # passes the 4096-point check
+    # every point of an 8192-point grid passes; the symbol's defect split refuses it
     with pytest.raises(InvariantViolation, match="not a contraction"):
-        SpaceHandle(symbol, n_grid=4096)
+        SpaceHandle(_row_symbol(noncontractive_row(), 4096), n_grid=4096)
+
+
+def test_handle_build_splits_the_defect_once(monkeypatch):
+    # the symbol's validation splits the roots of its defect; the handle
+    # reads that split for its mode and its factor instead of splitting again
+    calls = []
+    splitter = spectral._outer_from_laurent
+
+    def counting(d):
+        calls.append(d.size)
+        return splitter(d)
+    monkeypatch.setattr(spectral, "_outer_from_laurent", counting)
+    for rows in ([ddelta_taylor()], RANK2_EXAMPLE, [[0.0, 0.5, 0.5]]):
+        calls.clear()
+        space = SpaceHandle(_row_symbol(rows, N_GRID), n_grid=N_GRID)
+        assert space.mode == "analytic"
+        assert len(calls) == 1

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from hbspace.series import (
 from hbspace.symbols import RowSymbol
 from hbspace.subspaces import (
     BlaschkeProduct,
+    _tail_stable,
     backward_invariance_residual,
     intersect_model_space,
     model_space_basis,
@@ -273,3 +276,19 @@ def test_quotient_membership_interior_pole_detected(h2):
     f = np.array([1.0])
     report = shift_subspace_membership(h2, phi, f, degree=512)
     assert not report.member
+
+
+@pytest.mark.parametrize("tail", [[np.inf, np.inf], [3.0, 1e200], [np.nan, 1.0]])
+def test_overflowing_tail_is_unstable(tail):
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        assert not _tail_stable(np.array([1.0, 2.0] + tail), "quotient", {})
+
+
+def test_pole_at_0_3_quotient_is_not_a_member(rank1_half):
+    # the degree-2048 quotient overflows (0.3^-2048); its tail is not square-summable
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        report = shift_subspace_membership(rank1_half, [-0.3, 1.0], [1.0, 0.5, 0.25])
+    assert not report.member
+    assert not np.isfinite(report.evidence["quotient"]["scale"])
