@@ -223,8 +223,11 @@ def _outer_from_laurent(d) -> tuple[np.ndarray, np.ndarray]:
     The sign of d is decided here.  Between two neighbouring circle roots d
     keeps one sign, so d is evaluated at the middle of every arc they cut,
     or at one point when there is no circle root: a value below
-    -_CONTRACTION_SLOP raises InvariantViolation, and so does an odd number
-    of circle roots, since then one has odd order and d changes sign there.
+    -_CONTRACTION_SLOP raises InvariantViolation.  A real d has an even
+    number of circle zeros counted with multiplicity, so an odd count, or a
+    count that misses the degree, is a numerical failure of the split (a
+    near-circle pair r, 1/conj(r) straddling the tolerance) and raises
+    ConvergenceError.
     """
     d = trim(d)
     q = d.size - 1
@@ -243,14 +246,10 @@ def _outer_from_laurent(d) -> tuple[np.ndarray, np.ndarray]:
             f"the defect is negative on the circle: {values[worst]:.3e} at "
             f"angle {np.angle(np.exp(1j * middles[worst])):.6f}; the symbol "
             "is not a contraction")
-    if circle.size % 2:
-        raise InvariantViolation(
-            f"the defect has {circle.size} roots on the circle, so it changes sign "
-            "at one of odd order; the symbol is not a contraction")
     # pair neighbours by angle, starting after the widest gap so that no pair
     # straddles the cut at angle pi
     circle = np.roll(circle, -(int(np.argmax(gaps)) + 1))
-    if outside.size + circle.size // 2 != q:
+    if circle.size % 2 or outside.size + circle.size // 2 != q:
         raise ConvergenceError(
             f"root splitting found {outside.size} roots outside the disk and "
             f"{circle.size} on the circle for a defect of degree {q}")
@@ -318,7 +317,7 @@ def _lossless_completion(h: np.ndarray) -> np.ndarray:
     return u
 
 
-def row_defect_factor(coeffs, split: DefectSplit | None = None) -> FactorizationReport:
+def row_defect_factor(coeffs, split: DefectSplit) -> FactorizationReport:
     """Exact outer factor of Phi = I - B*B for a polynomial row B.
 
     ``coeffs[i, k]`` is the coefficient of z^k in b_i.  With a the outer
@@ -331,15 +330,16 @@ def row_defect_factor(coeffs, split: DefectSplit | None = None) -> Factorization
     residual is ``defect_identity_bound``: bounded over the whole circle from
     Laurent coefficients, against the unregularized Phi.
 
-    ``split`` is the row's ``defect_split``, taken here when not given.
-    Raises ExtremeTypeError when d is identically zero (the symbol is of
-    extreme type), InvariantViolation when d is negative somewhere on the
-    circle (B is not a contraction) and ConvergenceError when the bound
-    misses its target.
+    ``split`` is the row's ``defect_split`` (``RowSymbol.defect``); a split
+    of another row raises ValueError.  Raises ExtremeTypeError when d is
+    identically zero (the symbol is of extreme type) and ConvergenceError
+    when the bound misses its target.
     """
     b = np.atleast_2d(np.asarray(coeffs, dtype=complex))
     n, width = b.shape
-    a = (defect_split(b) if split is None else split).outer
+    if not np.array_equal(split.laurent, _defect_laurent(b)):
+        raise ValueError("the defect split is not the split of this row")
+    a = split.outer
     if a is None:
         raise ExtremeTypeError(
             "the defect 1 - |B|^2 vanishes identically; no outer factor")

@@ -85,7 +85,10 @@ class RowSymbol:
     ``truncated`` marks symbols standing in for an infinite-rank space, so
     that rank and invariance verdicts can be labeled as inconclusive.
     ``defect`` is the split of 1 - sum_i |b_i|^2 taken at validation; the
-    boundary verdicts and the handle's defect factor read it.
+    boundary verdicts and the handle's defect factor read it.  Validation
+    raises InvariantViolation when a component does not vanish at 0, the
+    components are dependent or the row is not a contraction, and
+    ConvergenceError when the root split of its defect fails numerically.
     """
 
     components: list

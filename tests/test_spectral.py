@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from hbspace.errors import ExtremeTypeError, InvariantViolation
+from hbspace.errors import ConvergenceError, ExtremeTypeError, InvariantViolation
 from hbspace.harmonic import grid_points, outer_from_modulus
 from hbspace.spectral import (
     MatrixSymbol,
     defect_identity_bound,
+    defect_split,
     factor_residual,
     matrix_outer_factor,
     row_defect_factor,
 )
+from hbspace.symbols import RowSymbol
 from conftest import RANK2_EXAMPLE, noncontractive_row, scaled_row
 
 N = 1024
@@ -193,7 +195,7 @@ def _min_det_inside(symbol, radius=0.99, count=256):
 @pytest.mark.parametrize("n_grid", [1024, 4096])
 def test_rank_two_example_factors_exactly(n_grid):
     # det(I - B*B) = sin^2(theta / 2) touches zero at z = 1
-    rep = row_defect_factor(RANK2_EXAMPLE)
+    rep = row_defect_factor(RANK2_EXAMPLE, defect_split(RANK2_EXAMPLE))
     assert (rep.method, rep.iterations, rep.regularization) == ("exact", 0, 0.0)
     assert rep.residual <= 1e-12
     assert factor_residual(rep.symbol, _row_field(RANK2_EXAMPLE, n_grid)) <= 1e-12
@@ -206,7 +208,7 @@ def test_exact_factor_matches_wilson_on_interior_rows(sup):
     for rank in (1, 2, 3):
         for _ in range(4):
             rows = _random_row(rng, rank, sup)
-            exact = row_defect_factor(rows)
+            exact = row_defect_factor(rows, defect_split(rows))
             wilson = matrix_outer_factor(_row_field(rows, N))
             assert wilson.regularization == 0.0
             a, w = exact.symbol.coeffs, wilson.symbol.coeffs
@@ -228,7 +230,7 @@ def test_coefficient_bound_covers_the_grid_residual(n_grid, sup):
     for rank in (1, 2, 3):
         for _ in range(3):
             rows = scaled_row(rng, rank, sup)
-            rep = row_defect_factor(rows)
+            rep = row_defect_factor(rows, defect_split(rows))
             assert rep.residual == defect_identity_bound(rep.symbol.coeffs, rows)
             grid = factor_residual(rep.symbol, _row_field(rows, n_grid))
             assert grid - 1e-14 <= rep.residual <= 1e-12
@@ -242,7 +244,7 @@ def test_coefficient_bound_first_order_growth(sup):
     eps = 1e-6
     for rank in (1, 2, 3):
         rows = scaled_row(rng, rank, sup)
-        a = row_defect_factor(rows).symbol.coeffs
+        a = row_defect_factor(rows, defect_split(rows)).symbol.coeffs
         field = _row_field(rows, N)
         for k in range(a.shape[0] + 1):
             bumped = np.concatenate([a, np.zeros((1, rank, rank))])
@@ -256,4 +258,24 @@ def test_noncontractive_row_refused_as_invariant_violation():
     # the defect is nonnegative on every grid point but dips to -1.77e-8 in
     # between; the midpoint of its two circle roots exposes it
     with pytest.raises(InvariantViolation, match="negative on the circle: -1.7"):
-        row_defect_factor(noncontractive_row())
+        defect_split(noncontractive_row())
+
+
+def test_row_defect_factor_refuses_a_split_of_another_row():
+    with pytest.raises(ValueError, match="not the split of this row"):
+        row_defect_factor(RANK2_EXAMPLE, defect_split([[0.0, 0.5]]))
+
+
+def test_odd_circle_root_count_is_a_convergence_error(monkeypatch):
+    # b = c z (1 + z) / 2 with d = 1 - c^2 cos^2(theta / 2) > 0: its root pair
+    # exp(+-L), L = 0.9e-5, lies inside the circle tolerance 1e-5 and pairs up
+    big_l = 0.9e-5
+    c = np.sqrt(4.0 / (2.0 + 2.0 * np.cosh(big_l)))
+    row = [[0.0, c / 2, c / 2]]
+    assert RowSymbol(row).defect.circle_roots.size == 1
+    # rounding that moves the pair across the tolerance (log-moduli 1.1e-5
+    # and -0.7e-5) leaves an odd circle count: a failed split, not a verdict
+    roots = np.roots
+    monkeypatch.setattr(np, "roots", lambda p: roots(p) * np.exp(0.2e-5))
+    with pytest.raises(ConvergenceError, match="1 on the circle"):
+        RowSymbol(row)
