@@ -8,13 +8,10 @@ __version__ = "0.1.0"
 from .harmonic import (
     BoundaryGrid,
     DiskFunction,
-    cauchy_transform,
-    fourier_coeffs,
     herglotz,
     log_diagnostic,
     outer_from_modulus,
     poisson_extend,
-    riesz_project,
 )
 from .symbols import (
     DirichletSpace,
@@ -51,6 +48,7 @@ from .analysis import (
 from .subspaces import (
     BlaschkeProduct,
     SubspaceBasis,
+    extremal_function,
     intersect_model_space,
     model_space_basis,
     nearly_invariant_norm,
@@ -62,13 +60,10 @@ from .catalog import space_from_json, named_space
 __all__ = [
     "BoundaryGrid",
     "DiskFunction",
-    "cauchy_transform",
-    "fourier_coeffs",
     "herglotz",
     "log_diagnostic",
     "outer_from_modulus",
     "poisson_extend",
-    "riesz_project",
     "DirichletSpace",
     "MeasureSpec",
     "RowSymbol",
@@ -98,6 +93,7 @@ __all__ = [
     "wandering_norm",
     "BlaschkeProduct",
     "SubspaceBasis",
+    "extremal_function",
     "intersect_model_space",
     "model_space_basis",
     "nearly_invariant_norm",

@@ -38,6 +38,7 @@ from .subspaces import (
     BlaschkeProduct,
     backward_invariance_residual,
     intersect_model_space,
+    nearly_invariant_norm,
     poly_density_residual,
 )
 from .symbols import MeasureSpec, RowSymbol, estimate_rank
@@ -171,7 +172,7 @@ def criterion_04(quick=False) -> tuple[bool, str]:
 
 
 def criterion_05(quick=False) -> tuple[bool, str]:
-    """Radial norm formula and the pointwise defect identity."""
+    """Radial norm formula, pointwise defect identity, nearly-invariant formula."""
     hb = _spaces()["rank1-half"]
     z = np.array([0.0, 1.0])
     est = norm_limit_estimate(hb, z)
@@ -183,9 +184,13 @@ def criterion_05(quick=False) -> tuple[bool, str]:
     for lam in _random_points(rng, 20):
         lhs, rhs = pointwise_defect(hb, z, lam)
         worst = max(worst, abs(lhs - rhs) / (1.0 + hb.poly_norm_sq(z)))
-    passed = worst <= 1e-6
+    f = np.concatenate([[0.0], rng.normal(size=6) + 1j * rng.normal(size=6)])
+    nearly = max(abs(nearly_invariant_norm(s, None, f).final / s.poly_norm_sq(f) - 1.0)
+                 for s in (_spaces()["cusp"], _spaces()["dirichlet-pair"]))
+    passed = worst <= 1e-6 and nearly <= 1e-12
     return passed, (f"limit at r = 1: {est.final:.15g} (rel err {rel:.2e}); "
-                    f"pointwise identity off {worst:.2e}")
+                    f"pointwise identity off {worst:.2e}; nearly-invariant formula "
+                    f"off {nearly:.2e} on cusp and dirichlet-pair (tol 1e-12)")
 
 
 def criterion_06(quick=False) -> tuple[bool, str]:

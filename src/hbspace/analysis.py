@@ -22,41 +22,18 @@ from .symbols import MeasureSpec, RowSymbol
 
 @dataclass
 class LimitSchedule:
-    """Radii r_k = 1 - 2**-k with per-radius quadrature grids.
-
-    The grids serve only ``subspaces.nearly_invariant_norm``, whose integrand
-    is rational.  Grid sizes must satisfy M * (1 - r) >= 16 so that
-    near-singular integrands stay resolved; the default M = 16 * 2**k sits
-    exactly on the constraint.
-    """
+    """Radii r_k = 1 - 2**-k, k = k_min..k_max, of a radial convergence table."""
 
     k_min: int = 4
     k_max: int = 10
-    grids: list[int] | None = None
 
     def __post_init__(self):
         if self.k_min < 1 or self.k_max < self.k_min:
             raise ConfigError("need 1 <= k_min <= k_max")
-        if self.grids is None:
-            self.grids = [16 * 2 ** k for k in self.levels]
-        if len(self.grids) != len(self.levels):
-            raise ConfigError("one grid size per radius required")
-        for k, m in zip(self.levels, self.grids):
-            if m * 2.0 ** (-k) < 16.0 - 1e-12:
-                raise ConfigError(
-                    f"grid {m} at radius 1 - 2**-{k} violates M * (1 - r) >= 16"
-                )
-
-    @property
-    def levels(self) -> range:
-        return range(self.k_min, self.k_max + 1)
 
     @property
     def radii(self) -> list[float]:
-        return [1.0 - 2.0 ** (-k) for k in self.levels]
-
-    def __iter__(self):
-        return iter(zip(self.radii, self.grids))
+        return [1.0 - 2.0 ** (-k) for k in range(self.k_min, self.k_max + 1)]
 
 
 def _divided_difference_all(c: np.ndarray, etas: np.ndarray) -> np.ndarray:
@@ -73,16 +50,25 @@ def _divided_difference_all(c: np.ndarray, etas: np.ndarray) -> np.ndarray:
     return q
 
 
-def _quadratic_form(space, mat: np.ndarray) -> np.ndarray:
+def _has_gram(space) -> bool:
+    return hasattr(space, "monomial_gram") and getattr(space, "mode", "analytic") != "inner"
+
+
+def _column_norms(space, mat: np.ndarray) -> np.ndarray:
     """Space norms squared of the polynomial columns of ``mat``."""
+    if not _has_gram(space):
+        return np.sum(np.abs(mat) ** 2, axis=0)
     g = space.monomial_gram(mat.shape[0] - 1)
     return np.einsum("am,am->m", np.conj(mat), g @ mat).real
 
 
-def _column_norms(space, mat: np.ndarray) -> np.ndarray:
-    if hasattr(space, "monomial_gram") and getattr(space, "mode", "analytic") != "inner":
-        return _quadratic_form(space, mat)
-    return np.sum(np.abs(mat) ** 2, axis=0)
+def _shift_defects(space, mat: np.ndarray) -> np.ndarray:
+    """||z q||^2 - ||q||^2 for the polynomial columns q of ``mat``: the form
+    of G[1:, 1:] - G[:-1, :-1], G the monomial Gram; 0 where z is isometric."""
+    if not _has_gram(space):
+        return np.zeros(mat.shape[1])
+    g = space.monomial_gram(mat.shape[0])
+    return np.einsum("am,am->m", np.conj(mat), (g[1:, 1:] - g[:-1, :-1]) @ mat).real
 
 
 @dataclass
@@ -104,22 +90,25 @@ def _richardson(rows) -> float | None:
     return float((h1 * v2 - h2 * v1) / (h1 - h2))
 
 
-def _radial_limit(c: np.ndarray, schedule: LimitSchedule | None, integrand) -> LimitEstimate:
-    """Circle means of ``integrand(r, q)`` at the schedule radii (the rows)
-    and at r = 1 (``final``), where column j of q holds L_{r_j lam_j} f.
+def _radial_limit(schedule: LimitSchedule | None, m: int,
+                  integrand) -> tuple[LimitEstimate, np.ndarray]:
+    """Circle means of ``integrand(r, lam)`` at the schedule radii (the rows)
+    and at r = 1 (``final``) on one matrix of nodes lam = r w, w the m-th
+    roots of unity (``r`` and ``lam`` flat, radius by radius), and the
+    integrand's values on the r = 1 nodes.
 
-    The nodes lam are the 2d + 2 roots of unity for f of degree d (an empty
-    vector is the zero polynomial).  Each integrand is a trigonometric
-    polynomial in lam of degree <= d - 1, so these means are exact at every
-    radius, r = 1 included.
+    For f of degree d the norm-formula and wandering-norm integrands are
+    trigonometric polynomials in lam of degree <= d - 1, so their means on
+    m = 2d + 2 nodes (an empty vector is the zero polynomial) are exact at
+    every radius, r = 1 included.
     """
     radii = np.array([*(schedule or LimitSchedule()).radii, 1.0])
-    m = 2 * max(c.size, 1)
     r = np.repeat(radii, m)
-    q = _divided_difference_all(c, r * np.tile(np.exp(2j * np.pi * np.arange(m) / m), radii.size))
-    means = integrand(r, q).reshape(radii.size, m).mean(axis=1)
+    lam = (radii[:, None] * np.exp(2j * np.pi * np.arange(m) / m)).ravel()
+    values = integrand(r, lam).reshape(radii.size, m)
+    means = values.mean(axis=1)
     rows = [(float(rk), float(v)) for rk, v in zip(radii[:-1], means[:-1])]
-    return LimitEstimate(rows, float(means[-1]), _richardson(rows))
+    return LimitEstimate(rows, float(means[-1]), _richardson(rows)), values[-1]
 
 
 def norm_limit_estimate(space, coeffs, schedule: LimitSchedule | None = None) -> LimitEstimate:
@@ -130,10 +119,10 @@ def norm_limit_estimate(space, coeffs, schedule: LimitSchedule | None = None) ->
     c = as_coeffs(coeffs)
     base = h2_norm_sq(c)
 
-    def integrand(r, q):
-        zq = np.vstack([np.zeros((1, q.shape[1]), dtype=complex), q])
-        return base + _column_norms(space, zq) - r ** 2 * _column_norms(space, q)
-    return _radial_limit(c, schedule, integrand)
+    def integrand(r, lam):
+        q = _divided_difference_all(c, lam)
+        return base + _shift_defects(space, q) + (1.0 - r ** 2) * _column_norms(space, q)
+    return _radial_limit(schedule, 2 * max(c.size, 1), integrand)[0]
 
 
 def pointwise_defect(space, coeffs, lam) -> tuple[float, float]:
@@ -149,8 +138,9 @@ def pointwise_defect(space, coeffs, lam) -> tuple[float, float]:
 def wandering_norm(space, coeffs, schedule: LimitSchedule | None = None) -> LimitEstimate:
     """(1 - r^2) * mean ||L_{r lam} f||^2 at each schedule radius; ``final``,
     its value at r = 1, is exactly 0: a polynomial has no unitary part."""
-    return _radial_limit(as_coeffs(coeffs), schedule,
-                         lambda r, q: (1.0 - r ** 2) * _column_norms(space, q))
+    c = as_coeffs(coeffs)
+    return _radial_limit(schedule, 2 * max(c.size, 1), lambda r, lam: (1.0 - r ** 2)
+                         * _column_norms(space, _divided_difference_all(c, lam)))[0]
 
 
 def backward_iterates(space, coeffs, n_max: int) -> np.ndarray:

@@ -1,9 +1,7 @@
 """FFT-backed primitives on the unit circle.
 
-Conventions: the circle carries normalized arclength measure, the sampling
-grid is ``zeta_j = exp(2 pi i j / N)`` with N a power of two, and Fourier
-coefficient arrays are returned in *order-sorted* layout, i.e. indexed by the
-orders ``-N/2 .. N/2 - 1`` (see :func:`coeff_orders`).
+Conventions: the circle carries normalized arclength measure and the
+sampling grid is ``zeta_j = exp(2 pi i j / N)`` with N a power of two.
 
 All objects here are immutable after construction and safe to share between
 threads.
@@ -32,11 +30,6 @@ def grid_points(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
-def coeff_orders(n: int) -> np.ndarray:
-    """Frequency orders matching the layout of :func:`fourier_coeffs`."""
-    return np.arange(-(n // 2), n // 2)
-
-
 @dataclass
 class BoundaryGrid:
     """Complex samples on the uniform circle grid."""
@@ -50,35 +43,6 @@ class BoundaryGrid:
     @property
     def n(self) -> int:
         return self.samples.size
-
-    @property
-    def points(self) -> np.ndarray:
-        return grid_points(self.n)
-
-
-def fourier_coeffs(grid: BoundaryGrid) -> np.ndarray:
-    """Fourier coefficients of the grid samples, orders -N/2 .. N/2-1.
-
-    Normalized so the constant function 1 has coefficient 1 at order zero.
-    """
-    return np.fft.fftshift(np.fft.fft(grid.samples)) / grid.n
-
-
-def synthesize(coeffs) -> BoundaryGrid:
-    """Inverse of :func:`fourier_coeffs`."""
-    c = np.asarray(coeffs, dtype=complex)
-    return BoundaryGrid(np.fft.ifft(np.fft.ifftshift(c)) * c.size)
-
-
-def riesz_project(coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """Split an order-sorted coefficient array into analytic (orders >= 0)
-    and strictly co-analytic (orders < 0) parts; the parts sum to the input
-    exactly."""
-    c = np.asarray(coeffs, dtype=complex)
-    orders = coeff_orders(c.size)
-    analytic = np.where(orders >= 0, c, 0.0)
-    coanalytic = c - analytic
-    return analytic, coanalytic
 
 
 def boundary_from_taylor(taylor, n: int) -> BoundaryGrid:
@@ -132,16 +96,12 @@ class DiskFunction:
     def at_zero(self) -> complex:
         return complex(self.taylor[0])
 
-    @classmethod
-    def from_boundary(cls, grid: BoundaryGrid, degree: int) -> "DiskFunction":
-        return cls(taylor_from_boundary(grid, degree), n_boundary=grid.n)
 
-
-def _check_interior(z, n: int | None = None):
+def _check_interior(z, n: int):
     r = abs(z)
     if r >= 1.0:
         raise ValueError(f"point must lie strictly inside the unit disk, |z| = {r}")
-    if n is not None and n * (1.0 - r) < 16.0:
+    if n * (1.0 - r) < 16.0:
         raise ValueError(
             f"grid of size {n} cannot resolve the kernel at |z| = {r}; "
             "need N * (1 - |z|) >= 16"
@@ -156,7 +116,7 @@ def poisson_extend(samples, z) -> float:
     """
     grid = samples if isinstance(samples, BoundaryGrid) else BoundaryGrid(samples)
     _check_interior(z, grid.n)
-    zeta = grid.points
+    zeta = grid_points(grid.n)
     kernel = (1.0 - abs(z) ** 2) / np.abs(zeta - z) ** 2
     return float(np.mean(kernel * grid.samples.real))
 
@@ -258,22 +218,3 @@ def log_diagnostic(m, levels: int = 3, base_n: int = DEFAULT_GRID,
     if drops.size and drops[-1] < -slack:
         return LogIntegralVerdict(False, estimates, None)
     return LogIntegralVerdict(True, estimates, estimates[-1])
-
-
-def cauchy_transform(measure, z) -> complex:
-    """Cauchy transform of a finite measure on the closed disk at |z| < 1.
-
-    ``measure`` needs ``atoms`` (list of (location, weight) pairs) and
-    ``ac_density`` (BoundaryGrid or None); atoms are summed exactly and the
-    density part is integrated on its grid.
-    """
-    _check_interior(z)
-    total = 0.0 + 0.0j
-    for loc, weight in measure.atoms:
-        total += weight / (1.0 - z * np.conj(loc))
-    density = measure.ac_density
-    if density is not None:
-        grid = density if isinstance(density, BoundaryGrid) else BoundaryGrid(density)
-        zeta = grid.points
-        total += complex(np.mean(grid.samples.real / (1.0 - z * np.conj(zeta))))
-    return total

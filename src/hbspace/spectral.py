@@ -216,9 +216,9 @@ def _outer_from_laurent(d) -> tuple[np.ndarray, np.ndarray]:
     trigonometric polynomial.  The roots of z^q d(z) come in pairs
     r, 1/conj(r); a keeps the ones outside the disk.  Roots on the circle of
     a nonnegative d have even multiplicity and split numerically into close
-    pairs: each pair becomes the unit-normalized mean of its two roots, which
-    is returned as a circle zero.  The gain makes sum |a_k|^2 = d[0], with
-    a(0) > 0.
+    pairs; a pair at whose unit-normalized mean d vanishes to roundoff (64 eps
+    sum |d_m|) becomes that mean, a circle zero, and any other pair keeps only
+    its outer member.  The gain makes sum |a_k|^2 = d[0], with a(0) > 0.
 
     The sign of d is decided here.  Between two neighbouring circle roots d
     keeps one sign, so d is evaluated at the middle of every arc they cut,
@@ -253,10 +253,17 @@ def _outer_from_laurent(d) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceError(
             f"root splitting found {outside.size} roots outside the disk and "
             f"{circle.size} on the circle for a defect of degree {q}")
-    centers = np.exp(1j * np.angle(circle.reshape(-1, 2).mean(axis=1)))
+    pairs = circle.reshape(-1, 2)
+    centers = np.exp(1j * np.angle(pairs.mean(axis=1)))
+    # a pair is a double zero only where d vanishes to roundoff at its centre;
+    # otherwise it is a near-circle pair r, 1 / conj(r) whose outer member is a root of a
+    roundoff = 64.0 * np.finfo(float).eps * (abs(d[0]) + 2.0 * np.sum(np.abs(d[1:])))
+    zero = np.abs(laurent_values(d, np.angle(centers))) <= roundoff
+    outer = np.where(np.abs(pairs[:, 0]) >= np.abs(pairs[:, 1]), pairs[:, 0], pairs[:, 1])
     # ascending coefficients of prod (1 - z / r) are np.poly of the 1 / r
-    a = np.atleast_1d(np.poly(1.0 / np.concatenate([outside, centers]))).astype(complex)
-    return a * np.sqrt(np.abs(d[0].real) / np.sum(np.abs(a) ** 2)), centers
+    a = np.poly(1.0 / np.concatenate([outside, outer[~zero], centers[zero]]))
+    a = np.atleast_1d(a).astype(complex)
+    return a * np.sqrt(np.abs(d[0].real) / np.sum(np.abs(a) ** 2)), centers[zero]
 
 
 def _defect_laurent(rows: np.ndarray) -> np.ndarray:

@@ -9,17 +9,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
-from .analysis import LimitSchedule, _column_norms, _divided_difference_all
-from .errors import ConfigError, NumericalError
+from .analysis import LimitSchedule, _divided_difference_all, _radial_limit, _shift_defects
+from .errors import ConfigError, ConvergenceError, NumericalError
 from .model import SpaceHandle
-from .series import (
-    as_coeffs,
-    convolve,
-    horner,
-    series_divide,
-    shift_down,
-    szego_taylor,
-)
+from .series import (convolve, divided_difference, finite_coeffs, horner, series_divide,
+                     shift_down, szego_taylor, trim)
+from .spectral import _CIRCLE_TOL
+
+# a remainder of f by phi's closed-disk zeros above this, relative to max |f_k|, is a pole
+_REMAINDER_TOL = 1e-10
 
 
 @dataclass
@@ -197,70 +195,97 @@ def poly_density_residual(space, coeffs, degrees) -> PolyDensityResult:
     return PolyDensityResult(degrees, residuals, truncated_solve)
 
 
+def _gram_extremal(space, degree: int) -> np.ndarray:
+    """[0, G_M^{-1} e_1], normalized, G_M the monomial Gram of z, ..., z^degree:
+    the extremal function of {f : f(0) = 0} among polynomials of that degree."""
+    c = np.linalg.solve(space.monomial_gram(degree)[1:, 1:], np.eye(degree, 1)[:, 0])
+    return np.concatenate([[0.0], c / np.sqrt(c[0].real)])
+
+
+def extremal_function(space) -> np.ndarray:
+    """The extremal function of M = {f : f(0) = 0}: the unit vector of M with
+    the largest phi'(0) > 0, the normalized derivative kernel at 0.
+
+    For a row symbol B (B(0) = 0) it is the polynomial
+    (z - B(z) B'(0)*) / sqrt(1 - ||B'(0)||^2).  A Dirichlet-type space takes
+    ``_gram_extremal`` at its degree, checked against half that degree, with
+    the tail below roundoff cut.  Raises ConfigError when M = {0}.
+    """
+    if isinstance(space, SpaceHandle):
+        rows = space.symbol.coefficient_matrix()  # width 1 only for the Hardy space
+        rows = np.pad(rows, ((0, 0), (0, max(2 - rows.shape[1], 0))))
+        gap = 1.0 - float(np.sum(np.abs(rows[:, 1]) ** 2))
+        if gap <= 1e-12:
+            raise ConfigError("the space holds no f != 0 with f(0) = 0")
+        phi = np.eye(1, rows.shape[1], 1)[0] - np.conj(rows[:, 1]) @ rows  # z - B(z) B'(0)*
+        return phi / np.sqrt(gap)
+    phi, half = (_gram_extremal(space, d) for d in (space.degree, space.degree // 2))
+    drift = np.max(np.abs(phi[: half.size] - half))
+    if drift > 1e-13:
+        raise ConvergenceError(f"extremal function unresolved at degree {space.degree}: "
+                               f"halving the degree moves it by {drift:.2e}")
+    return trim(phi, 1e-17 * float(np.max(np.abs(phi))))
+
+
 @dataclass
 class NearlyInvariantResult:
     rows: list[tuple[float, float]]
     final: float
     quotient_norm_sq: float
-    skipped_fraction: float
-    skip_log: list[tuple[float, int]] = field(default_factory=list)
+    nodes: int
 
 
-def nearly_invariant_norm(space, phi, f, schedule=None,
-                          n_quadrature: int = 4096) -> NearlyInvariantResult:
-    """Estimate of the squared space norm of f through the nearly-invariant
-    formula: ||f/phi||_2^2 plus the radial limit of the mean of
-    ||z L^phi_{r lam} f||^2 - ||L^phi_{r lam} f||^2, where
-    L^phi_lam f = L_lam (f - (f(lam)/phi(lam)) phi).
+def nearly_invariant_norm(space, phi, f, schedule=None) -> NearlyInvariantResult:
+    """The squared space norm of f through the nearly-invariant formula:
+    ||f/phi||_2^2 plus the circle mean of ||z L^phi_{r lam} f||^2 - ||L^phi_{r lam} f||^2,
+    where L^phi_lam f = L_lam (f - (f(lam)/phi(lam)) phi).
 
-    A formula under test, not an identity: with phi = z/||z||, its exact
-    r = 1 value is the space norm on the diagonal spaces (rank1-half,
-    two-term, weighted, dirichlet-origin) but misses by 7.0e-3 on cusp,
-    6.4e-2 on dirichlet-pair and 5.2e-2 on dirichlet-half.  The estimate is
-    the grid mean at the last schedule radius.
-
-    Grid points where |phi| < 1e-6 are skipped and logged; more than 5%
-    skipped aborts the estimate.
+    At r = 1 (``final``) this is an identity when phi is the extremal
+    function of the subspace that holds f (Hitt, Pacific J. Math. 134 (1988);
+    Sarason, Oper. Theory Adv. Appl. 35 (1988)).  ``phi=None`` takes
+    ``extremal_function``, that of {f : f(0) = 0}, and needs f(0) = 0
+    (ConfigError); a given phi is used as it is.  ||f/phi||_2^2, the schedule
+    rows and ``final`` are means over one matrix of nodes.  The integrand is
+    rational, so they converge geometrically: the node count m starts at
+    4d + 4, d the larger degree of f and phi, and doubles until the r = 1
+    means on all m nodes and on every other node agree to 1e-14 relative;
+    ``nodes`` is that m.  Raises ConvergenceError past 2**16 nodes, or past
+    2**20 / (d + 1) so that a node matrix stays small, and NumericalError
+    when phi vanishes at a node.
     """
-    phi = as_coeffs(phi)
-    f = as_coeffs(f)
-    schedule = schedule or LimitSchedule(k_min=4, k_max=8)
-    zeta = np.exp(2j * np.pi * np.arange(n_quadrature) / n_quadrature)
-    phi_b = horner(phi, zeta)
-    f_b = horner(f, zeta)
-    good = np.abs(phi_b) > 1e-9
-    if np.mean(good) < 0.95:
-        raise NumericalError("phi vanishes on too much of the boundary grid")
-    quotient_norm_sq = float(np.mean(np.abs(f_b[good] / phi_b[good]) ** 2))
+    f = finite_coeffs(f)
+    if phi is None:
+        if f[0] != 0.0:
+            raise ConfigError("the extremal function needs f(0) = 0")
+        phi = extremal_function(space)
+    phi = finite_coeffs(phi)
     width = max(phi.size, f.size)
-    f_pad = np.zeros(width, dtype=complex)
-    f_pad[: f.size] = f
-    phi_pad = np.zeros(width, dtype=complex)
-    phi_pad[: phi.size] = phi
-    rows = []
-    skip_log = []
-    skipped = 0
-    total = 0
-    for r, m in schedule:
-        lam = r * np.exp(2j * np.pi * np.arange(m) / m)
-        phi_vals = horner(phi, lam)
-        keep = np.abs(phi_vals) > 1e-6
-        skip_log.append((r, int(np.sum(~keep))))
-        skipped += int(np.sum(~keep))
-        total += m
-        if not np.any(keep):
-            raise NumericalError("every quadrature node was skipped")
-        eta = lam[keep]
-        ratio = horner(f, eta) / phi_vals[keep]
-        # column j holds the coefficients of L^phi_eta f at eta = eta[j]
-        q = _divided_difference_all(f_pad[:, None] - phi_pad[:, None] * ratio, eta)
-        zq = np.vstack([np.zeros((1, eta.size), dtype=complex), q])
-        vals = _column_norms(space, zq) - _column_norms(space, q)
-        rows.append((r, quotient_norm_sq + float(np.mean(vals))))
-    frac = skipped / max(total, 1)
-    if frac > 0.05:
-        raise NumericalError(f"unreliable estimate: {frac:.1%} of nodes skipped")
-    return NearlyInvariantResult(rows, rows[-1][1], quotient_norm_sq, frac, skip_log)
+    f_pad, phi_pad = np.zeros((2, width), dtype=complex)
+    f_pad[: f.size], phi_pad[: phi.size] = f, phi
+
+    def shifted(lam):
+        ratio = horner(f, lam) / horner(phi, lam)
+        # column j holds the coefficients of L^phi_lam f at lam = lam[j]
+        q = _divided_difference_all(f_pad[:, None] - phi_pad[:, None] * ratio, lam)
+        return _shift_defects(space, q)
+
+    schedule = schedule or LimitSchedule(k_min=4, k_max=8)
+    m = 4 * width
+    while True:
+        w = np.exp(2j * np.pi * np.arange(m) / m)
+        with np.errstate(divide="ignore", invalid="ignore"):  # checked below
+            quotient = np.abs(horner(f, w) / horner(phi, w)) ** 2
+            est, circle = _radial_limit(
+                schedule, m, lambda r, lam: (quotient + shifted(lam).reshape(-1, m)).ravel())
+        if not np.all(np.isfinite([est.final, *est.values])):
+            raise NumericalError(f"phi vanishes at a node of the {m}-point means")
+        # the even nodes are the m/2-th roots of unity: the second r = 1 mean
+        gap = abs(est.final - float(np.mean(circle[::2])))
+        if gap <= 1e-14 * abs(est.final):
+            return NearlyInvariantResult(est.rows, est.final, float(np.mean(quotient)), m)
+        if m >= min(2 ** 16, 2 ** 20 // width):
+            raise ConvergenceError(f"r = 1 means on {m // 2} and {m} nodes differ by {gap:.2e}")
+        m *= 2
 
 
 @dataclass
@@ -272,48 +297,33 @@ class QuotientMembershipReport:
         return self.member
 
 
-def _tail_stable(coeffs: np.ndarray, label: str, evidence: dict) -> bool:
-    """Square-summability heuristic: the last dyadic block of coefficients
-    must not carry growing mass, unless its norm is below 1e-10.  Masses are
-    taken relative to scale = max |c|, so an overflowing tail cannot square
-    to inf; a non-finite one is unstable."""
-    c = as_coeffs(coeffs)
-    scale = float(np.max(np.abs(c), initial=0.0))
-    if not np.isfinite(scale):
-        evidence[label] = {"head": None, "tail": None, "scale": scale}
-        return False
-    c = c / scale if scale > 0.0 else c
-    half = c.size // 2
-    head = float(np.sum(np.abs(c[:half]) ** 2))
-    tail = float(np.sum(np.abs(c[half:]) ** 2))
-    evidence[label] = {"head": head, "tail": tail, "scale": scale}
-    return tail <= 0.05 * (head + tail) or scale * tail ** 0.5 <= 1e-10
-
-
-def shift_subspace_membership(space, phi, f, degree: int = 2048) -> QuotientMembershipReport:
+def shift_subspace_membership(space, phi, f) -> QuotientMembershipReport:
     """Membership of f in the shift-invariant subspace generated by phi.
 
-    Criterion: f/phi belongs to the Hardy space and (f/phi) phi_1 belongs to
-    the vector Hardy space, tested through power-series division (a pole
-    inside the disk shows up as geometric coefficient growth)."""
-    phi = as_coeffs(phi)
-    f = as_coeffs(f)
-    evidence = {}
-    lead = 0
-    while lead < phi.size and abs(phi[lead]) <= 1e-13:
-        lead += 1
-    if lead >= phi.size:
+    Criterion: f/phi belongs to the Hardy space and (f/phi) phi_1 to the
+    vector Hardy space.  The companions of a polynomial are polynomials (the
+    exact model), so in every space the second condition follows from the
+    first, which holds iff every zero of phi in the closed disk is a zero of
+    f of at least the same order.  Exact division of f by those zeros
+    certifies it: ``evidence`` holds the zeros, the remainder (its largest
+    Newton coefficient relative to max |f_k|) and, for a non-member, ``pole``.
+    """
+    phi = finite_coeffs(phi)
+    f = finite_coeffs(f)
+    if not np.any(phi):
         raise ValueError("phi must be nonzero")
-    if np.any(np.abs(f[:lead]) > 1e-13):
-        evidence["pole"] = f"f/phi has a pole of order <= {lead} at the origin"
-        return QuotientMembershipReport(False, evidence)
-    q = series_divide(f[lead:] if lead else f, phi[lead:], degree)
-    if not _tail_stable(q, "quotient", evidence):
-        return QuotientMembershipReport(False, evidence)
-    if isinstance(space, SpaceHandle) and space.mode == "analytic" and space.n:
-        phi_pair = space.embed(phi)
-        for i in range(space.n):
-            prod = convolve(q, phi_pair.companions[i])[: degree + 1]
-            if not _tail_stable(prod, f"companion_{i}", evidence):
-                return QuotientMembershipReport(False, evidence)
-    return QuotientMembershipReport(True, evidence)
+    zeros = np.roots(phi[::-1])
+    zeros = zeros[np.abs(zeros) <= 1.0 + _CIRCLE_TOL]
+    # f = q prod_k (z - zeros_k) + sum_k v_k prod_{j<k} (z - zeros_j): v_k is
+    # the value at zeros_k of f divided exactly by the zeros before it
+    values, rest = [], f
+    for r in zeros:
+        values.append(horner(rest, r))
+        rest = divided_difference(rest, r)
+    scale = float(np.max(np.abs(f)))
+    rel = float(np.max(np.abs(values), initial=0.0)) / scale if scale else 0.0
+    evidence = {"zeros": zeros, "remainder": rel}
+    member = rel <= _REMAINDER_TOL  # an overflowed, NaN remainder is no member
+    if not member:
+        evidence["pole"] = "f/phi has a pole in the closed disk"
+    return QuotientMembershipReport(member, evidence)

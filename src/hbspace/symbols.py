@@ -257,7 +257,7 @@ class DirichletSpace:
     @property
     def kernel_radius(self) -> float:
         """Largest radius at which the degree-truncated kernel is resolved:
-        degree * (1 - r) >= 16, the rule of ``analysis.LimitSchedule``."""
+        degree * (1 - r) >= 16."""
         return 1.0 - 16.0 / self.degree
 
     def szego_density(self, points) -> np.ndarray:

@@ -22,6 +22,7 @@ from hbspace.catalog import cusp_symbol, h2_symbol, inner_symbol, rank1_half_sym
 from hbspace.errors import ConfigError, InvariantViolation
 from hbspace.model import SpaceHandle
 from hbspace.series import h2_norm_sq, szego_taylor
+from hbspace.spectral import laurent_values
 from hbspace.symbols import MeasureSpec, RowSymbol, weighted_space_symbol
 from conftest import ODD_ROOT_ROW, random_interior, scaled_row
 
@@ -31,8 +32,6 @@ def test_schedule_validation():
         LimitSchedule(0, 4)
     with pytest.raises(ConfigError):
         LimitSchedule(4, 3)
-    with pytest.raises(ConfigError):
-        LimitSchedule(4, 5, grids=[16, 16])  # 16 * 2^-5 < 16
     sched = LimitSchedule(4, 6)
     assert sched.radii == [1 - 2.0 ** -4, 1 - 2.0 ** -5, 1 - 2.0 ** -6]
 
@@ -68,7 +67,8 @@ def _grid_quadrature(space, c, schedule):
     """Reference rows: the norm formula and the wandering norm averaged over
     16 * 2**k equispaced nodes at each radius r = 1 - 2**-k."""
     norm_rows, wandering_rows = [], []
-    for r, m in schedule:
+    for k, r in enumerate(schedule.radii, start=schedule.k_min):
+        m = 16 * 2 ** k
         lam = np.exp(2j * np.pi * np.arange(m) / m)
         q = _divided_difference_all(c, r * lam)
         zq = np.vstack([np.zeros((1, m), dtype=complex), q])
@@ -278,6 +278,20 @@ def test_reverse_carleson_cusp_does_not_admit(cusp):
     rc = reverse_carleson(cusp, deep_level=10)
     assert rc.applicable
     assert not rc.admits  # 1 / sin^2 is not integrable
+
+
+def test_near_circle_pair_of_a_positive_defect_admits():
+    # b = c z (1 + z) / 2 with c^2 = 1 - 1e-11: d = 1 - c^2 cos^2(theta / 2) has
+    # minimum 1e-11 at theta = 0, where its root pair sits within the circle
+    # tolerance; 1 / d is integrable, so a reverse-Carleson measure exists
+    c = np.sqrt(1.0 - 1e-11)
+    symbol = RowSymbol([[0.0, c / 2, c / 2]])
+    assert laurent_values(symbol.defect.laurent, np.zeros(1))[0] == pytest.approx(1e-11, rel=1e-6)
+    assert symbol.defect.circle_roots.size == 0
+    space = SpaceHandle(symbol, n_grid=1024)
+    assert reverse_carleson(space, deep_level=8).admits
+    assert mz_test(symbol).invariant
+    assert space.defect_identity_residual() <= 1e-12
 
 
 def test_reverse_carleson_constant_density_second_example():

@@ -8,18 +8,13 @@ from hbspace.harmonic import (
     BoundaryGrid,
     DiskFunction,
     boundary_from_taylor,
-    cauchy_transform,
-    coeff_orders,
-    fourier_coeffs,
     grid_points,
     herglotz,
     log_diagnostic,
     outer_from_modulus,
     poisson_extend,
-    riesz_project,
-    synthesize,
+    taylor_from_boundary,
 )
-from hbspace.symbols import MeasureSpec
 
 N = 512
 
@@ -34,79 +29,59 @@ def test_grid_size_must_be_power_of_two():
         BoundaryGrid(np.ones(4))
 
 
+def _analytic_part(samples) -> np.ndarray:
+    return taylor_from_boundary(BoundaryGrid(samples), N // 2 - 1)
+
+
 def test_constant_has_single_mode():
-    c = fourier_coeffs(BoundaryGrid(np.ones(N)))
-    orders = coeff_orders(N)
-    assert abs(c[orders == 0][0] - 1.0) < 1e-14
-    assert np.max(np.abs(c[orders != 0])) < 1e-14
+    c = _analytic_part(np.ones(N))
+    assert abs(c[0] - 1.0) < 1e-14
+    assert np.max(np.abs(c[1:])) < 1e-14
 
 
 def test_single_mode():
-    c = fourier_coeffs(BoundaryGrid(grid_points(N)))
-    orders = coeff_orders(N)
-    assert abs(c[orders == 1][0] - 1.0) < 1e-13
-    assert np.max(np.abs(c[orders != 1])) < 1e-13
+    c = _analytic_part(grid_points(N))
+    assert abs(c[1] - 1.0) < 1e-13
+    assert np.max(np.abs(np.delete(c, 1))) < 1e-13
 
 
 def test_geometric_series_coefficients():
-    zeta = grid_points(N)
-    c = fourier_coeffs(BoundaryGrid(1.0 / (1.0 - 0.5 * zeta)))
-    orders = coeff_orders(N)
-    for k in range(0, N // 2):
-        assert abs(c[orders == k][0] - 0.5 ** k) < 1e-9
-    assert np.max(np.abs(c[orders < 0])) < 1e-9
+    c = _analytic_part(1.0 / (1.0 - 0.5 * grid_points(N)))
+    assert np.max(np.abs(c - 0.5 ** np.arange(N // 2))) < 1e-9
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(complexes, min_size=8, max_size=8))
 def test_fft_roundtrip(coeffs):
-    arr = np.array(coeffs * (N // 8), dtype=complex)
-    grid = synthesize(arr)
-    back = fourier_coeffs(grid)
+    arr = np.array(coeffs, dtype=complex)
+    back = taylor_from_boundary(boundary_from_taylor(arr, N), arr.size - 1)
     scale = max(np.max(np.abs(arr)), 1.0)
     assert np.max(np.abs(back - arr)) <= 1e-12 * scale
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(complexes, min_size=16, max_size=16))
-def test_riesz_parts_sum_exactly(coeffs):
-    arr = np.zeros(N, dtype=complex)
-    arr[: len(coeffs)] = coeffs
-    analytic, coanalytic = riesz_project(arr)
-    assert np.all(analytic + coanalytic == arr)
-    assert np.all(analytic[coeff_orders(N) < 0] == 0)
+# the analytic part (orders >= 0) of boundary data is its Riesz projection
 
 
 def test_riesz_three_mode_example():
     # coefficients of conj(zeta) + 1 + zeta
     zeta = grid_points(N)
-    c = fourier_coeffs(BoundaryGrid(np.conj(zeta) + 1.0 + zeta))
-    analytic, coanalytic = riesz_project(c)
-    orders = coeff_orders(N)
-    assert abs(analytic[orders == 0][0] - 1.0) < 1e-13
-    assert abs(analytic[orders == 1][0] - 1.0) < 1e-13
-    assert abs(coanalytic[orders == -1][0] - 1.0) < 1e-13
-    assert np.max(np.abs(coanalytic[orders >= 0])) == 0.0
+    c = _analytic_part(np.conj(zeta) + 1.0 + zeta)
+    assert np.max(np.abs(c[:2] - 1.0)) < 1e-13
+    assert np.max(np.abs(c[2:])) < 1e-13
 
 
 def test_riesz_cosine_splits_symmetrically():
     # 2 cos(theta) splits into the mode zeta plus the mode conj(zeta)
-    zeta = grid_points(N)
-    c = fourier_coeffs(BoundaryGrid(2.0 * zeta.real))
-    analytic, coanalytic = riesz_project(c)
-    orders = coeff_orders(N)
-    assert abs(analytic[orders == 1][0] - 1.0) < 1e-13
-    assert abs(analytic[orders == 0][0]) < 1e-13
-    assert abs(coanalytic[orders == -1][0] - 1.0) < 1e-13
+    c = _analytic_part(2.0 * grid_points(N).real)
+    assert abs(c[1] - 1.0) < 1e-13
+    assert abs(c[0]) < 1e-13
 
 
 def test_riesz_quotient_mode_example():
     # analytic part of conj(zeta) * zeta / sqrt(2) is the constant 1/sqrt(2)
     zeta = grid_points(N)
-    c = fourier_coeffs(BoundaryGrid(np.conj(zeta) * zeta / np.sqrt(2)))
-    analytic, _ = riesz_project(c)
-    orders = coeff_orders(N)
-    assert abs(analytic[orders == 0][0] - 1 / np.sqrt(2)) < 1e-13
+    c = _analytic_part(np.conj(zeta) * zeta / np.sqrt(2))
+    assert abs(c[0] - 1 / np.sqrt(2)) < 1e-13
 
 
 def test_poisson_constant():
@@ -211,23 +186,6 @@ def test_log_diagnostic_divergent_on_arc():
     assert not verdict.finite
 
 
-def test_cauchy_lebesgue_is_one():
-    mu = MeasureSpec(atoms=[], ac_density=np.ones(N))
-    assert abs(cauchy_transform(mu, 0.4 - 0.2j) - 1.0) < 1e-12
-
-
-def test_cauchy_point_mass():
-    zeta0 = np.exp(0.7j)
-    mu = MeasureSpec(atoms=[(zeta0, 1.0)])
-    z = 0.5 + 0.1j
-    assert abs(cauchy_transform(mu, z) - 1.0 / (1.0 - z * np.conj(zeta0))) < 1e-14
-
-
-def test_cauchy_total_mass_at_origin():
-    mu = MeasureSpec(atoms=[(np.exp(0.3j), 0.7), (0.2, 1.1)], ac_density=0.5 * np.ones(N))
-    assert abs(cauchy_transform(mu, 0.0) - (0.7 + 1.1 + 0.5)) < 1e-12
-
-
 def _poisson_of_modulus_squared(coeffs, z):
     # coefficient-convolution oracle: P[|f|^2](z) = sum_m c_m with
     # c_m = sum_k f_{k+m} conj(f_k) z^m for m >= 0 and the mirror for m < 0
@@ -254,5 +212,5 @@ def test_disk_function_roundtrip():
     coeffs = np.array([1.0, 0.5j, -0.25, 0.125])
     f = DiskFunction(coeffs, n_boundary=N)
     assert f.at_zero() == coeffs[0]
-    back = DiskFunction.from_boundary(f.boundary, degree=3)
-    assert np.max(np.abs(back.taylor - coeffs)) < 1e-10 * np.max(np.abs(coeffs))
+    back = taylor_from_boundary(f.boundary, degree=3)
+    assert np.max(np.abs(back - coeffs)) < 1e-10 * np.max(np.abs(coeffs))

@@ -85,16 +85,14 @@ def test_series_divide_matches_recurrence_near_the_circle():
     assert np.array_equal(series_divide([1.0, 2.0], [4.0], 3), [0.25, 0.5, 0.0, 0.0])
 
 
-def test_overflowing_quotient_is_not_a_member(rank1_half, monkeypatch):
+def test_overflowing_quotient_is_not_a_member(rank1_half):
     phi = np.array([-0.3, 1.0])  # f / phi has a pole at 0.3
     f = np.array([1.0, 0.5, 0.25])
     with np.errstate(all="ignore"):
         q = series_divide(f, phi, 2048)
-        report = subspaces.shift_subspace_membership(rank1_half, phi, f)
-        monkeypatch.setattr(subspaces, "series_divide", _series_divide_loop)
-        reference = subspaces.shift_subspace_membership(rank1_half, phi, f)
+    report = subspaces.shift_subspace_membership(rank1_half, phi, f)
     assert not np.all(np.isfinite(q))
-    assert not report.member and not reference.member
+    assert not report.member
 
 
 @settings(max_examples=40, deadline=None)

@@ -268,11 +268,12 @@ def test_row_defect_factor_refuses_a_split_of_another_row():
 
 def test_odd_circle_root_count_is_a_convergence_error(monkeypatch):
     # b = c z (1 + z) / 2 with d = 1 - c^2 cos^2(theta / 2) > 0: its root pair
-    # exp(+-L), L = 0.9e-5, lies inside the circle tolerance 1e-5 and pairs up
+    # exp(+-L), L = 0.9e-5, lies inside the circle tolerance 1e-5 and pairs up,
+    # but d = L^2 / 4 = 2e-11 at its centre is no zero
     big_l = 0.9e-5
     c = np.sqrt(4.0 / (2.0 + 2.0 * np.cosh(big_l)))
     row = [[0.0, c / 2, c / 2]]
-    assert RowSymbol(row).defect.circle_roots.size == 1
+    assert RowSymbol(row).defect.circle_roots.size == 0
     # rounding that moves the pair across the tolerance (log-moduli 1.1e-5
     # and -0.7e-5) leaves an odd circle count: a failed split, not a verdict
     roots = np.roots

@@ -5,7 +5,7 @@ import pytest
 
 from hbspace.analysis import LimitSchedule
 from hbspace.catalog import rank1_half_symbol
-from hbspace.errors import ConfigError
+from hbspace.errors import ConfigError, ConvergenceError, NumericalError
 from hbspace.harmonic import DiskFunction, grid_points
 from hbspace.model import SpaceHandle
 from hbspace.series import (
@@ -16,17 +16,19 @@ from hbspace.series import (
     shift_up,
     szego_taylor,
 )
-from hbspace.symbols import RowSymbol
+from hbspace.symbols import DirichletSpace, MeasureSpec, RowSymbol
 from hbspace.subspaces import (
     BlaschkeProduct,
-    _tail_stable,
+    _gram_extremal,
     backward_invariance_residual,
+    extremal_function,
     intersect_model_space,
     model_space_basis,
     nearly_invariant_norm,
     poly_density_residual,
     shift_subspace_membership,
 )
+from conftest import RANK2_EXAMPLE
 
 
 def test_blaschke_unimodular_on_boundary():
@@ -211,8 +213,7 @@ def test_nearly_invariant_reduces_to_norm_formula(h2):
     result = nearly_invariant_norm(h2, np.array([1.0]), np.array([0.0, 1.0]),
                                    LimitSchedule(4, 8))
     assert result.quotient_norm_sq == pytest.approx(1.0, rel=1e-12)
-    assert abs(result.final - 1.0) < 2e-2
-    assert result.skipped_fraction == 0.0
+    assert abs(result.final - 1.0) < 1e-12
 
 
 def test_nearly_invariant_hitt_case(h2):
@@ -222,7 +223,7 @@ def test_nearly_invariant_hitt_case(h2):
     f = convolve(np.array([-a, 1.0]), np.array([1.0, 0.5, 0.25]))  # (z - a) p(z)
     result = nearly_invariant_norm(h2, phi, f, LimitSchedule(4, 9))
     assert result.quotient_norm_sq == pytest.approx(h2_norm_sq(f), rel=1e-8)
-    assert result.final == pytest.approx(h2_norm_sq(f), rel=2e-2)
+    assert result.final == pytest.approx(h2_norm_sq(f), rel=1e-12)
 
 
 def test_nearly_invariant_consistency_in_rank_one(rank1_half):
@@ -233,7 +234,7 @@ def test_nearly_invariant_consistency_in_rank_one(rank1_half):
         f = np.array(coeffs, dtype=complex)
         result = nearly_invariant_norm(rank1_half, phi, f, sched)
         target = rank1_half.poly_norm_sq(f)
-        assert abs(result.final - target) / target < 2e-2
+        assert abs(result.final - target) / target < 1e-12
 
 
 @pytest.mark.parametrize("name", ["rank1_half", "two_term", "weighted"])
@@ -244,7 +245,8 @@ def test_nearly_invariant_matches_per_node_reference(request, name):
     phi_pad = np.concatenate([phi, np.zeros(f.size - phi.size)])
     sched = LimitSchedule(4, 6)
     result = nearly_invariant_norm(space, phi, f, sched)
-    for (r, value), (_, m) in zip(result.rows, sched):
+    m = result.nodes
+    for r, value in result.rows:
         total = 0.0
         for eta in r * np.exp(2j * np.pi * np.arange(m) / m):
             h = f - (horner(f, eta) / horner(phi, eta)) * phi_pad
@@ -252,6 +254,76 @@ def test_nearly_invariant_matches_per_node_reference(request, name):
             total += space.poly_norm_sq(shift_up(q)) - space.poly_norm_sq(q)
         ref = result.quotient_norm_sq + total / m
         assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
+NEARLY_INVARIANT_SPACES = ["h2", "rank1_half", "cusp", "two_term", "weighted", "ddelta",
+                           "rank2", "d_origin", "d_pair", "d_half"]
+
+
+@pytest.fixture(scope="module")
+def rank2():
+    return SpaceHandle(RowSymbol(RANK2_EXAMPLE))
+
+
+@pytest.mark.parametrize("name", NEARLY_INVARIANT_SPACES)
+def test_nearly_invariant_extremal_is_exact(request, name):
+    # with phi the extremal function of {f : f(0) = 0} the r = 1 value is the norm
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(9)
+    f = np.concatenate([[0.0], rng.normal(size=9) + 1j * rng.normal(size=9)])
+    result = nearly_invariant_norm(space, None, f)
+    target = space.poly_norm_sq(f)
+    assert abs(result.final - target) <= 1e-12 * target
+    assert result.nodes >= 2 * f.size
+
+
+@pytest.mark.parametrize("name", ["h2", "rank1_half", "cusp", "two_term", "weighted",
+                                  "ddelta", "rank2"])
+def test_extremal_closed_form_matches_gram_route(request, name):
+    space = request.getfixturevalue(name)
+    phi = extremal_function(space)
+    gram = _gram_extremal(space, phi.size + 8)
+    assert np.max(np.abs(gram[: phi.size] - phi)) <= 1e-13
+    assert np.max(np.abs(gram[phi.size:])) <= 1e-13
+    assert space.poly_norm_sq(phi) == pytest.approx(1.0, rel=1e-13)
+
+
+def test_extremal_function_closed_forms(cusp, d_origin):
+    # cusp: b = z (1 + z) / 2 gives (sqrt(3) / 2) z - z^2 / (2 sqrt(3))
+    assert np.allclose(extremal_function(cusp), [0.0, np.sqrt(3) / 2, -0.5 / np.sqrt(3)],
+                       rtol=0.0, atol=1e-15)
+    assert np.allclose(extremal_function(d_origin), [0.0, 1.0 / np.sqrt(2.0)],
+                       rtol=0.0, atol=1e-15)
+
+
+def test_extremal_function_refuses_trivial_subspace(inner_space):
+    # b = z: the space is the constants, so no f != 0 vanishes at 0
+    with pytest.raises(ConfigError):
+        extremal_function(inner_space)
+
+
+def test_extremal_function_refuses_an_unresolved_gram_route():
+    # one atom of mass 0.01 at 0.99: the extremal function decays like 0.9^k,
+    # so degree 16 cannot hold it
+    space = DirichletSpace(MeasureSpec(atoms=[(0.99, 0.01)]), degree=16)
+    with pytest.raises(ConvergenceError, match="unresolved at degree 16"):
+        extremal_function(space)
+
+
+def test_nearly_invariant_default_phi_needs_f_vanishing_at_zero(rank1_half):
+    with pytest.raises(ConfigError):
+        nearly_invariant_norm(rank1_half, None, np.array([1.0, 0.5]))
+
+
+def test_nearly_invariant_refuses_phi_vanishing_at_a_node(h2):
+    with pytest.raises(NumericalError):
+        nearly_invariant_norm(h2, np.array([-1.0, 1.0]), np.array([0.0, 1.0]))
+
+
+def test_nearly_invariant_refuses_unconverged_means(h2):
+    # phi = z - (1 + 1e-9): f/phi has a pole 1e-9 off the circle
+    with pytest.raises(ConvergenceError, match="65536 nodes"):
+        nearly_invariant_norm(h2, np.array([-(1.0 + 1e-9), 1.0]), np.array([0.0, 1.0]))
 
 
 def test_quotient_membership_self(rank1_half):
@@ -274,21 +346,50 @@ def test_quotient_membership_interior_pole_detected(h2):
     # f / phi has a pole at 0.9 inside the disk
     phi = np.array([-0.9, 1.0])  # z - 0.9
     f = np.array([1.0])
-    report = shift_subspace_membership(h2, phi, f, degree=512)
+    report = shift_subspace_membership(h2, phi, f)
     assert not report.member
 
 
+def test_quotient_membership_counts_order_at_zero(rank1_half):
+    phi = np.array([0.0, 0.0, 1.0])  # z^2
+    member = shift_subspace_membership(rank1_half, phi, np.array([0.0, 0.0, 0.0, 1.0]))
+    assert member.member and member.evidence["remainder"] == 0.0
+    assert np.array_equal(member.evidence["zeros"], [0.0, 0.0])
+    report = shift_subspace_membership(rank1_half, phi, np.array([0.0, 1.0]))
+    assert not report.member and "pole" in report.evidence
+
+
+def test_quotient_membership_circle_zero(rank1_half):
+    # phi = (1 - z)(2 + z) vanishes at 1 on the circle and at -2 outside
+    phi = convolve(np.array([1.0, -1.0]), np.array([2.0, 1.0]))
+    shared = convolve(np.array([1.0, -1.0]), np.array([0.3, 0.0, 1.0j]))
+    report = shift_subspace_membership(rank1_half, phi, shared)
+    assert report.member
+    assert np.allclose(report.evidence["zeros"], [1.0], rtol=0.0, atol=1e-15)
+    assert report.evidence["remainder"] <= 1e-15
+    report = shift_subspace_membership(rank1_half, phi, np.array([0.3, 0.0, 1.0j]))
+    assert not report.member and "pole" in report.evidence
+
+
 @pytest.mark.parametrize("tail", [[np.inf, np.inf], [3.0, 1e200], [np.nan, 1.0]])
-def test_overflowing_tail_is_unstable(tail):
+def test_overflowing_tail_is_unstable(h2, tail):
+    # f does not vanish at 0.5, the zero of phi, whatever its tail: a huge
+    # tail is no member with no overflow, and a non-finite one is refused
+    f = np.array([1.0, 2.0] + tail)
     with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
         warnings.simplefilter("error")
-        assert not _tail_stable(np.array([1.0, 2.0] + tail), "quotient", {})
+        if np.all(np.isfinite(f)):
+            assert not shift_subspace_membership(h2, [-0.5, 1.0], f).member
+        else:
+            with pytest.raises(ValueError, match="finite"):
+                shift_subspace_membership(h2, [-0.5, 1.0], f)
 
 
 def test_pole_at_0_3_quotient_is_not_a_member(rank1_half):
-    # the degree-2048 quotient overflows (0.3^-2048); its tail is not square-summable
+    # f(0.3) = 1.1725: f / phi has a pole at 0.3, found with no series division
     with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
         warnings.simplefilter("error")
         report = shift_subspace_membership(rank1_half, [-0.3, 1.0], [1.0, 0.5, 0.25])
     assert not report.member
-    assert not np.isfinite(report.evidence["quotient"]["scale"])
+    assert "pole" in report.evidence
+    assert report.evidence["remainder"] == pytest.approx(1.1725, rel=1e-14)
