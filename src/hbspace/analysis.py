@@ -51,7 +51,9 @@ def _divided_difference_all(c: np.ndarray, etas: np.ndarray) -> np.ndarray:
 
 
 def _has_gram(space) -> bool:
-    return hasattr(space, "monomial_gram") and getattr(space, "mode", "analytic") != "inner"
+    """False where the Hardy norm is the space norm: the inner mode and H^2 (n = 0)."""
+    return (hasattr(space, "monomial_gram") and getattr(space, "mode", "analytic") != "inner"
+            and getattr(space, "n", None) != 0)
 
 
 def _column_norms(space, mat: np.ndarray) -> np.ndarray:

@@ -116,9 +116,13 @@ class SpaceHandle:
 
     def defect_identity_residual(self) -> float:
         """Bound on sup over the whole circle of || A*A + B*B - I ||, from
-        the Laurent coefficients of the factor and the symbol."""
+        the Laurent coefficients of the factor and the symbol.  While the
+        handle holds the factor it was built with, that is the bound
+        ``row_defect_factor`` certified, read back instead of recomputed."""
         if self.mode != "analytic" or self.n == 0:
             return 0.0
+        if self.factor is self.factorization.symbol:
+            return self.factorization.residual
         return defect_identity_bound(self.factor.coeffs, self.symbol.coefficient_matrix())
 
     def kernel(self, z, lam) -> complex:

@@ -8,7 +8,12 @@ Defect fields Phi = I - B*B of polynomial rows B, which is every symbol a
 ``SpaceHandle`` holds, are factored exactly by ``row_defect_factor``.  The
 scalar defect d = 1 - |B|^2 is a trigonometric polynomial; ``defect_split``
 splits it by its roots once, which decides the sign of d on the circle and
-gives its outer factor and circle zeros (``DefectSplit``).  The lossless row
+gives its outer factor and circle zeros (``DefectSplit``).  A real d (every
+row with real coefficients) is a Chebyshev series in x = (z + 1/z) / 2 and
+takes its q roots from a q x q colleague matrix; a complex d takes its 2q
+roots from the companion matrix of z^q d.  The outer factor is rebuilt from
+its roots by one FFT of its values at the roots of unity, exact
+interpolation at size 2^ceil(log2(q + 1)).  The lossless row
 (B, reversed scalar factor) is then peeled into degree-one paraunitary
 factors whose completion carries A.  The factor is certified by
 ``defect_identity_bound``, which bounds A*A + B*B - I over the whole circle
@@ -21,6 +26,7 @@ checked on their grid by ``factor_residual``.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebroots
 from scipy.linalg import eigh, rq
 
 from .errors import ConvergenceError, ExtremeTypeError, InvariantViolation
@@ -209,16 +215,52 @@ def laurent_values(d, thetas) -> np.ndarray:
     return d[0].real + 2.0 * np.real(waves @ d[1:])
 
 
+def _laurent_roots(d) -> np.ndarray:
+    """The 2q roots of z^q d(z), d[m] the Laurent coefficient of order m = 0..q.
+
+    When every d[m] is real, d(z) = sum_m c_m T_m(x) with x = (z + 1/z) / 2,
+    c_0 = d[0] and c_m = 2 d[m], so the q roots x_j of that Chebyshev series
+    come from a q x q colleague matrix (Good, Quart. J. Math. 12, 1961; Boyd,
+    SIAM Review 55, 2013).  Each x_j gives the pair z_j, 1/z_j with
+    z_j = x_j +- sqrt(x_j^2 - 1), the member with |z_j| >= 1 taken so that
+    nothing cancels.  A double circle zero at z = +-1 becomes a simple x-root.
+    Complex d goes through the 2q x 2q companion matrix of ``np.roots``.
+    """
+    if np.any(d.imag):
+        return np.roots(np.concatenate([d[::-1], np.conj(d[1:])]))
+    x = chebroots(np.concatenate([d[:1].real, 2.0 * d[1:].real])).astype(complex)
+    w = np.sqrt(x * x - 1.0)
+    z = np.where(np.abs(x + w) >= np.abs(x - w), x + w, x - w)
+    return np.concatenate([z, 1.0 / z])
+
+
+def _expand_roots(s) -> np.ndarray:
+    """Ascending coefficients of prod_i (1 - s_i z), interpolated from its
+    values at the m >= s.size + 1 roots of unity by one FFT.
+
+    The degree is below m, so the interpolation is exact, and its rounding
+    does not depend on the order of the s_i, unlike repeated convolution.
+    """
+    m = 1 << s.size.bit_length()
+    zeta = np.exp(2j * np.pi * np.arange(m) / m)
+    values = np.prod(1.0 - np.outer(zeta, s), axis=1)
+    return np.fft.fft(values)[: s.size + 1] / m
+
+
 def _outer_from_laurent(d) -> tuple[np.ndarray, np.ndarray]:
     """The outer polynomial a with |a|^2 = d on the circle, and the circle zeros of d.
 
     ``d[m]`` is the Laurent coefficient of order m >= 0 of a real
-    trigonometric polynomial.  The roots of z^q d(z) come in pairs
-    r, 1/conj(r); a keeps the ones outside the disk.  Roots on the circle of
-    a nonnegative d have even multiplicity and split numerically into close
-    pairs; a pair at whose unit-normalized mean d vanishes to roundoff (64 eps
-    sum |d_m|) becomes that mean, a circle zero, and any other pair keeps only
-    its outer member.  The gain makes sum |a_k|^2 = d[0], with a(0) > 0.
+    trigonometric polynomial.  The roots of z^q d(z) (``_laurent_roots``:
+    a Chebyshev colleague matrix of size q when d is real, a companion
+    matrix of size 2q otherwise) come in pairs r, 1/conj(r); a keeps the
+    ones outside the disk.  Roots on the circle of a nonnegative d have even
+    multiplicity and split numerically into close pairs; a pair at whose
+    unit-normalized mean d vanishes to roundoff (64 eps sum |d_m|) becomes
+    that mean, a circle zero, and any other pair keeps only its outer
+    member.  a is rebuilt from its q roots by one FFT of its values at the
+    roots of unity (``_expand_roots``), real when d is, and the gain makes
+    sum |a_k|^2 = d[0], with a(0) > 0.
 
     The sign of d is decided here.  Between two neighbouring circle roots d
     keeps one sign, so d is evaluated at the middle of every arc they cut,
@@ -231,7 +273,7 @@ def _outer_from_laurent(d) -> tuple[np.ndarray, np.ndarray]:
     """
     d = trim(d)
     q = d.size - 1
-    roots = np.roots(np.concatenate([d[::-1], np.conj(d[1:])])) if q else np.zeros(0)
+    roots = _laurent_roots(d) if q else np.zeros(0)
     log_modulus = np.log(np.abs(roots))
     outside = roots[log_modulus > _CIRCLE_TOL]
     circle = roots[np.abs(log_modulus) <= _CIRCLE_TOL]
@@ -260,9 +302,9 @@ def _outer_from_laurent(d) -> tuple[np.ndarray, np.ndarray]:
     roundoff = 64.0 * np.finfo(float).eps * (abs(d[0]) + 2.0 * np.sum(np.abs(d[1:])))
     zero = np.abs(laurent_values(d, np.angle(centers))) <= roundoff
     outer = np.where(np.abs(pairs[:, 0]) >= np.abs(pairs[:, 1]), pairs[:, 0], pairs[:, 1])
-    # ascending coefficients of prod (1 - z / r) are np.poly of the 1 / r
-    a = np.poly(1.0 / np.concatenate([outside, outer[~zero], centers[zero]]))
-    a = np.atleast_1d(a).astype(complex)
+    a = _expand_roots(1.0 / np.concatenate([outside, outer[~zero], centers[zero]]))
+    if not np.any(d.imag):  # its roots pair by conjugation, so a is real
+        a = a.real.astype(complex)
     return a * np.sqrt(np.abs(d[0].real) / np.sum(np.abs(a) ** 2)), centers[zero]
 
 

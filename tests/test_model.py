@@ -573,6 +573,18 @@ def test_handle_certificate_bounds_the_grid_and_keeps_the_route(n_grid):
     assert routes == {True, False}
 
 
+@pytest.mark.parametrize("rows", [[[0.0, 0.5, 0.5]], [ddelta_taylor()],
+                                  [[0.0, 1.0 / np.sqrt(2.0)], [0.0, 0.0, 0.5]], RANK2_EXAMPLE],
+                         ids=["cusp", "ddelta", "two-term", "rank2-example"])
+def test_defect_identity_residual_is_the_build_certificate(rows):
+    # the handle reads back the bound row_defect_factor certified; it equals
+    # a fresh bound of the same factor and row exactly
+    space = SpaceHandle(_row_symbol(rows, N_GRID), n_grid=N_GRID)
+    fresh = spectral.defect_identity_bound(space.factor.coeffs,
+                                           space.symbol.coefficient_matrix())
+    assert space.defect_identity_residual() == fresh
+
+
 def test_noncontractive_row_handle_raises_invariant_violation():
     # every point of an 8192-point grid passes; the symbol's defect split refuses it
     with pytest.raises(InvariantViolation, match="not a contraction"):

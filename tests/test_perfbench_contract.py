@@ -2,7 +2,8 @@
 call shapes: positional (space, phi, f) for the subspace routines and the
 ``n_grid=`` / ``n_boundary=`` keywords for the builders.  A signature change
 that breaks one of them turns benchmark ops into failures, so round 0 of each
-in-process workload must run with no failed op."""
+in-process workload must run with no failed op.  The D(delta_1) build of the
+factor workload, whose defect has degree 39, must pass both of its checks."""
 
 import importlib.util
 import sys
@@ -31,3 +32,13 @@ def test_round_zero_has_no_failed_op(workload, monkeypatch):
                         before_round=getattr(built, "refill", None))
     assert recorder.total_attempted > 0
     assert recorder.total_failed == 0, recorder.reasons
+
+
+def test_factor_ddelta_passes_its_checks(monkeypatch):
+    ops = _load("ops", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    [op] = [op for op in workloads.WORKLOADS["factor"](1).make_round(0)
+            if op.name == "factor.ddelta@1024"]
+    residual, iso = op.call()
+    op.check((residual, iso), ops.Checker())  # defect identity and isometry
+    assert residual <= 1e-12

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from hbspace import spectral
 from hbspace.errors import ConvergenceError, ExtremeTypeError, InvariantViolation
 from hbspace.harmonic import grid_points, outer_from_modulus
+from hbspace.model import SpaceHandle
+from hbspace.series import trim
 from hbspace.spectral import (
     MatrixSymbol,
     defect_identity_bound,
@@ -12,7 +16,7 @@ from hbspace.spectral import (
     row_defect_factor,
 )
 from hbspace.symbols import RowSymbol
-from conftest import RANK2_EXAMPLE, noncontractive_row, scaled_row
+from conftest import RANK2_EXAMPLE, ddelta_taylor, noncontractive_row, scaled_row
 
 N = 1024
 
@@ -276,7 +280,75 @@ def test_odd_circle_root_count_is_a_convergence_error(monkeypatch):
     assert RowSymbol(row).defect.circle_roots.size == 0
     # rounding that moves the pair across the tolerance (log-moduli 1.1e-5
     # and -0.7e-5) leaves an odd circle count: a failed split, not a verdict
-    roots = np.roots
-    monkeypatch.setattr(np, "roots", lambda p: roots(p) * np.exp(0.2e-5))
+    roots = spectral._laurent_roots
+    monkeypatch.setattr(spectral, "_laurent_roots", lambda d: roots(d) * np.exp(0.2e-5))
     with pytest.raises(ConvergenceError, match="1 on the circle"):
         RowSymbol(row)
+
+
+# -- the root split of real and complex defects ----------------------------------
+
+
+def _degree_row(rng, rank, degree, sup, real):
+    """Random row of the given degree with B(0) = 0, real or complex
+    coefficients, scaled so that max sum |b_i|^2 on 2^14 points is sup."""
+    rows = np.zeros((rank, degree + 1), dtype=complex)
+    rows[:, 1:] = rng.normal(size=(rank, degree))
+    if not real:
+        rows[:, 1:] += 1j * rng.normal(size=(rank, degree))
+    energy = np.sum(np.abs(_row_samples(rows, 1 << 14)) ** 2, axis=1)
+    return rows * np.sqrt(sup / np.max(energy))
+
+
+def _real_rows():
+    rows = [[ddelta_taylor()], [[0.0, 0.5, 0.5]], RANK2_EXAMPLE]
+    rng = np.random.default_rng(30)
+    for degree in (6, 12, 20, 30, 40):
+        for rank in (1, 2, 3):
+            rows.append(_degree_row(rng, rank, degree, 0.9, real=True))
+    return rows
+
+
+@pytest.mark.parametrize("rows", _real_rows())
+def test_chebyshev_roots_match_companion_roots(rows):
+    # a real defect splits by the Chebyshev colleague matrix of size q; the
+    # roots of z^q d from the companion matrix of size 2q are the same multiset
+    d = trim(spectral._defect_laurent(np.atleast_2d(np.asarray(rows, dtype=complex))))
+    assert not np.any(d.imag)
+    got = spectral._laurent_roots(d)
+    ref = np.roots(np.concatenate([d[::-1], np.conj(d[1:])]))
+    assert got.size == ref.size == 2 * (d.size - 1)
+    cost = np.abs(got[:, None] - ref[None, :])
+    i, j = linear_sum_assignment(cost)
+    err = cost[i, j] / np.maximum(1.0, np.abs(ref[j]))
+    # a double circle zero splits by sqrt(eps) in the companion matrix (D(delta_1),
+    # cusp and the rank-2 example touch at z = 1); every other root matches to 1e-10
+    near = np.abs(np.log(np.abs(ref[j]))) <= spectral._CIRCLE_TOL
+    assert np.all(err[~near] <= 1e-10)
+    assert np.all(err[near] <= 1e-7)
+    assert np.sum(near) == 2 * defect_split(rows).circle_roots.size
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("degree", [40, 60, 80])
+def test_high_degree_rows_certify(degree, real):
+    # the outer factor is rebuilt from its roots by one exact-size FFT, so
+    # defects of degree 60 and 80 certify (expanding the roots by repeated
+    # convolution left them above the target)
+    rng = np.random.default_rng([degree, real])
+    for rank in (1, 2, 3):
+        for sup in (0.5, 0.9, 0.99):
+            rows = _degree_row(rng, rank, degree, sup, real)
+            rep = row_defect_factor(rows, defect_split(rows))
+            assert rep.residual <= 1e-11
+
+
+def test_real_rows_split_without_the_companion_matrix(monkeypatch):
+    def refuse(p):
+        raise AssertionError("np.roots called for a real defect")
+    monkeypatch.setattr(np, "roots", refuse)
+    for rows in ([ddelta_taylor()], [[0.0, 0.5, 0.5]], RANK2_EXAMPLE):
+        space = SpaceHandle(RowSymbol(rows))
+        np.testing.assert_allclose(space.symbol.defect.circle_roots, [1.0], atol=1e-12)
+        assert space.mode == "analytic"
+        assert space.defect_identity_residual() <= 1e-12

@@ -216,14 +216,18 @@ def test_nearly_invariant_reduces_to_norm_formula(h2):
     assert abs(result.final - 1.0) < 1e-12
 
 
-def test_nearly_invariant_hitt_case(h2):
+def test_nearly_invariant_hitt_case(h2, monkeypatch):
     # subspace of functions vanishing at a; generator is the Blaschke factor
     a = 0.4
     phi = BlaschkeProduct([a]).taylor(256)
     f = convolve(np.array([-a, 1.0]), np.array([1.0, 0.5, 0.25]))  # (z - a) p(z)
+    # the Hardy norm is the space norm of H^2, so no Gram is assembled
+    grams = []
+    monkeypatch.setattr(h2, "monomial_gram", lambda degree: grams.append(degree))
     result = nearly_invariant_norm(h2, phi, f, LimitSchedule(4, 9))
     assert result.quotient_norm_sq == pytest.approx(h2_norm_sq(f), rel=1e-8)
     assert result.final == pytest.approx(h2_norm_sq(f), rel=1e-12)
+    assert grams == []
 
 
 def test_nearly_invariant_consistency_in_rank_one(rank1_half):
