@@ -5,14 +5,7 @@ reverse-Carleson diagnostics."""
 
 __version__ = "0.1.0"
 
-from .harmonic import (
-    BoundaryGrid,
-    DiskFunction,
-    herglotz,
-    log_diagnostic,
-    outer_from_modulus,
-    poisson_extend,
-)
+from .harmonic import BoundaryGrid, DiskFunction, log_diagnostic
 from .symbols import (
     DirichletSpace,
     MeasureSpec,
@@ -60,10 +53,7 @@ from .catalog import space_from_json, named_space
 __all__ = [
     "BoundaryGrid",
     "DiskFunction",
-    "herglotz",
     "log_diagnostic",
-    "outer_from_modulus",
-    "poisson_extend",
     "DirichletSpace",
     "MeasureSpec",
     "RowSymbol",

@@ -52,8 +52,7 @@ def _divided_difference_all(c: np.ndarray, etas: np.ndarray) -> np.ndarray:
 
 def _has_gram(space) -> bool:
     """False where the Hardy norm is the space norm: the inner mode and H^2 (n = 0)."""
-    return (hasattr(space, "monomial_gram") and getattr(space, "mode", "analytic") != "inner"
-            and getattr(space, "n", None) != 0)
+    return getattr(space, "mode", "analytic") != "inner" and space.n != 0
 
 
 def _column_norms(space, mat: np.ndarray) -> np.ndarray:
@@ -269,7 +268,7 @@ def reverse_carleson(space, schedule: LimitSchedule | None = None,
     is integrable, that is iff d has no circle root (its circle zeros have
     even order), which the symbol's defect split records.
     """
-    if not getattr(space, "mz_invariant", False):
+    if not space.mz_invariant:
         return ReverseCarlesonReport(False, None, None, None, np.zeros(0),
                                      None, None, None, None, None,
                                      note="criterion inapplicable: space is not "

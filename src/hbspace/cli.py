@@ -323,11 +323,11 @@ def cmd_rank(args) -> int:
     gram = space.monomial_gram(degree)
     rank = estimate_rank(gram, tol=args.tol)
     label = ""
-    if getattr(space, "truncated", False):
+    if space.truncated:
         label = " (truncated symbol: lower bound only)"
     print(f"numerical defect rank: {rank}{label}")
     _emit_json(args, {"command": "rank", "rank": int(rank),
-                      "gram_degree": degree, "truncated": bool(getattr(space, "truncated", False))})
+                      "gram_degree": degree, "truncated": bool(space.truncated)})
     return EXIT_OK
 
 

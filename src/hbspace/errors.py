@@ -18,10 +18,6 @@ class NumericalError(HBSpaceError):
     """A numerical procedure failed to meet its contract (CLI exit code 3)."""
 
 
-class DegenerateModulusError(NumericalError):
-    """Log of the boundary modulus is not integrable; no outer function exists."""
-
-
 class ExtremeTypeError(NumericalError):
     """The symbol has non-integrable log-defect; the analytic model does not apply."""
 

@@ -1,4 +1,7 @@
-"""FFT-backed primitives on the unit circle.
+"""FFT-backed primitives on the unit circle: the sampling grid, boundary
+traces of polynomials and their Taylor coefficients back, and the
+log-integrability diagnostic for sampled data that are no trigonometric
+polynomial.
 
 Conventions: the circle carries normalized arclength measure and the
 sampling grid is ``zeta_j = exp(2 pi i j / N)`` with N a power of two.
@@ -11,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateModulusError
 from .series import as_coeffs, horner
 
 DEFAULT_GRID = 4096
@@ -95,67 +97,6 @@ class DiskFunction:
 
     def at_zero(self) -> complex:
         return complex(self.taylor[0])
-
-
-def _check_interior(z, n: int):
-    r = abs(z)
-    if r >= 1.0:
-        raise ValueError(f"point must lie strictly inside the unit disk, |z| = {r}")
-    if n * (1.0 - r) < 16.0:
-        raise ValueError(
-            f"grid of size {n} cannot resolve the kernel at |z| = {r}; "
-            "need N * (1 - |z|) >= 16"
-        )
-
-
-def poisson_extend(samples, z) -> float:
-    """Harmonic extension of real boundary data at an interior point.
-
-    Uniform (trapezoidal-on-the-torus) quadrature of the Poisson kernel;
-    spectrally accurate for smooth data.  Requires N * (1 - |z|) >= 16.
-    """
-    grid = samples if isinstance(samples, BoundaryGrid) else BoundaryGrid(samples)
-    _check_interior(z, grid.n)
-    zeta = grid_points(grid.n)
-    kernel = (1.0 - abs(z) ** 2) / np.abs(zeta - z) ** 2
-    return float(np.mean(kernel * grid.samples.real))
-
-
-def herglotz(samples, degree: int | None = None) -> DiskFunction:
-    """Analytic H with Re H = Poisson extension of the data and Im H(0) = 0.
-
-    H(z) = s_0 + 2 sum_{k>=1} s_k z**k in terms of the Fourier coefficients
-    of the (real) boundary data.
-    """
-    grid = samples if isinstance(samples, BoundaryGrid) else BoundaryGrid(samples)
-    if degree is None:
-        degree = grid.n // 4
-    shat = np.fft.fft(grid.samples.real) / grid.n
-    c = 2.0 * shat[: degree + 1]
-    c[0] *= 0.5
-    return DiskFunction(c, n_boundary=grid.n)
-
-
-def outer_from_modulus(samples, degree: int | None = None) -> DiskFunction:
-    """Outer function w with |w| = m on the boundary and w(0) > 0.
-
-    Standard FFT construction w = exp(herglotz(log m)); the zero-imaginary
-    normalization of the Herglotz transform at the origin pins w(0) =
-    exp(mean log m) > 0.
-    """
-    grid = samples if isinstance(samples, BoundaryGrid) else BoundaryGrid(samples)
-    m = grid.samples.real
-    if np.any(m < 0):
-        raise ValueError("modulus data must be nonnegative")
-    if degree is None:
-        degree = grid.n // 4
-    verdict = log_diagnostic(m)
-    if not verdict.finite:
-        raise DegenerateModulusError("log of the modulus is not integrable")
-    h = herglotz(BoundaryGrid(np.log(np.maximum(m, 1e-300))), degree=grid.n // 2 - 1)
-    w_samples = np.exp(boundary_from_taylor(h.taylor, grid.n).samples)
-    return DiskFunction(taylor_from_boundary(BoundaryGrid(w_samples), degree),
-                        n_boundary=grid.n)
 
 
 @dataclass

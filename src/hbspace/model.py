@@ -38,7 +38,7 @@ from .series import (
     shift_up,
     szego_taylor,
 )
-from .spectral import MatrixSymbol, defect_identity_bound, row_defect_factor
+from .spectral import MatrixSymbol, row_defect_factor
 from .symbols import (
     MembershipReport,
     ModelPair,
@@ -76,8 +76,7 @@ class SpaceHandle:
         self.degree = n_grid // 4 if degree is None else degree
         self.tol_membership = tol_membership
         self.tol_solve = tol_solve
-        self.factor: MatrixSymbol | None = None
-        self.factorization = None
+        self._factorization = None
         self._g = np.zeros((symbol.n, 0), dtype=complex)
         self._gram: np.ndarray | None = None
         self._pairs: list[ModelPair] = []
@@ -92,10 +91,8 @@ class SpaceHandle:
             self.mode = "inner"
             self._w = rows.T.conj()[:, :, None]
             return
-        report = row_defect_factor(rows, symbol.defect)
-        self.factor = report.symbol
-        self.factorization = report
-        a = report.symbol.coeffs
+        self._factorization = row_defect_factor(rows, symbol.defect)
+        a = self._factorization.symbol.coeffs
         self._w = np.zeros((max(a.shape[0], rows.shape[1]), n, n + 1), dtype=complex)
         self._w[: rows.shape[1], :, 0] = rows.T.conj()
         self._w[: a.shape[0], :, 1:] = np.conj(np.transpose(a, (0, 2, 1)))
@@ -114,16 +111,22 @@ class SpaceHandle:
     def truncated(self) -> bool:
         return self.symbol.truncated
 
+    @property
+    def factorization(self):
+        """The build's ``FactorizationReport`` (None without a factor),
+        read-only so that its certificate describes the factor embed uses."""
+        return self._factorization
+
+    @property
+    def factor(self) -> MatrixSymbol | None:
+        """The outer defect factor A that the embedding uses."""
+        return None if self._factorization is None else self._factorization.symbol
+
     def defect_identity_residual(self) -> float:
         """Bound on sup over the whole circle of || A*A + B*B - I ||, from
-        the Laurent coefficients of the factor and the symbol.  While the
-        handle holds the factor it was built with, that is the bound
-        ``row_defect_factor`` certified, read back instead of recomputed."""
-        if self.mode != "analytic" or self.n == 0:
-            return 0.0
-        if self.factor is self.factorization.symbol:
-            return self.factorization.residual
-        return defect_identity_bound(self.factor.coeffs, self.symbol.coefficient_matrix())
+        the Laurent coefficients of the factor and the symbol: the bound
+        ``row_defect_factor`` certified at the build."""
+        return 0.0 if self._factorization is None else self._factorization.residual
 
     def kernel(self, z, lam) -> complex:
         return kernel_eval(self.symbol, z, lam)

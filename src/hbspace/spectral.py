@@ -1,8 +1,9 @@
 """Matrix spectral factorization on the circle.
 
-Given Hermitian PSD boundary samples Phi(zeta), find the analytic outer
-matrix function A with A(zeta)* A(zeta) = Phi(zeta), normalized so A(0) is
-lower triangular with positive diagonal.
+Find the analytic outer matrix function A with A(zeta)* A(zeta) = Phi(zeta)
+on the circle, normalized so A(0) is lower triangular with positive
+diagonal.  Every field is a trigonometric polynomial, factored by one root
+split of a scalar: the defect of a polynomial row, or a sampled scalar field.
 
 Defect fields Phi = I - B*B of polynomial rows B, which is every symbol a
 ``SpaceHandle`` holds, are factored exactly by ``row_defect_factor``.  The
@@ -17,25 +18,22 @@ interpolation at size 2^ceil(log2(q + 1)).  The lossless row
 (B, reversed scalar factor) is then peeled into degree-one paraunitary
 factors whose completion carries A.  The factor is certified by
 ``defect_identity_bound``, which bounds A*A + B*B - I over the whole circle
-from its Laurent coefficients.  General sampled fields go through Wilson's
-Newton-type iteration in ``matrix_outer_factor``, with a floor on fields
-touching zero and the exact root splitter as the scalar fallback; they are
-checked on their grid by ``factor_residual``.
+from its Laurent coefficients.  ``matrix_outer_factor`` takes a sampled
+scalar field that is a trigonometric polynomial, reads its Laurent
+coefficients by one FFT and factors them by the same root split, checked on
+its grid by ``factor_residual``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebroots
-from scipy.linalg import eigh, rq
+from scipy.linalg import rq
 
 from .errors import ConvergenceError, ExtremeTypeError, InvariantViolation
 from .harmonic import log_diagnostic
 from .series import trim
 
-_EPS_FLOOR = 1e-10
-_MAX_ITER = 200
-_STEP_TOL = 1e-12
 # exact route: roots with |log |r|| <= _CIRCLE_TOL (a test symmetric under
 # r -> 1 / conj(r)) are split pairs of a double root; a defect whose
 # coefficients all stay below _ZERO_DEFECT is zero
@@ -45,8 +43,7 @@ _ZERO_DEFECT = 1e-12
 _CERTIFY_TARGET = 1e-9
 # a row whose defect falls below -_CONTRACTION_SLOP on the circle is no contraction
 _CONTRACTION_SLOP = 1e-10
-# the scalar fallback of matrix_outer_factor takes sampled fields of at most
-# this Laurent degree
+# matrix_outer_factor takes sampled fields of at most this Laurent degree
 _ROOTS_MAX_DEGREE = 64
 
 
@@ -105,14 +102,6 @@ def _as_field(phi) -> np.ndarray:
     return arr
 
 
-def _hermitize(field: np.ndarray) -> np.ndarray:
-    return 0.5 * (field + np.conj(np.transpose(field, (0, 2, 1))))
-
-
-def _min_eigenvalue(field: np.ndarray) -> float:
-    return float(np.min(np.linalg.eigvalsh(field)))
-
-
 def factor_residual(a, phi) -> float:
     """sup over the grid of the spectral norm of A* A - Phi."""
     phi = _as_field(phi)
@@ -146,51 +135,6 @@ def defect_identity_bound(factor_coeffs, row_coeffs) -> float:
     return float(norms[0] + 2.0 * np.sum(norms[1:]))
 
 
-def _analytic_coeffs(samples: np.ndarray, tol: float = 1e-13) -> np.ndarray:
-    """Analytic-part Taylor blocks of sampled matrix data, tail-trimmed."""
-    n_grid = samples.shape[0]
-    coeffs = np.fft.fft(samples, axis=0) / n_grid
-    coeffs = coeffs[: n_grid // 2]
-    mags = np.max(np.abs(coeffs), axis=(1, 2))
-    scale = max(float(mags.max()), 1e-300)
-    keep = np.nonzero(mags > tol * scale)[0]
-    last = int(keep[-1]) + 1 if keep.size else 1
-    return coeffs[:last].copy()
-
-
-def _plus_half(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic projection with halved zero mode, sampled back on the grid."""
-    n_grid = g.shape[0]
-    coeffs = np.fft.fft(g, axis=0) / n_grid
-    coeffs[0] *= 0.5
-    g0 = coeffs[0].copy()
-    coeffs[n_grid // 2:] = 0.0  # Nyquist and negative orders
-    return np.fft.ifft(coeffs, axis=0) * n_grid, g0
-
-
-def _wilson(phi_t: np.ndarray, max_iter: int, tol: float) -> tuple[np.ndarray, int]:
-    """Iterate psi with psi psi* = phi_t; returns grid samples of psi."""
-    n_grid, n, _ = phi_t.shape
-    mean0 = _hermitize(phi_t.mean(axis=0)[None])[0]
-    vals, vecs = eigh(mean0)
-    psi0 = (vecs * np.sqrt(np.clip(vals, 1e-300, None))) @ vecs.conj().T
-    psi = np.tile(psi0, (n_grid, 1, 1))
-    eye = np.eye(n)
-    for it in range(1, max_iter + 1):
-        psi_inv = np.linalg.inv(psi)
-        g = psi_inv @ phi_t @ np.conj(np.transpose(psi_inv, (0, 2, 1))) + eye
-        g_plus, g0 = _plus_half(g)
-        s = np.triu(g0, 1)
-        s = s - s.conj().T
-        step = g_plus + s
-        psi_next = psi @ step
-        delta = float(np.max(np.abs(psi_next - psi)))
-        psi = psi_next
-        if delta < tol * max(1.0, float(np.max(np.abs(psi)))):
-            return psi, it
-    return psi, max_iter
-
-
 def _gauge_fix(coeffs: np.ndarray) -> np.ndarray:
     """Left-multiply by the constant unitary making A(0) lower triangular
     with positive diagonal."""
@@ -202,10 +146,6 @@ def _gauge_fix(coeffs: np.ndarray) -> np.ndarray:
     phases = np.where(np.abs(phases) < 1e-300, 1.0, phases / np.abs(phases))
     u = np.diag(np.conj(phases)) @ u
     return np.einsum("ij,kjl->kil", u, coeffs)
-
-
-def _default_target(phi: np.ndarray) -> float:
-    return 1e-9 * (1.0 + float(np.max(np.abs(phi), initial=0.0)))
 
 
 def laurent_values(d, thetas) -> np.ndarray:
@@ -407,68 +347,48 @@ def row_defect_factor(coeffs, split: DefectSplit) -> FactorizationReport:
     return FactorizationReport(symbol, residual, "exact", 0, 0.0)
 
 
-def matrix_outer_factor(phi, max_iter: int = _MAX_ITER, tol: float = _STEP_TOL,
-                        eps_floor: float = _EPS_FLOOR,
-                        residual_target: float | None = None) -> FactorizationReport:
-    """Outer spectral factor of a Hermitian PSD boundary field by Wilson's
-    iteration.
+def matrix_outer_factor(phi) -> FactorizationReport:
+    """Outer factor a with |a|^2 = phi of a sampled nonnegative scalar field.
 
-    Raises ExtremeTypeError when log det Phi is not integrable (no analytic
-    factor exists) and ConvergenceError when no route reaches the residual
-    target.  Fields touching zero are floored by eps * I before the
-    iteration, and ``regularization`` reports that floor.  A scalar field
-    that Wilson leaves above the target and that is a trigonometric
-    polynomial of degree <= 64 is factored exactly from its unregularized
-    samples by root splitting (method ``roots``, regularization 0).
-    Polynomial row symbols should use ``row_defect_factor``.
+    The field's Laurent coefficients come from one FFT, trimmed at 1e-12
+    times its largest value, and are factored by the root split of
+    ``defect_split`` (method ``roots``); the factor is checked on the grid by
+    ``factor_residual``.  Raises ValueError for a matrix field (polynomial
+    rows go through ``row_defect_factor``), a field that is not positive
+    semidefinite, or one that is not a trigonometric polynomial of degree
+    <= 64; ExtremeTypeError when the field vanishes identically or log phi
+    is not integrable (no outer factor exists); ConvergenceError when the
+    grid residual misses its target.
     """
-    phi = _hermitize(_as_field(phi))
-    n_grid, n, _ = phi.shape
-    if n > 8:
-        raise ValueError("matrix factorization is supported for n <= 8")
-    scale = float(np.max(np.abs(phi))) if phi.size else 0.0
-    if residual_target is None:
-        residual_target = _default_target(phi)
-    min_eig = _min_eigenvalue(phi)
-    if min_eig < -1e-10 * max(scale, 1.0):
+    field = _as_field(phi)
+    if field.shape[1] != 1:
+        raise ValueError("matrix_outer_factor takes scalar fields; factor the "
+                         "defect of a polynomial row with row_defect_factor")
+    values = field[:, 0, 0].real
+    n_grid = values.size
+    scale = float(np.max(np.abs(values)))
+    if np.min(values) < -1e-10 * max(scale, 1.0):
         raise ValueError("input field is not positive semidefinite")
-    dets = np.linalg.det(phi).real
-    if not log_diagnostic(np.maximum(dets, 0.0)).finite:
-        raise ExtremeTypeError(
-            "log det of the defect field is not integrable; no outer factor"
-        )
-    regularization = 0.0
-    work = phi
-    if min_eig < eps_floor:
-        regularization = eps_floor
-        work = phi + eps_floor * np.eye(n)[None]
-
-    phi_t = np.transpose(work, (0, 2, 1))  # psi psi* = Phi^T  <=>  A*A = Phi
-    psi, iterations = _wilson(phi_t, max_iter, tol)
-    coeffs = _gauge_fix(_analytic_coeffs(np.transpose(psi, (0, 2, 1))))
-    symbol = MatrixSymbol(coeffs)
-    residual = factor_residual(symbol, phi)
-    method = "wilson"
-
-    if residual > residual_target and n == 1:
-        laurent = np.fft.fft(phi[:, 0, 0])[: n_grid // 2] / n_grid
-        laurent = trim(laurent, 1e-12 * scale)
-        if laurent.size <= _ROOTS_MAX_DEGREE + 1:
-            alt_symbol = MatrixSymbol(_outer_from_laurent(laurent)[0][:, None, None])
-            alt_residual = factor_residual(alt_symbol, phi)
-            if alt_residual < residual:
-                # the root splitter factors the unregularized samples
-                symbol, residual, method = alt_symbol, alt_residual, "roots"
-                regularization = 0.0
-
-    if residual > residual_target:
+    laurent = trim(np.fft.fft(values)[: n_grid // 2] / n_grid, 1e-12 * scale)
+    if float(np.max(np.abs(laurent))) <= _ZERO_DEFECT:
+        raise ExtremeTypeError("the field vanishes identically; no outer factor")
+    if laurent.size > _ROOTS_MAX_DEGREE + 1:
+        if not log_diagnostic(np.maximum(values, 0.0)).finite:
+            raise ExtremeTypeError(
+                "log of the field is not integrable; no outer factor")
+        raise ValueError(f"the field is not a trigonometric polynomial of "
+                         f"degree <= {_ROOTS_MAX_DEGREE}")
+    symbol = MatrixSymbol(_outer_from_laurent(laurent)[0][:, None, None])
+    residual = factor_residual(symbol, values)
+    target = 1e-9 * (1.0 + scale)
+    if residual > target:
         raise ConvergenceError(
-            f"spectral factorization stalled at residual {residual:.3e} "
-            f"(target {residual_target:.3e})",
+            f"root-split factor missed its grid target: residual "
+            f"{residual:.3e} (target {target:.3e})",
             residual=residual,
         )
-    symbol = MatrixSymbol(trim_blocks(symbol.coeffs))
-    return FactorizationReport(symbol, residual, method, iterations, regularization)
+    return FactorizationReport(MatrixSymbol(trim_blocks(symbol.coeffs)), residual,
+                               "roots", 0, 0.0)
 
 
 def trim_blocks(coeffs: np.ndarray, tol: float = 1e-14) -> np.ndarray:

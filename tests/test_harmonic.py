@@ -3,16 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbspace.errors import DegenerateModulusError
 from hbspace.harmonic import (
     BoundaryGrid,
     DiskFunction,
     boundary_from_taylor,
     grid_points,
-    herglotz,
     log_diagnostic,
-    outer_from_modulus,
-    poisson_extend,
     taylor_from_boundary,
 )
 
@@ -84,90 +80,6 @@ def test_riesz_quotient_mode_example():
     assert abs(c[0] - 1 / np.sqrt(2)) < 1e-13
 
 
-def test_poisson_constant():
-    assert abs(poisson_extend(3.0 * np.ones(N), 0.3 + 0.2j) - 3.0) < 1e-12
-
-
-def test_poisson_cosine_mode():
-    zeta = grid_points(N)
-    s = zeta.real
-    assert abs(poisson_extend(s, 0.0)) < 1e-13
-    assert abs(poisson_extend(s, 0.5) - 0.5) < 1e-10
-
-
-def test_poisson_rejects_exterior_and_unresolved():
-    with pytest.raises(ValueError):
-        poisson_extend(np.ones(N), 1.0)
-    with pytest.raises(ValueError):
-        poisson_extend(np.ones(N), 1.0 - 1e-6)  # N (1 - r) < 16
-
-
-def test_herglotz_constant():
-    h = herglotz(np.ones(N))
-    assert abs(h(0.4 + 0.1j) - 1.0) < 1e-12
-
-
-def test_herglotz_cosine():
-    zeta = grid_points(N)
-    h = herglotz(1.0 + zeta.real)
-    z = 0.3 - 0.25j
-    assert abs(h(z) - (1.0 + z)) < 1e-12
-
-
-def test_herglotz_real_part_matches_poisson(rng):
-    zeta = grid_points(N)
-    s = np.exp(np.cos(np.angle(zeta))) + 0.5 * zeta.real ** 2
-    h = herglotz(s)
-    assert abs(h.at_zero().imag) < 1e-14
-    for _ in range(20):
-        z = rng.uniform(0, 0.8) * np.exp(2j * np.pi * rng.uniform())
-        assert abs(h(z).real - poisson_extend(s, z)) < 1e-10
-
-
-def test_herglotz_lower_bound():
-    # boundary data >= 1 everywhere forces |H| >= 1 in the disk
-    zeta = grid_points(N)
-    s = 1.0 + 0.5 * (1.0 + zeta.real)
-    h = herglotz(s)
-    pts = 0.8 * np.exp(2j * np.pi * np.arange(40) / 40)
-    assert np.min(np.abs(h(pts))) >= 1.0 - 1e-10
-
-
-def test_outer_constant_moduli():
-    w = outer_from_modulus(2.0 * np.ones(N))
-    assert abs(w(0.2 + 0.3j) - 2.0) < 1e-10
-    w2 = outer_from_modulus(np.ones(N) / np.sqrt(2))
-    assert abs(w2(0.0) - 1 / np.sqrt(2)) < 1e-12
-
-
-def test_outer_recovers_polynomial_factor():
-    zeta = grid_points(N)
-    w = outer_from_modulus(np.abs(1.0 - zeta / 2.0))
-    assert abs(w(0.0) - 1.0) < 1e-10
-    target = np.zeros_like(w.taylor)
-    target[:2] = [1.0, -0.5]
-    assert np.max(np.abs(w.taylor - target)) < 1e-10
-
-
-def test_outer_modulus_match_and_zero_free():
-    zeta = grid_points(N)
-    m = np.exp(0.3 * np.cos(np.angle(zeta))) * (1.2 + 0.3 * np.sin(np.angle(zeta)))
-    w = outer_from_modulus(m)
-    mod = np.abs(boundary_from_taylor(w.taylor, N).samples)
-    mask = m >= 1e-3
-    assert np.max(np.abs(mod[mask] - m[mask]) / m[mask]) < 1e-8
-    circle = 0.95 * np.exp(2j * np.pi * np.arange(64) / 64)
-    assert np.min(np.abs(w(circle))) > 1e-6
-    assert w(0.0).real > 0
-
-
-def test_outer_rejects_degenerate_modulus():
-    zeta = grid_points(N)
-    m = np.where(np.abs(np.angle(zeta)) < np.pi / 4, 0.0, 1.0)
-    with pytest.raises(DegenerateModulusError):
-        outer_from_modulus(m)
-
-
 def test_log_diagnostic_constant():
     verdict = log_diagnostic(np.full(N, 0.5), base_n=N)
     assert verdict.finite
@@ -184,28 +96,6 @@ def test_log_diagnostic_integrable_singularity():
 def test_log_diagnostic_divergent_on_arc():
     verdict = log_diagnostic(lambda t: np.where(t < np.pi / 2, 0.0, 1.0), base_n=N)
     assert not verdict.finite
-
-
-def _poisson_of_modulus_squared(coeffs, z):
-    # coefficient-convolution oracle: P[|f|^2](z) = sum_m c_m with
-    # c_m = sum_k f_{k+m} conj(f_k) z^m for m >= 0 and the mirror for m < 0
-    c = np.asarray(coeffs, dtype=complex)
-    total = 0.0 + 0.0j
-    d = c.size
-    for m in range(-d + 1, d):
-        corr = sum(c[k + m] * np.conj(c[k]) for k in range(d) if 0 <= k + m < d)
-        total += corr * (z ** m if m >= 0 else np.conj(z) ** (-m))
-    return total.real
-
-
-@pytest.mark.parametrize("coeffs", [[1.0, 1.0], [0.0, 1.0], [1.0, 1.0, 1.0]])
-def test_poisson_of_modulus_squared_matches_convolutions(coeffs):
-    zeta = grid_points(N)
-    f_boundary = np.polyval(np.asarray(coeffs)[::-1], zeta)
-    z = 0.4 - 0.3j
-    direct = poisson_extend(np.abs(f_boundary) ** 2, z)
-    oracle = _poisson_of_modulus_squared(coeffs, z)
-    assert abs(direct - oracle) < 1e-12
 
 
 def test_disk_function_roundtrip():

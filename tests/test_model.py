@@ -565,11 +565,16 @@ def test_handle_certificate_bounds_the_grid_and_keeps_the_route(n_grid):
         assert pair.residual <= space.tol_solve * (1.0 + pair.norm)
         smin = np.min(np.linalg.svd(space.factor.samples(n_grid), compute_uv=False))
         routes.add(bool(smin > 1e-2))
-        # the certificate is recomputed from the factor on every call
+        # the factor is read-only, so the certificate always describes the
+        # factor that embed uses; a bumped factor shows in the bound
         bumped = space.factor.coeffs.copy()
         bumped[0] += eps * np.eye(space.n)
-        space.factor = MatrixSymbol(bumped)
-        assert space.defect_identity_residual() >= eps / 2
+        with pytest.raises(AttributeError):
+            space.factor = MatrixSymbol(bumped)
+        with pytest.raises(AttributeError):
+            space.factorization = None
+        assert spectral.defect_identity_bound(
+            bumped, symbol.coefficient_matrix()) >= eps / 2
     assert routes == {True, False}
 
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 from scipy.optimize import linear_sum_assignment
 
 from hbspace import spectral
 from hbspace.errors import ConvergenceError, ExtremeTypeError, InvariantViolation
-from hbspace.harmonic import grid_points, outer_from_modulus
+from hbspace.harmonic import grid_points
 from hbspace.model import SpaceHandle
 from hbspace.series import trim
 from hbspace.spectral import (
@@ -21,13 +22,6 @@ from conftest import RANK2_EXAMPLE, ddelta_taylor, noncontractive_row, scaled_ro
 N = 1024
 
 
-def test_identity_field_factors_to_identity():
-    phi = np.tile(np.eye(2, dtype=complex), (N, 1, 1))
-    rep = matrix_outer_factor(phi)
-    assert rep.symbol.degree == 0
-    assert np.max(np.abs(rep.symbol.at_zero() - np.eye(2))) < 1e-12
-
-
 def test_constant_scalar_factor():
     rep = matrix_outer_factor(np.full(N, 0.5, dtype=complex))
     assert abs(rep.symbol.at_zero()[0, 0] - 1.0 / np.sqrt(2.0)) < 1e-12
@@ -38,7 +32,7 @@ def test_polynomial_scalar_reconstruction():
     zeta = grid_points(N)
     rep = matrix_outer_factor(np.abs(1.0 - zeta / 2.0) ** 2)
     coeffs = rep.symbol.coeffs[:, 0, 0]
-    assert rep.method == "wilson"
+    assert rep.method == "roots"
     assert abs(coeffs[0] - 1.0) < 1e-10
     assert abs(coeffs[1] + 0.5) < 1e-10
     assert coeffs[2:].size == 0 or np.max(np.abs(coeffs[2:])) < 1e-10
@@ -62,21 +56,6 @@ def test_factor_residual_first_order_growth():
     assert 0.5 * norm_a < slope < 4.0 * norm_a
 
 
-def test_scalar_consistency_with_log_construction():
-    zeta = grid_points(N)
-    phi = 1.0 - np.abs(zeta) ** 2 / 2.0  # == 1/2; symbol z / sqrt(2)
-    a = matrix_outer_factor(phi.astype(complex)).symbol
-    w = outer_from_modulus(np.sqrt(phi.real))
-    assert abs(a.at_zero()[0, 0] - w(0.0)) < 1e-8
-
-    phi2 = np.abs(1.0 - zeta / 2.0) ** 2
-    a2 = matrix_outer_factor(phi2).symbol
-    w2 = outer_from_modulus(np.sqrt(phi2.real))
-    vals_a = a2.samples(N)[:, 0, 0]
-    vals_w = w2.boundary.samples
-    assert np.max(np.abs(vals_a - vals_w)) < 1e-8
-
-
 def test_factorization_is_deterministic():
     zeta = grid_points(N)
     phi = np.abs(1.0 - 0.3 * zeta - 0.2 * zeta ** 2) ** 2
@@ -85,57 +64,13 @@ def test_factorization_is_deterministic():
     assert np.array_equal(a1, a2)
 
 
-def _two_by_two_field():
-    zeta = grid_points(N)
-    a0 = np.array([[1.0, 0.0], [0.2, 0.8]])
-    a1 = np.array([[0.1, -0.3], [0.0, 0.25]])
-    samp = a0[None] + a1[None] * zeta[:, None, None]
-    return np.conj(np.transpose(samp, (0, 2, 1))) @ samp
-
-
-def test_matrix_factor_properties():
-    phi = _two_by_two_field()
-    rep = matrix_outer_factor(phi)
-    assert rep.residual < 1e-10
-    a0 = rep.symbol.at_zero()
-    assert abs(a0[0, 1]) < 1e-10  # lower triangular gauge
-    assert a0[0, 0].real > 0 and a0[1, 1].real > 0
-    assert abs(a0[0, 0].imag) < 1e-12 and abs(a0[1, 1].imag) < 1e-12
-    # outer: the determinant does not vanish inside the disk
-    circle = 0.99 * np.exp(2j * np.pi * np.arange(128) / 128)
-    dets = np.array([np.linalg.det(rep.symbol.at(z)) for z in circle])
-    assert np.min(np.abs(dets)) > 1e-6
-
-
-def test_matrix_factor_analyticity():
-    phi = _two_by_two_field()
-    rep = matrix_outer_factor(phi)
-    samples = rep.symbol.samples(N)
-    spectrum = np.fft.fft(samples, axis=0) / N
-    negative = spectrum[N // 2:]
-    assert np.max(np.abs(negative)) < 1e-8
-
-
-def test_determinant_matches_scalar_outer_factor():
-    phi = _two_by_two_field()
-    rep = matrix_outer_factor(phi)
-    det_a = np.linalg.det(rep.symbol.samples(N))
-    det_phi = np.linalg.det(phi).real
-    w = outer_from_modulus(np.sqrt(np.maximum(det_phi, 0.0)))
-    ratio = det_a / w.boundary.samples
-    # equal up to one unimodular constant
-    assert np.max(np.abs(ratio - ratio[0])) < 1e-6
-    assert abs(abs(ratio[0]) - 1.0) < 1e-6
-
-
 def test_boundary_zero_field_is_regularized():
     zeta = grid_points(N)
     phi = (np.abs(1.0 - zeta) ** 2 / 4.0).astype(complex)  # sin^2(theta/2)
     rep = matrix_outer_factor(phi)
     assert rep.residual < 1e-8
-    # Wilson stalls on the floored field; the scalar fallback root-splits the
-    # unregularized samples and returns the exact factor (1 - z) / 2, so the
-    # report carries no regularization
+    # the root split factors the unregularized samples and returns the exact
+    # factor (1 - z) / 2, so the report carries no regularization
     assert rep.method == "roots"
     assert rep.regularization == 0
     assert np.max(np.abs(rep.symbol.coeffs[:, 0, 0] - [0.5, -0.5])) < 1e-14
@@ -166,6 +101,20 @@ def test_indefinite_field_rejected():
         matrix_outer_factor(phi)
 
 
+def test_matrix_field_is_refused():
+    phi = np.tile(np.eye(2, dtype=complex), (N, 1, 1))
+    with pytest.raises(ValueError, match="row_defect_factor"):
+        matrix_outer_factor(phi)
+
+
+def test_non_polynomial_field_is_refused():
+    # 1 / |1 - 0.9 z|^2 has the outer factor 1 / (1 - 0.9 z), but its Laurent
+    # coefficients 0.9^|m| / 0.19 stay above the trim for |m| up to 262
+    phi = 1.0 / np.abs(1.0 - 0.9 * grid_points(N)) ** 2
+    with pytest.raises(ValueError, match="not a trigonometric polynomial"):
+        matrix_outer_factor(phi)
+
+
 # -- the exact route for polynomial rows ----------------------------------------
 
 
@@ -191,6 +140,38 @@ def _random_row(rng, rank, sup):
     return rows * np.sqrt(sup / np.max(energy))
 
 
+def _wilson_reference(phi, max_iter=200, tol=1e-12):
+    """Outer factor of a sampled Hermitian PSD field by Wilson's Newton-type
+    iteration (Wilson, SIAM J. Appl. Math. 23, 1972), an independent reference
+    for the root split: psi with psi psi* = Phi^T is iterated on the grid,
+    and A is the analytic part of psi^T, tail-trimmed at 1e-13 and gauged."""
+    phi = 0.5 * (phi + np.conj(np.transpose(phi, (0, 2, 1))))
+    n_grid, n, _ = phi.shape
+    phi_t = np.transpose(phi, (0, 2, 1))
+    mean0 = phi_t.mean(axis=0)
+    vals, vecs = eigh(0.5 * (mean0 + mean0.conj().T))
+    psi = np.tile((vecs * np.sqrt(np.clip(vals, 1e-300, None))) @ vecs.conj().T,
+                  (n_grid, 1, 1))
+    eye = np.eye(n)
+    for _ in range(max_iter):
+        psi_inv = np.linalg.inv(psi)
+        g = psi_inv @ phi_t @ np.conj(np.transpose(psi_inv, (0, 2, 1))) + eye
+        # analytic projection of g with halved zero mode
+        g_hat = np.fft.fft(g, axis=0) / n_grid
+        g_hat[0] *= 0.5
+        s = np.triu(g_hat[0], 1)
+        g_hat[n_grid // 2:] = 0.0
+        psi_next = psi @ (np.fft.ifft(g_hat, axis=0) * n_grid + s - s.conj().T)
+        delta = float(np.max(np.abs(psi_next - psi)))
+        psi = psi_next
+        if delta < tol * max(1.0, float(np.max(np.abs(psi)))):
+            break
+    coeffs = (np.fft.fft(np.transpose(psi, (0, 2, 1)), axis=0) / n_grid)[: n_grid // 2]
+    mags = np.max(np.abs(coeffs), axis=(1, 2))
+    coeffs = coeffs[: int(np.nonzero(mags > 1e-13 * mags.max())[0][-1]) + 1]
+    return spectral.trim_blocks(spectral._gauge_fix(coeffs))
+
+
 def _min_det_inside(symbol, radius=0.99, count=256):
     circle = radius * np.exp(2j * np.pi * np.arange(count) / count)
     return min(abs(np.linalg.det(symbol.at(z))) for z in circle)
@@ -213,9 +194,7 @@ def test_exact_factor_matches_wilson_on_interior_rows(sup):
         for _ in range(4):
             rows = _random_row(rng, rank, sup)
             exact = row_defect_factor(rows, defect_split(rows))
-            wilson = matrix_outer_factor(_row_field(rows, N))
-            assert wilson.regularization == 0.0
-            a, w = exact.symbol.coeffs, wilson.symbol.coeffs
+            a, w = exact.symbol.coeffs, _wilson_reference(_row_field(rows, N))
             width = max(a.shape[0], w.shape[0])
             a = np.concatenate([a, np.zeros((width - a.shape[0],) + a.shape[1:])])
             w = np.concatenate([w, np.zeros((width - w.shape[0],) + w.shape[1:])])
