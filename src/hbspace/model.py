@@ -9,27 +9,28 @@ norm is ||f||_2^2 + ||f_1||_2^2.
 
 For polynomial data the model is finite and exact.  The Taylor coefficients
 g_m (in conj(zeta)) of A*^{-1} B* solve the block lower-triangular Toeplitz
-system sum_k A_k* g_{m-k} = B_m*; a handle computes them once by one banded
-LAPACK solve and grows them on demand by doubling (det A has no zeros in the
-open disk, so the recurrence is stable; zeros on the circle make g grow at
-most polynomially).  The companion of a polynomial is then the correlation
-f_1[j] = -sum_{k >= j} g_{k-j} f_k, the monomial Gram is I + C*C with C the
-block Toeplitz matrix of those companions, and the Szego kernel s_w has the
-companion -A(w)^{-*} B(w)* s_w.  The residual of a pair is the norm of the
-nonnegative Laurent coefficients of B* f + A* f_1, a finite sum; its negative
-coefficients are the co-analytic data that the forward shift and the
-resolvent read.  No circle grid enters the embedding.
+system sum_k A_k* g_{m-k} = B_m*; a handle computes them once by a block
+recurrence (one dense solve for a first chunk, the rest by matmuls with
+repeated squaring) and grows them on demand by doubling (det A has no zeros
+in the open disk, so the recurrence is stable; zeros on the circle make g
+grow at most polynomially).  The companion of a polynomial is then the
+correlation f_1[j] = -sum_{k >= j} g_{k-j} f_k, the monomial Gram is I + C*C
+with C the block Toeplitz matrix of those companions, and the Szego kernel
+s_w has the companion -A(w)^{-*} B(w)* s_w.  The residual of a pair is the
+norm of the nonnegative Laurent coefficients of B* f + A* f_1, a finite
+sum; its negative coefficients are the co-analytic data that the forward
+shift and the resolvent read.  No circle grid enters the embedding.
 """
 
 import warnings
 
 import numpy as np
-from scipy.linalg.lapack import ztbtrs
 
 from .errors import ExtremeTypeError, NumericalError
 from .harmonic import DEFAULT_GRID
 from .series import (
     as_coeffs,
+    banded_recurrence,
     finite_coeffs,
     geometric_divide,
     h2_norm_sq,
@@ -171,26 +172,16 @@ class SpaceHandle:
         """g_0, ..., g_{length-1} as columns, grown by doubling on demand.
 
         Multiplied through by A_0*^{-1}, the system sum_k A_k* g_{m-k} = B_m*
-        is unit lower triangular with block (m, m - k) = A_0*^{-1} A_k*, of
-        bandwidth n (p + 1) - 1 for a factor of degree p: one banded
-        triangular LAPACK solve (tbtrs), with no pivoting storage.
+        is the block recurrence g_m = A_0*^{-1} B_m* - sum_{k >= 1}
+        A_0*^{-1} A_k* g_{m-k}, run by ``series.banded_recurrence``: one
+        dense solve for its first chunk, then matmuls.
         """
         if self._g.shape[1] < length:
             size = max(length, 2 * self._g.shape[1])
-            n = self.n
             lead = np.linalg.inv(self._w[0, :, 1:])  # A_0*^{-1}
             steps = lead @ self._w[1:, :, 1:]  # A_0*^{-1} A_k* for k >= 1
-            # entry (m n + i, (m - k) n + j) = steps[k - 1, i, j] sits in band
-            # row k n + i - j of column (m - k) n + j; the unit diagonal is implied
-            k, i, j = np.indices(steps.shape)
-            pattern = np.zeros((n * (steps.shape[0] + 1), n), dtype=complex)
-            pattern[(k + 1) * n + i - j, j] = steps
-            rhs = np.zeros((size, n), dtype=complex)
-            width = min(size, self._w.shape[0])
-            rhs[:width] = self._w[:width, :, 0] @ lead.T
-            band = np.tile(pattern.T, (size, 1)).T  # Fortran order, as LAPACK reads it
-            g, _ = ztbtrs(band, rhs.reshape(-1, 1), uplo="L", diag="U", overwrite_b=1)
-            self._g = g.reshape(size, n).T.copy()
+            rhs = self._w[:, :, 0] @ lead.T
+            self._g = banded_recurrence(steps, rhs, size).T.copy()
         return self._g[:, :length]
 
     def _companions(self, c: np.ndarray) -> np.ndarray:

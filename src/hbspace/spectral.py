@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebroots
-from scipy.linalg import rq
 
 from .errors import ConvergenceError, ExtremeTypeError, InvariantViolation
 from .harmonic import log_diagnostic
@@ -139,8 +138,9 @@ def _gauge_fix(coeffs: np.ndarray) -> np.ndarray:
     """Left-multiply by the constant unitary making A(0) lower triangular
     with positive diagonal."""
     a0 = coeffs[0]
-    r, q = rq(a0.conj().T)
-    u = q  # u a0 = (r q)^H q ... = r^H, lower triangular
+    # a0 J = Q R with J the reversal, so u = J Q* gives u a0 = J R J, lower triangular
+    q, _ = np.linalg.qr(a0[:, ::-1])
+    u = q.conj().T[::-1]
     lower = u @ a0
     phases = np.diagonal(lower).copy()
     phases = np.where(np.abs(phases) < 1e-300, 1.0, phases / np.abs(phases))

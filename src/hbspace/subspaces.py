@@ -3,11 +3,12 @@ intersections, polynomial density residuals, the nearly-invariant norm
 formula, and the quotient membership test for forward-shift-invariant
 subspaces."""
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from numpy.polynomial import polynomial as P
 
 from .analysis import LimitSchedule, _divided_difference_all, _radial_limit, _shift_defects
 from .errors import ConfigError, ConvergenceError, NumericalError
@@ -125,9 +126,9 @@ def intersect_model_space(space, theta: BlaschkeProduct,
         return SubspaceBasis([], np.zeros((0, 0)))
     raw = _stack([space.embed(m) for m in members])
     gm = raw @ raw.conj().T
-    low = cholesky(0.5 * (gm + gm.conj().T), lower=True)
+    low = np.linalg.cholesky(0.5 * (gm + gm.conj().T))
     width = max(m.size for m in members)
-    ortho = solve_triangular(low, raw[:, :width], lower=True)
+    ortho = np.linalg.solve(low, raw[:, :width])
     coeffs = [np.trim_zeros(row, "b") if np.any(row) else row[:1] for row in ortho]
     pairs = [space.embed(c) for c in coeffs]
     rows = _stack(pairs)
@@ -176,8 +177,8 @@ def poly_density_residual(space, coeffs, degrees) -> PolyDensityResult:
     norm_sq = float(np.sum(np.abs(rows[0]) ** 2))
     truncated_solve = False
     try:
-        low = cholesky(0.5 * (gm + gm.conj().T), lower=True)
-        t = solve_triangular(low, b, lower=True)
+        low = np.linalg.cholesky(0.5 * (gm + gm.conj().T))
+        t = np.linalg.solve(low, b)
         proj_sq = np.cumsum(np.abs(t) ** 2)[degrees]
     except np.linalg.LinAlgError:
         truncated_solve = True
@@ -297,6 +298,43 @@ class QuotientMembershipReport:
         return self.member
 
 
+def _split_radius(phi, c, m) -> float:
+    """How far rounding moves the roots of an m-fold zero of phi at c:
+    (eps sum_k |phi_k| |c|^k / |t_m|)^(1/m), t_m = phi^(m)(c) / m! the
+    leading Taylor coefficient at c, with a safety factor 4."""
+    lead = abs(P.polyval(c, P.polyder(phi, m))) / math.factorial(m)
+    scale = np.finfo(float).eps * float(np.sum(np.abs(phi) * abs(c) ** np.arange(phi.size)))
+    return 4.0 * (scale / lead) ** (1.0 / m) if lead > 0.0 else np.inf
+
+
+def _closed_disk_zeros(phi) -> np.ndarray:
+    """Closed-disk zeros of phi, each repeated by its multiplicity.
+
+    An m-fold zero splits under rounding into m roots about
+    ``_split_radius`` from it (eps^(1/m) for a monic (z - 1)^m), while the
+    centroid of that cluster keeps the zero to roundoff.  The closest
+    clusters merge while every member lies within the split radius of their
+    joint centroid; a cluster is kept when its centroid c has
+    |c| <= 1 + _CIRCLE_TOL, as c repeated m times.
+    """
+    clusters = [[r] for r in np.roots(phi[::-1])]
+    merged = True
+    while merged:
+        merged = False
+        pairs = sorted((abs(np.mean(a) - np.mean(b)), i, j)
+                       for j, b in enumerate(clusters) for i, a in enumerate(clusters[:j]))
+        for _, i, j in pairs:
+            joint = clusters[i] + clusters[j]
+            c = complex(np.mean(joint))
+            if np.max(np.abs(np.array(joint) - c)) <= _split_radius(phi, c, len(joint)):
+                clusters[i] = joint
+                del clusters[j]
+                merged = True
+                break
+    kept = [[np.mean(k)] * len(k) for k in clusters if abs(np.mean(k)) <= 1.0 + _CIRCLE_TOL]
+    return np.array(sum(kept, []), dtype=complex)
+
+
 def shift_subspace_membership(space, phi, f) -> QuotientMembershipReport:
     """Membership of f in the shift-invariant subspace generated by phi.
 
@@ -304,16 +342,17 @@ def shift_subspace_membership(space, phi, f) -> QuotientMembershipReport:
     vector Hardy space.  The companions of a polynomial are polynomials (the
     exact model), so in every space the second condition follows from the
     first, which holds iff every zero of phi in the closed disk is a zero of
-    f of at least the same order.  Exact division of f by those zeros
-    certifies it: ``evidence`` holds the zeros, the remainder (its largest
-    Newton coefficient relative to max |f_k|) and, for a non-member, ``pole``.
+    f of at least the same order.  Exact division of f by those zeros, a
+    multiple zero taken once per order at the centroid of the roots it
+    splits into (``_closed_disk_zeros``), certifies it: ``evidence`` holds the
+    zeros, the remainder (its largest Newton coefficient relative to
+    max |f_k|) and, for a non-member, ``pole``.
     """
     phi = finite_coeffs(phi)
     f = finite_coeffs(f)
     if not np.any(phi):
         raise ValueError("phi must be nonzero")
-    zeros = np.roots(phi[::-1])
-    zeros = zeros[np.abs(zeros) <= 1.0 + _CIRCLE_TOL]
+    zeros = _closed_disk_zeros(phi)
     # f = q prod_k (z - zeros_k) + sum_k v_k prod_{j<k} (z - zeros_j): v_k is
     # the value at zeros_k of f divided exactly by the zeros before it
     values, rest = [], f

@@ -13,11 +13,11 @@ explicit isometric embedding instead of a symbol.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh, solve
 
 from .errors import InvariantViolation, NumericalError
 from .harmonic import DEFAULT_GRID, DiskFunction, boundary_from_taylor, grid_points
-from .series import as_coeffs, divided_difference, finite_coeffs, h2_norm_sq, horner
+from .series import (as_coeffs, divided_difference, finite_coeffs, h2_norm_sq, horner,
+                     szego_taylor)
 from .spectral import DefectSplit, defect_split
 
 _INDEPENDENCE_TOL = 1e-10
@@ -168,7 +168,7 @@ def delta_boundary(symbol: RowSymbol, zeta) -> np.ndarray:
     """Defect matrix (I - B(zeta)* B(zeta))^(1/2) at a boundary point."""
     row = symbol.row_at(zeta)[None, :]  # 1 x n
     m = np.eye(symbol.n, dtype=complex) - row.conj().T @ row
-    vals, vecs = eigh(0.5 * (m + m.conj().T))
+    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
@@ -248,7 +248,7 @@ class DirichletSpace:
         self.measure = measure
         self.degree = degree
         self._gram_cache: dict[int, np.ndarray] = {}
-        self._chol_cache: dict[int, tuple] = {}
+        self._solver_cache: dict[int, np.ndarray] = {}
 
     @property
     def rank(self) -> int:
@@ -325,37 +325,39 @@ class DirichletSpace:
         self._gram_cache[degree] = g
         return g
 
-    def _kernel_solver(self, degree: int):
-        if degree not in self._chol_cache:
-            self._chol_cache[degree] = cho_factor(self.monomial_gram(degree))
-        return self._chol_cache[degree]
+    def _kernel_solver(self, degree: int) -> np.ndarray:
+        """L^{-1} for the Cholesky factor L L* of the monomial Gram G, so that
+        G^{-1} = L^{-*} L^{-1} and k(z, lam) = <L^{-1} s_lam, L^{-1} s_z>, with
+        s_w the Taylor coefficients conj(w)**k."""
+        if degree not in self._solver_cache:
+            self._solver_cache[degree] = np.linalg.inv(
+                np.linalg.cholesky(self.monomial_gram(degree)))
+        return self._solver_cache[degree]
 
     def kernel(self, z, lam, degree: int | None = None) -> complex:
         """Reproducing kernel of the degree-truncated space; converges
         geometrically to the kernel of the full space for |z|, |lam| < 1."""
         _check_strict_interior(z, lam)
         degree = self.degree if degree is None else degree
-        solver = self._kernel_solver(degree)
-        mono_lam = np.conj(lam) ** np.arange(degree + 1)
-        alpha = cho_solve(solver, mono_lam)
-        return complex(np.dot(z ** np.arange(degree + 1), alpha))
+        inv_low = self._kernel_solver(degree)
+        return complex(np.vdot(inv_low @ szego_taylor(z, degree),
+                               inv_low @ szego_taylor(lam, degree)))
 
     def gram(self, points, degree: int | None = None) -> np.ndarray:
         """Gram of kernel functions at interior points; PSD by construction."""
         pts = np.asarray(points, dtype=complex)
         _check_strict_interior(*pts)
         degree = self.degree if degree is None else degree
-        vand = pts[:, None] ** np.arange(degree + 1)[None, :]
-        solver = self._kernel_solver(degree)
-        k = vand @ cho_solve(solver, vand.conj().T)
+        vand = np.conj(pts)[None, :] ** np.arange(degree + 1)[:, None]
+        y = self._kernel_solver(degree) @ vand
+        k = y.conj().T @ y
         return 0.5 * (k + k.conj().T)
 
     def kernel_taylor(self, lam, degree: int | None = None) -> np.ndarray:
         _check_strict_interior(lam)
         degree = self.degree if degree is None else degree
-        solver = self._kernel_solver(degree)
-        mono_lam = np.conj(lam) ** np.arange(degree + 1)
-        return cho_solve(solver, mono_lam)
+        inv_low = self._kernel_solver(degree)
+        return inv_low.conj().T @ (inv_low @ szego_taylor(lam, degree))
 
 
 def dirichlet_norm(coeffs, measure: MeasureSpec, n_grid: int = DEFAULT_GRID) -> float:
@@ -396,7 +398,7 @@ def estimate_rank(gram: np.ndarray, tol: float = 1e-6,
     if evals[0] < -1e-10 * max(np.trace(g).real, 1.0):
         raise NumericalError("monomial Gram is not positive semidefinite")
     shift = np.eye(m, k=1)  # matrix of L on monomial coefficients
-    adj = solve(g, shift.conj().T @ g)  # compression of L*
+    adj = np.linalg.solve(g, shift.conj().T @ g)  # compression of L*
     q = g - g @ (shift @ adj)
     keep = m // 2 if keep is None else keep
     qk = q[:keep, :keep]

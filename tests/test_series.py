@@ -1,9 +1,16 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import ztbtrs
 
-from hbspace import subspaces
+from conftest import N_GRID, RANK2_EXAMPLE
+from hbspace import series, subspaces
+from hbspace.harmonic import DiskFunction
+from hbspace.model import SpaceHandle
+from hbspace.symbols import RowSymbol
 from hbspace.series import (
+    banded_recurrence,
     convolve,
     divided_difference,
     geometric_divide,
@@ -91,7 +98,11 @@ def test_overflowing_quotient_is_not_a_member(rank1_half):
     with np.errstate(all="ignore"):
         q = series_divide(f, phi, 2048)
     report = subspaces.shift_subspace_membership(rank1_half, phi, f)
+    # the quotient grows like 0.3**-k, past the double range from k = 588:
+    # it runs to inf/nan without raising and is exact up to there
     assert not np.all(np.isfinite(q))
+    ref = _series_divide_loop(f, phi, 500)
+    assert np.max(np.abs(q[:501] - ref) / np.abs(ref)) <= 1e-12
     assert not report.member
 
 
@@ -106,3 +117,89 @@ def test_szego_taylor_is_geometric():
     lam = 0.4 + 0.3j
     t = szego_taylor(lam, 6)
     assert np.allclose(t, np.conj(lam) ** np.arange(7))
+
+
+def _tbtrs_recurrence(steps, rhs, size):
+    """Reference: the block recurrence as one banded unit lower-triangular
+    LAPACK solve (ztbtrs) of bandwidth n (p + 1) - 1."""
+    steps = np.asarray(steps, dtype=complex)
+    rhs = np.asarray(rhs, dtype=complex)
+    n = rhs.shape[1]
+    # entry (m n + i, (m - k) n + j) = steps[k - 1, i, j] sits in band row
+    # k n + i - j of column (m - k) n + j; the unit diagonal is implied
+    k, i, j = np.indices(steps.shape)
+    pattern = np.zeros((n * (steps.shape[0] + 1), n), dtype=complex)
+    pattern[(k + 1) * n + i - j, j] = steps
+    padded = np.zeros((size, n), dtype=complex)
+    width = min(size, rhs.shape[0])
+    padded[:width] = rhs[:width]
+    band = np.tile(pattern.T, (size, 1)).T  # Fortran order, as LAPACK reads it
+    g, _ = ztbtrs(band, padded.reshape(-1, 1), uplo="L", diag="U")
+    return g.reshape(size, n)
+
+
+def _recurrence_data(space):
+    """S_k = A_0*^{-1} A_k* and r_m = A_0*^{-1} B_m* of a handle's correlation."""
+    lead = np.linalg.inv(space._w[0, :, 1:])
+    return lead @ space._w[1:, :, 1:], space._w[:, :, 0] @ lead.T
+
+
+def _seeded_row(rng, rank, sup):
+    """Rank components of degree rank..6 whose sup of sum |b_i|^2 is exactly
+    ``sup``: nonnegative coefficients peak at z = 1, and a rotation of z and a
+    phase per component keep the moduli."""
+    degree = int(rng.integers(rank, 7))
+    coeffs = np.zeros((rank, degree + 1), dtype=complex)
+    coeffs[:, 1:] = rng.uniform(0.1, 1.0, size=(rank, degree))
+    coeffs *= np.exp(1j * rng.uniform(0, 2 * np.pi)) ** np.arange(degree + 1)
+    coeffs *= np.exp(2j * np.pi * rng.uniform(size=(rank, 1)))
+    return coeffs * np.sqrt(sup / np.sum(np.sum(np.abs(coeffs), axis=1) ** 2))
+
+
+def _seeded_rows():
+    rng = np.random.default_rng(5)
+    return [pytest.param(_seeded_row(rng, rank, sup), id=f"rank{rank}-sup{sup}")
+            for rank in (1, 2, 3) for sup in (0.5, 0.9, 1.0)]
+
+
+@pytest.mark.parametrize("rows",
+                         [pytest.param(RANK2_EXAMPLE, id="rank2-example")] + _seeded_rows())
+def test_banded_recurrence_matches_tbtrs_on_seeded_rows(rows):
+    space = SpaceHandle(RowSymbol([DiskFunction(r, n_boundary=N_GRID) for r in rows]),
+                        n_grid=N_GRID)
+    _check_against_tbtrs(*_recurrence_data(space))
+
+
+@pytest.mark.parametrize("name", ["rank1_half", "cusp", "ddelta", "two_term", "weighted"])
+def test_banded_recurrence_matches_tbtrs_on_named_handles(name, request):
+    _check_against_tbtrs(*_recurrence_data(request.getfixturevalue(name)))
+
+
+def test_banded_recurrence_without_steps_is_the_right_hand_side():
+    rhs = np.arange(6.0).reshape(3, 2) + 1j
+    _check_against_tbtrs(np.zeros((0, 2, 2)), rhs)
+    g = banded_recurrence(np.zeros((0, 2, 2)), rhs, 40)
+    assert np.array_equal(g[:3], rhs) and not np.any(g[3:])
+
+
+def _check_against_tbtrs(steps, rhs):
+    n, p = rhs.shape[1], steps.shape[0]
+    chunk = max(series._CHUNK // n, p, rhs.shape[0])  # the first chunk's length
+    for size in (1, chunk - 1, chunk, chunk + 1, 257, 1025, 2048):
+        got = banded_recurrence(steps, rhs, size)
+        ref = _tbtrs_recurrence(steps[: size - 1], rhs, size)
+        assert got.shape == (size, n)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("lam_bar, width", [(0.0, 6), (0.95 * np.exp(-0.7j), 1),
+                                            (0.95 * np.exp(-0.7j), 40), (-0.5, 40)],
+                         ids=["origin", "width1", "width40", "real-width40"])
+def test_geometric_divide_equals_the_recurrence(lam_bar, width):
+    rng = np.random.default_rng(width)
+    f = rng.normal(size=width) + 1j * rng.normal(size=width)
+    for degree in (0, width - 1, width, 1024):
+        got = geometric_divide(f, lam_bar, degree)
+        ref = banded_recurrence([[[-lam_bar]]], f[:, None], degree + 1)[:, 0]
+        assert got.shape == (degree + 1,)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -375,6 +375,21 @@ def test_quotient_membership_circle_zero(rank1_half):
     assert not report.member and "pole" in report.evidence
 
 
+def test_quotient_membership_counts_circle_zeros_with_multiplicity(rank1_half):
+    # (1 - z)^4 splits into four roots 2.2e-4 from 1 (moduli 0.99978 to
+    # 1.00022); their centroid keeps the zero, taken four times
+    one = np.array([1.0, -1.0])
+    phi = convolve(convolve(one, one), convolve(one, one))
+    report = shift_subspace_membership(rank1_half, phi, convolve(phi, [0.3, 1.0]))
+    assert report.member
+    assert np.allclose(report.evidence["zeros"], [1.0] * 4, rtol=0.0, atol=1e-14)
+    assert report.evidence["remainder"] <= 1e-14
+    cube = convolve(convolve(one, one), one)
+    report = shift_subspace_membership(rank1_half, phi, convolve(cube, [0.3, 1.0]))
+    assert not report.member and "pole" in report.evidence
+    assert report.evidence["remainder"] >= 0.1
+
+
 @pytest.mark.parametrize("tail", [[np.inf, np.inf], [3.0, 1e200], [np.nan, 1.0]])
 def test_overflowing_tail_is_unstable(h2, tail):
     # f does not vanish at 0.5, the zero of phi, whatever its tail: a huge
