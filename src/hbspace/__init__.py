@@ -6,6 +6,7 @@ reverse-Carleson diagnostics."""
 __version__ = "0.1.0"
 
 from .harmonic import BoundaryGrid, DiskFunction, log_diagnostic
+from .series import SzegoSum
 from .symbols import (
     DirichletSpace,
     MeasureSpec,
@@ -54,6 +55,7 @@ __all__ = [
     "BoundaryGrid",
     "DiskFunction",
     "log_diagnostic",
+    "SzegoSum",
     "DirichletSpace",
     "MeasureSpec",
     "RowSymbol",

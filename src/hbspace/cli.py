@@ -30,6 +30,7 @@ from .catalog import named_space, space_from_json
 from .errors import ConfigError, HBSpaceError, InvariantViolation, NumericalError
 from .model import SpaceHandle
 from .reporting import heatmap, line_plot, write_csv
+from .series import SzegoSum
 from .subspaces import poly_density_residual
 from .symbols import estimate_rank
 
@@ -89,14 +90,18 @@ def _parse_coeffs(text) -> np.ndarray:
     return _finite(values, text)
 
 
-def _input_function(args, space) -> np.ndarray:
+def _input_function(args, space, cut=False):
+    """The --coeffs array, or the kernel at --kernel-at: exact on a handle
+    unless ``cut``, which takes its Taylor coefficients to the handle degree
+    (refused with NumericalError when the dropped tail is not negligible)."""
     if args.coeffs and args.kernel_at is not None:
         raise ConfigError("give either --coeffs or --kernel-at, not both")
     if args.coeffs:
         return _parse_coeffs(args.coeffs)
     if args.kernel_at is not None:
         lam = _complex(args.kernel_at)
-        return space.kernel_taylor(_finite(lam, args.kernel_at))
+        f = space.kernel_taylor(_finite(lam, args.kernel_at))
+        return f.taylor(space.degree) if cut and isinstance(f, SzegoSum) else f
     raise ConfigError("an input function is required: --coeffs or --kernel-at")
 
 
@@ -169,16 +174,16 @@ def cmd_embed(args) -> int:
     space = _load_space(args)
     f = _input_function(args, space)
     pair = space.embed(f)
-    companions, residual, norm = pair.companions, pair.residual, pair.norm
-    n = companions.shape[0]
+    residual, norm, n = pair.residual, pair.norm, pair.n
     print(f"residual: {residual:.6e}")
     print(f"norm: {norm:.12g}")
-    width = max(len(f), companions.shape[1] if companions.size else 0)
-    rows = [(k, f[k] if k < len(f) else 0.0,
-             *(companions[i, k] if k < companions.shape[1] else 0.0
-               for i in range(n)))
-            for k in range(width)]
     if args.out:
+        f, companions = pair.parts(space.degree + 1)
+        width = max(len(f), companions.shape[1] if companions.size else 0)
+        rows = [(k, f[k] if k < len(f) else 0.0,
+                 *(companions[i, k] if k < companions.shape[1] else 0.0
+                   for i in range(n)))
+                for k in range(width)]
         cols = ["k", "f"] + [f"f1_{i + 1}" for i in range(n)]
         write_csv(_out_path(args, "embed.csv"), cols, rows,
                   {"command": "embed", "seed": args.seed})
@@ -206,7 +211,7 @@ def cmd_norm(args) -> int:
 
 def cmd_norm_formula(args) -> int:
     space = _load_space(args)
-    f = _input_function(args, space)
+    f = _input_function(args, space, cut=True)
     k_max = 8 if args.quick else args.k_max
     schedule = LimitSchedule(args.k_min, k_max)
     est = norm_limit_estimate(space, f, schedule)
@@ -395,7 +400,9 @@ def _add_common(p):
 
 def _add_function_args(p):
     p.add_argument("--coeffs", help="Taylor coefficients, comma separated")
-    p.add_argument("--kernel-at", help="use the kernel function at this point")
+    p.add_argument("--kernel-at", help="use the kernel function at this point (exact on "
+                   "symbol spaces; norm-formula cuts it at the handle degree and "
+                   "refuses a cut that drops a non-negligible tail)")
 
 
 def build_parser() -> argparse.ArgumentParser:

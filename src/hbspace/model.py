@@ -20,6 +20,14 @@ s_w has the companion -A(w)^{-*} B(w)* s_w.  The residual of a pair is the
 norm of the nonnegative Laurent coefficients of B* f + A* f_1, a finite
 sum; its negative coefficients are the co-analytic data that the forward
 shift and the resolvent read.  No circle grid enters the embedding.
+
+Kernel functions are exact: k_lam = N_lam s_lam with the polynomial
+N_lam = 1 - sum_i conj(b_i(lam)) b_i, a ``series.SzegoSum``.  The pair of a
+term P s_lam is (P s_lam, (f_1 - c e_0) s_lam), with f_1 the companion of
+the polynomial P and c = A(lam)^{-*} U(conj(lam)), U the co-analytic part of
+B* P + A* f_1.  The nonnegative part of B* f + A* f_1 is then
+(X + U(conj(lam)) - A(lam)* c) s_lam, X the polynomial pair's own, so the
+residual is the H^2 norm of a Szego sum: finite, with no Taylor cut.
 """
 
 import warnings
@@ -29,15 +37,15 @@ import numpy as np
 from .errors import ExtremeTypeError, NumericalError
 from .harmonic import DEFAULT_GRID
 from .series import (
+    SzegoSum,
     as_coeffs,
     banded_recurrence,
     finite_coeffs,
-    geometric_divide,
     h2_norm_sq,
     horner,
+    power_table,
     shift_down,
     shift_up,
-    szego_taylor,
 )
 from .spectral import MatrixSymbol, row_defect_factor
 from .symbols import (
@@ -53,6 +61,13 @@ from .symbols import (
 
 def _fft_size(length: int) -> int:
     return 1 << max(length - 1, 1).bit_length()
+
+
+def _coefficient_pair(pair: ModelPair) -> ModelPair:
+    """``pair``, refused when exact: the shift actions read coefficient arrays."""
+    if pair.exact:
+        raise ValueError("shift actions take coefficient pairs; embed a .taylor(d) cut")
+    return pair
 
 
 class SpaceHandle:
@@ -84,9 +99,9 @@ class SpaceHandle:
 
         n = symbol.n
         self.mode = "analytic"
+        self._rows = rows = symbol.coefficient_matrix()
         if n == 0:
             return
-        rows = symbol.coefficient_matrix()
         # w[k] = [B_k*, A_k*], the Taylor blocks in conj(zeta) of [B*, A*]
         if n == 1 and symbol.defect.outer is None:  # d = 0: b is inner
             self.mode = "inner"
@@ -135,18 +150,13 @@ class SpaceHandle:
     def gram(self, points) -> np.ndarray:
         return gram_matrix(self.symbol, points)
 
-    def kernel_taylor(self, lam, degree: int | None = None) -> np.ndarray:
-        """Taylor coefficients of the kernel function at lam."""
+    def kernel_taylor(self, lam) -> SzegoSum:
+        """The kernel function at lam, exactly: N_lam s_lam with the polynomial
+        N_lam = 1 - sum_i conj(b_i(lam)) b_i.  ``.taylor(d)`` cuts it."""
         _check_strict_interior(lam)
-        degree = self.degree if degree is None else degree
-        width = max([c.taylor.size for c in self.symbol.components], default=1)
-        num = np.zeros(width, dtype=complex)
-        num[0] = 1.0
-        if self.n:
-            blam = np.conj(self.symbol.row_at(lam))
-            for coef, comp in zip(blam, self.symbol.components):
-                num[: comp.taylor.size] -= coef * comp.taylor
-        return geometric_divide(num, np.conj(lam), degree)
+        num = -np.conj(self._rows @ power_table(lam, self._rows.shape[1])) @ self._rows
+        num[0] += 1.0
+        return SzegoSum.trusted(num[None], np.array([lam], dtype=complex))
 
     def szego_density(self, points) -> np.ndarray:
         """(1 - |w|^2) ||s_w||^2 for the Szego kernel s_w = 1 / (1 - conj(w) z).
@@ -161,10 +171,13 @@ class SpaceHandle:
         if self.n == 0:
             return np.ones(pts.shape)
         rows = np.stack([horner(c.taylor, pts) for c in self.symbol.components], axis=-1)
-        powers = pts[..., None] ** np.arange(self.factor.coeffs.shape[0])
-        a_h = np.conj(np.einsum("...k,kji->...ij", powers, self.factor.coeffs))
-        v = np.linalg.solve(a_h, np.conj(rows)[..., None])[..., 0]
+        v = np.linalg.solve(self._factor_adjoint(pts), np.conj(rows)[..., None])[..., 0]
         return 1.0 + np.sum(np.abs(v) ** 2, axis=-1)
+
+    def _factor_adjoint(self, points) -> np.ndarray:
+        """A(w)* at each point, shape points.shape + (n, n)."""
+        powers = power_table(points, self.factor.coeffs.shape[0])
+        return np.conj(np.einsum("...k,kji->...ij", powers, self.factor.coeffs))
 
     # -- the embedding -----------------------------------------------------
 
@@ -174,31 +187,34 @@ class SpaceHandle:
         Multiplied through by A_0*^{-1}, the system sum_k A_k* g_{m-k} = B_m*
         is the block recurrence g_m = A_0*^{-1} B_m* - sum_{k >= 1}
         A_0*^{-1} A_k* g_{m-k}, run by ``series.banded_recurrence``: one
-        dense solve for its first chunk, then matmuls.
+        dense solve for its first chunk, then matmuls.  Only A's own blocks
+        are steps; ``_w`` pads them with zeros to B's degree.
         """
         if self._g.shape[1] < length:
             size = max(length, 2 * self._g.shape[1])
             lead = np.linalg.inv(self._w[0, :, 1:])  # A_0*^{-1}
-            steps = lead @ self._w[1:, :, 1:]  # A_0*^{-1} A_k* for k >= 1
+            steps = lead @ self._w[1: self.factor.coeffs.shape[0], :, 1:]  # k >= 1
             rhs = self._w[:, :, 0] @ lead.T
             self._g = banded_recurrence(steps, rhs, size).T.copy()
         return self._g[:, :length]
 
     def _companions(self, c: np.ndarray) -> np.ndarray:
-        """The correlation f_1[j] = -sum_{k >= j} g_{k-j} f_k, one FFT product."""
-        size = _fft_size(2 * c.size - 1)
-        spectrum = (np.fft.fft(self._correlation(c.size), size, axis=1)
-                    * np.fft.fft(c[::-1], size))
-        return -np.fft.ifft(spectrum, axis=1)[:, c.size - 1::-1]
+        """The correlation f_1[j] = -sum_{k >= j} g_{k-j} f_k, one FFT product;
+        batched over leading axes of ``c`` (..., L), shape (..., n, L)."""
+        length = c.shape[-1]
+        size = _fft_size(2 * length - 1)
+        spectrum = (np.fft.fft(self._correlation(length), size, axis=1)
+                    * np.fft.fft(c[..., None, ::-1], size))
+        return -np.fft.ifft(spectrum, axis=-1)[..., length - 1::-1]
 
     def _laurent(self, f: np.ndarray, companions: np.ndarray) -> tuple:
-        """Residual and co-analytic data of u = B* f + A* f_1.
+        """Analytic and co-analytic parts of u = B* f + A* f_1.
 
         Batched over leading axes of ``f`` (..., L) and ``companions``
         (..., n, L).  zeta^P u is a polynomial for P the symbol degree, so
         one FFT product at padded length gives its Laurent coefficients
-        exactly.  Returns the norm of the orders >= 0 and the coefficients of
-        the orders -1, ..., -P, shape (..., P, n).
+        exactly.  Returns the coefficients of the orders 0, ..., L - 1, shape
+        (..., n, L), and of the orders -1, ..., -P, shape (..., P, n).
         """
         width = self._w.shape[0]
         x = f[..., None, :]
@@ -208,25 +224,65 @@ class SpaceHandle:
         w_hat = np.fft.fft(self._w[::-1], size, axis=0)
         u_hat = np.einsum("tij,...jt->...it", w_hat, np.fft.fft(x, size, axis=-1))
         u = np.fft.ifft(u_hat, axis=-1)[..., : width - 1 + f.shape[-1]]
-        residual = np.sqrt(np.sum(np.abs(u[..., width - 1:]) ** 2, axis=(-2, -1)))
-        return residual, np.swapaxes(u[..., width - 2::-1], -2, -1)
+        return u[..., width - 1:], np.swapaxes(u[..., width - 2::-1], -2, -1)
 
     def _pair(self, c: np.ndarray, companions: np.ndarray) -> ModelPair:
         if self.n == 0:
             return ModelPair(c, np.zeros((0, c.size), dtype=complex), 0.0)
-        residual, _ = self._laurent(c, companions)
-        return ModelPair(c, companions, float(residual))
+        plus, _ = self._laurent(c, companions)
+        return ModelPair(c, companions, float(np.linalg.norm(plus)))
 
     def embed(self, coeffs) -> ModelPair:
-        """Compute the model pair of f; the residual certifies the pair."""
-        c = finite_coeffs(coeffs)
-        if c.size - 1 > self.degree:
+        """Compute the model pair of f; the residual certifies the pair.  A
+        ``SzegoSum`` gets its exact pair, with Szego-sum parts."""
+        exact = isinstance(coeffs, SzegoSum)
+        c = coeffs.coeffs if exact else finite_coeffs(coeffs)
+        if exact and c.ndim != 2:
+            raise ValueError("embed takes a scalar Szego sum")
+        if c.shape[-1] - 1 > self.degree:
             raise ValueError(
-                f"input degree {c.size - 1} exceeds the handle's budget {self.degree}"
+                f"input degree {c.shape[-1] - 1} exceeds the handle's budget {self.degree}"
             )
+        if exact:
+            return self._exact_pair(coeffs)
         if self.mode == "inner" or self.n == 0:
             return self._pair(c, np.zeros((0, c.size), dtype=complex))
         return self._pair(c, self._companions(c))
+
+    def _exact_pair(self, f: SzegoSum) -> ModelPair:
+        """The pair of sum_j P_j s_{lam_j}: term j has the companion
+        (f_1 - c_j e_0) s_{lam_j}, f_1 that of the polynomial P_j, and the
+        residual is the H^2 norm of sum_j (X_j + U_j - A(lam_j)* c_j) s_{lam_j}.
+        The rows f, f_1 and that residual take their norms in one pass."""
+        p, lam = f.coeffs, f.points
+        if self.n == 0:
+            empty = SzegoSum.trusted(np.zeros((0,) + p.shape, dtype=complex), lam)
+            return ModelPair(f, empty, 0.0)
+        n = self.n if self.mode == "analytic" else 0  # companion rows; none in inner mode
+        rows = np.zeros((1 + n + self.n,) + p.shape, dtype=complex)  # f, f_1, residual
+        rows[0] = p
+        if n:
+            rows[1: 1 + n] = np.swapaxes(self._companions(p), 0, 1)
+        plus, coanalytic = self._laurent(p, np.swapaxes(rows[1: 1 + n], 0, 1))
+        u = self._coanalytic_at(coanalytic, lam)
+        if n:
+            a_h = self._factor_adjoint(lam)
+            c = np.linalg.solve(a_h, u[..., None])
+            rows[1: 1 + n, :, 0] -= c[..., 0].T
+            u -= (a_h @ c)[..., 0]
+        plus[:, :, 0] += u
+        rows[1 + n:] = np.swapaxes(plus, 0, 1)
+        norms = SzegoSum.trusted(rows, lam).norms_sq()
+        residual = float(np.sqrt(np.sum(norms[1 + n:])))
+        return ModelPair(f, SzegoSum.trusted(rows[1: 1 + n], lam), residual,
+                         _norm_sq=float(np.sum(norms[: 1 + n])))
+
+    @staticmethod
+    def _coanalytic_at(coanalytic: np.ndarray, points) -> np.ndarray:
+        """U(conj(lam)) = sum_{m >= 1} u_{-m} conj(lam)**m from the orders
+        -1, ..., -P of ``coanalytic`` (..., P, n), one point per leading index."""
+        powers = power_table(np.conj(points), coanalytic.shape[-2] + 1)[..., 1:]
+        return np.einsum("...m,...mi->...i", powers, coanalytic)
 
     def pair_from_parts(self, coeffs, companions) -> ModelPair:
         """Assemble a pair from explicit parts, recertifying the residual."""
@@ -260,7 +316,8 @@ class SpaceHandle:
             comp = self._monomial_companions(degree)
             eye = np.eye(degree + 1, dtype=complex)
             if self.n:
-                residuals, _ = self._laurent(eye, np.transpose(comp, (2, 0, 1)))
+                plus, _ = self._laurent(eye, np.transpose(comp, (2, 0, 1)))
+                residuals = np.linalg.norm(plus, axis=(-2, -1))
             else:
                 residuals = np.zeros(degree + 1)
             self._pairs = [ModelPair(eye[k, : k + 1], comp[:, : k + 1, k].copy(),
@@ -294,7 +351,7 @@ class SpaceHandle:
 
     def backward(self, pair: ModelPair) -> ModelPair:
         """The backward shift acts coordinatewise on a model pair."""
-        f = shift_down(pair.f)
+        f = shift_down(_coefficient_pair(pair).f)
         if pair.n:
             comp = np.array([shift_down(row) for row in pair.companions])
         else:
@@ -303,7 +360,7 @@ class SpaceHandle:
 
     def _coanalytic(self, pair: ModelPair) -> np.ndarray:
         """Coefficients of the orders -1, -2, ... of B* f + A* f_1, shape (P, n)."""
-        _, coanalytic = self._laurent(pair.f, pair.companions)
+        _, coanalytic = self._laurent(_coefficient_pair(pair).f, pair.companions)
         return coanalytic
 
     def forward_constant(self, pair: ModelPair) -> np.ndarray:
@@ -336,34 +393,30 @@ class SpaceHandle:
             return np.zeros(0, dtype=complex)
         if abs(lam) >= 1.0:
             raise ValueError("evaluation point must satisfy |lam| < 1")
-        coanalytic = self._coanalytic(pair)
-        # u(lam) = sum_{m >= 1} u_{-m} conj(lam)**m
-        u = szego_taylor(lam, coanalytic.shape[0])[1:] @ coanalytic
-        a_lam_h = self.factor.at(lam).conj().T
+        u = self._coanalytic_at(self._coanalytic(pair), lam)
+        a_lam_h = self._factor_adjoint(lam)
         cond = np.linalg.cond(a_lam_h)
         if cond > 1e8:
             warnings.warn(f"defect factor nearly singular at lam={lam}: cond={cond:.2e}")
         return np.linalg.solve(a_lam_h, u)
 
     def resolvent_divide(self, pair: ModelPair, lam) -> ModelPair:
-        """Model pair of f / (1 - conj(lam) z)."""
+        """Model pair of f / (1 - conj(lam) z), cut at the handle degree;
+        raises NumericalError when the cut drops more than ``tol_solve`` of
+        the coefficient scale."""
         if abs(lam) >= 1.0:
             raise ValueError("evaluation point must satisfy |lam| < 1")
         if self.mode != "analytic":
             raise ExtremeTypeError("resolvent division needs the analytic model")
-        lam_bar = np.conj(lam)
-        f = geometric_divide(pair.f, lam_bar, self.degree)
+        f = _coefficient_pair(pair).f
+        rows = np.zeros((1 + self.n, max(f.size, pair.companions.shape[1])), dtype=complex)
+        rows[0, : f.size] = f  # then the companion numerators f_1 - c e_0
         if self.n:
-            c = self.resolvent_correction(pair, lam)
-            comp = []
-            for i in range(self.n):
-                num = pair.companions[i].copy()
-                num[0] -= c[i]
-                comp.append(geometric_divide(num, lam_bar, self.degree))
-            comp = np.array(comp)
-        else:
-            comp = np.zeros((0, f.size), dtype=complex)
-        return self.pair_from_parts(f, comp)
+            rows[1:, : pair.companions.shape[1]] = pair.companions
+            rows[1:, 0] -= self.resolvent_correction(pair, lam)
+        out = SzegoSum.trusted(rows[:, None], np.array([lam], dtype=complex))
+        out = out.taylor(self.degree, self.tol_solve)
+        return self.pair_from_parts(out[0], out[1:])
 
     # -- membership ----------------------------------------------------------
 

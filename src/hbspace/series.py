@@ -1,14 +1,20 @@
 """Coefficient-level operations on truncated Taylor series.
 
 All functions treat a 1-d complex ndarray ``c`` as the polynomial
-``c[0] + c[1] z + ... + c[d] z**d``.  Everything here is exact coefficient
-algebra; no grids are involved.
+``c[0] + c[1] z + ... + c[d] z**d``.  ``SzegoSum`` holds a finite sum of
+polynomials times Szego kernels exactly, with its H^2 inner product in
+closed form.  Everything here is exact coefficient algebra; no grids are
+involved.
 """
 
 import numpy as np
 
+from .errors import NumericalError
+
 # blocks per chunk in ``banded_recurrence`` for block size 1; n x n blocks take 32 // n
 _CHUNK = 32
+# largest dropped Taylor tail, relative to the kept coefficients, that a cut accepts
+TAIL_TOL = 1e-10
 
 
 def as_coeffs(c) -> np.ndarray:
@@ -85,7 +91,7 @@ def geometric_divide(c, lam_bar, degree) -> np.ndarray:
     width w of f is one convolution, and past it q_{w-1+m} = q_{w-1} lam_bar**m."""
     a = as_coeffs(c)[: degree + 1]
     w = a.size
-    powers = _powers(lam_bar, max(w, degree + 2 - w))
+    powers = power_table(lam_bar, max(w, degree + 2 - w))
     head = np.convolve(a, powers[:w])[:w]
     return np.concatenate([head, head[-1] * powers[1: degree + 2 - w]])
 
@@ -120,6 +126,7 @@ def banded_recurrence(steps, rhs, size) -> np.ndarray:
     the circle): unrefined, it reached 3e-13 relative at 2048 blocks, and
     the refinement keeps it below 1e-13.  Nothing pivots beyond the first
     chunk, so an overflowing recurrence runs to inf/nan and does not raise.
+    When t covers ``size``, the solve carries the right-hand side alone.
     """
     rhs = np.asarray(rhs, dtype=complex)[:size]
     n = rhs.shape[1]
@@ -135,12 +142,15 @@ def banded_recurrence(steps, rhs, size) -> np.ndarray:
     band = ext[np.where((offset >= 0) & (offset <= p), offset, p + 1)]
     band = band.transpose(0, 2, 1, 3).reshape(t * n, (t + p) * n)
     chunk = band[:, p * n:]
-    known = np.zeros((t * n, p * n + 1), dtype=complex)
+    # when the first chunk covers the request, no later chunk needs Phi
+    known = np.zeros((t * n, 1 if t == size else p * n + 1), dtype=complex)
     known[: rhs.size, 0] = rhs[:t].ravel()
-    known[:, 1:] = -band[:, : p * n]
+    known[:, 1:] = -band[:, : known.shape[1] - 1]
     solved = np.linalg.solve(chunk, known)
     solved += np.linalg.solve(chunk, known - chunk @ solved)
     head, phi = solved[:, 0], solved[:, 1:]
+    if t == size:
+        return head.reshape(t, n)
     later = -(-size // t) - 1
     states = head[(t - p) * n:, None]
     power = phi[(t - p) * n:]
@@ -151,15 +161,13 @@ def banded_recurrence(steps, rhs, size) -> np.ndarray:
     return np.concatenate([head.reshape(t, n), tail])[:size]
 
 
-def _powers(x, count) -> np.ndarray:
-    """1, x, ..., x**(count - 1), built by doubling."""
-    out = np.ones(count, dtype=complex)
-    filled = 1
-    while filled < count:
-        step = min(filled, count - filled)
-        out[filled: filled + step] = out[:step] * (out[filled - 1] * x)
-        filled += step
-    return out
+def power_table(x, count) -> np.ndarray:
+    """x**0, ..., x**(count - 1) for each entry of x, shape x.shape + (count,)."""
+    x = np.asarray(x, dtype=complex)
+    out = np.empty(x.shape + (count,), dtype=complex)
+    out[..., :1] = 1.0
+    out[..., 1:] = x[..., None]
+    return np.cumprod(out, axis=-1, out=out)
 
 
 def convolve(a, b) -> np.ndarray:
@@ -174,4 +182,123 @@ def h2_norm_sq(a) -> float:
 
 def szego_taylor(lam, degree) -> np.ndarray:
     """Taylor coefficients of 1 / (1 - conj(lam) z) up to ``degree``."""
-    return _powers(np.conj(lam), degree + 1)
+    return power_table(np.conj(lam), degree + 1)
+
+
+class SzegoSum:
+    """f = sum_j P_j(z) s_{mu_j}(z) with s_mu = 1 / (1 - conj(mu) z), held exactly.
+
+    ``coeffs`` (..., J, W) holds the polynomials P_j, with leading axes for
+    vector-valued sums; ``points`` (J,) holds the mu_j, |mu_j| < 1.  Past its
+    polynomial width a term's Taylor coefficients are geometric,
+    q_{W-1+m} = q_{W-1} conj(mu)^m, so a term is a head of W coefficients
+    plus that tail, and every H^2 inner product is a finite sum:
+    <f, g> = <heads> + sum_jk q_{W-1} conj(q'_{W-1}) conj(mu_j) nu_k / (1 - conj(mu_j) nu_k).
+    Scalars multiply and sums add (``sum`` of terms works); numpy arrays do
+    not mix in.  Only ``taylor`` cuts the series, and it refuses a cut whose
+    dropped tail is not negligible.
+    """
+
+    __array_ufunc__ = None  # numpy defers to __rmul__ / __radd__
+
+    def __init__(self, coeffs, points):
+        self.coeffs = np.asarray(coeffs, dtype=complex)
+        self.points = np.atleast_1d(np.asarray(points, dtype=complex))
+        if self.coeffs.ndim < 2 or self.coeffs.shape[-2] != self.points.size:
+            raise ValueError("coefficients must have shape (..., terms, width)")
+        if not np.all(np.isfinite(self.coeffs)):
+            raise ValueError("coefficients must be finite")
+        if not np.all(np.abs(self.points) < 1.0):
+            raise ValueError("Szego points must satisfy |mu| < 1")
+
+    @classmethod
+    def trusted(cls, coeffs: np.ndarray, points: np.ndarray) -> "SzegoSum":
+        """Wrap complex arrays that already meet the invariants, unchecked."""
+        out = cls.__new__(cls)
+        out.coeffs, out.points = coeffs, points
+        return out
+
+    @classmethod
+    def of(cls, c) -> "SzegoSum":
+        """``c`` itself, or the polynomial with coefficients c[..., :] as one term at 0."""
+        if isinstance(c, cls):
+            return c
+        return cls.trusted(np.asarray(c, dtype=complex)[..., None, :], np.zeros(1, dtype=complex))
+
+    @property
+    def width(self) -> int:
+        return self.coeffs.shape[-1]
+
+    def __mul__(self, scalar):
+        if np.ndim(scalar) != 0:
+            return NotImplemented
+        if not np.isfinite(scalar):
+            raise ValueError("coefficients must be finite")
+        return SzegoSum.trusted(scalar * self.coeffs, self.points)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        if not isinstance(other, SzegoSum):
+            return self if np.ndim(other) == 0 and other == 0 else NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if a.shape[:-2] != b.shape[:-2]:
+            raise ValueError("Szego sums of different shapes")
+        terms, width = a.shape[-2] + b.shape[-2], max(a.shape[-1], b.shape[-1])
+        coeffs = np.zeros(a.shape[:-2] + (terms, width), dtype=complex)
+        coeffs[..., : a.shape[-2], : a.shape[-1]] = a
+        coeffs[..., a.shape[-2]:, : b.shape[-1]] = b
+        return SzegoSum.trusted(coeffs, np.concatenate([self.points, other.points]))
+
+    __radd__ = __add__
+
+    def heads(self, width) -> np.ndarray:
+        """Taylor coefficients 0..width-1 of each term, shape (..., J, width),
+        width >= W: each P_j convolved with the powers of conj(mu_j), as one
+        batched matmul with the sliding windows (a strided view, nothing
+        copied) of the powers padded by W - 1 zeros."""
+        w = self.width
+        padded = np.zeros((self.points.size, w - 1 + width), dtype=complex)
+        padded[:, w - 1:] = power_table(np.conj(self.points), width)
+        step = padded.strides[1]
+        windows = np.ndarray((self.points.size, w, width), complex, padded, 0,
+                             (padded.strides[0], step, step))  # [j, i, k] = padded[j, i + k]
+        return (self.coeffs[..., None, ::-1] @ windows)[..., 0, :]
+
+    def coefficients(self, count) -> np.ndarray:
+        """The first ``count`` Taylor coefficients, exact, shape (..., count)."""
+        return self.heads(max(count, self.width)).sum(axis=-2)[..., :count]
+
+    def taylor(self, degree, tol=TAIL_TOL) -> np.ndarray:
+        """Taylor coefficients 0..degree; raises NumericalError when the l1
+        norm of the dropped ones exceeds ``tol`` times the largest kept one."""
+        heads = self.heads(max(degree + 1, self.width))
+        kept = heads.sum(axis=-2)[..., : degree + 1]
+        ratio = np.abs(self.points)
+        dropped = (np.sum(np.abs(heads[..., degree + 1:]))
+                   + np.sum(np.abs(heads[..., -1]) * ratio / (1.0 - ratio)))
+        scale = float(np.max(np.abs(kept), initial=0.0))
+        if dropped > tol * scale:
+            raise NumericalError(
+                f"Taylor cut at degree {degree} drops a tail of {dropped:.2e} against "
+                f"coefficients of size {scale:.2e}; largest |mu| = {np.max(ratio):.6g}")
+        return kept
+
+    def inner(self, other: "SzegoSum") -> complex:
+        """H^2 inner product <self, other>, summed over the leading axes."""
+        width = max(self.width, other.width)
+        ha, hb = self.heads(width), other.heads(width)
+        rho = np.conj(self.points)[:, None] * other.points
+        tail = np.sum((ha[..., -1] @ (rho / (1.0 - rho))) * np.conj(hb[..., -1]))
+        return complex(np.vdot(hb.sum(axis=-2), ha.sum(axis=-2)) + tail)
+
+    def norms_sq(self) -> np.ndarray:
+        """Squared H^2 norm of each entry of a vector-valued sum, shape coeffs.shape[:-2]."""
+        heads = self.heads(self.width)
+        rho = np.conj(self.points)[:, None] * self.points
+        tail = np.sum((heads[..., -1] @ (rho / (1.0 - rho))) * np.conj(heads[..., -1]), axis=-1)
+        return np.sum(np.abs(heads.sum(axis=-2)) ** 2, axis=-1) + tail.real
+
+    @property
+    def norm_sq(self) -> float:
+        return float(np.sum(self.norms_sq()))

@@ -13,9 +13,10 @@ from numpy.polynomial import polynomial as P
 from .analysis import LimitSchedule, _divided_difference_all, _radial_limit, _shift_defects
 from .errors import ConfigError, ConvergenceError, NumericalError
 from .model import SpaceHandle
-from .series import (convolve, divided_difference, finite_coeffs, horner, series_divide,
-                     shift_down, szego_taylor, trim)
+from .series import (SzegoSum, convolve, divided_difference, finite_coeffs, horner,
+                     series_divide, shift_down, trim)
 from .spectral import _CIRCLE_TOL
+from .symbols import ModelPair
 
 # a remainder of f by phi's closed-disk zeros above this, relative to max |f_k|, is a pole
 _REMAINDER_TOL = 1e-10
@@ -64,7 +65,9 @@ class BlaschkeProduct:
 
 def model_space_basis(theta: BlaschkeProduct, degree: int = 256) -> list[np.ndarray]:
     """A basis of H^2 (-) theta H^2: monomials for the zeros at the origin
-    and a Szego kernel per nonzero zero (distinct nonzero zeros required)."""
+    and a Szego kernel per nonzero zero (distinct nonzero zeros required),
+    cut at ``degree``; raises NumericalError when a cut drops a tail above
+    ``series.TAIL_TOL``."""
     at_zero = sum(1 for a in theta.zeros if a == 0)
     others = [a for a in theta.zeros if a != 0]
     if np.unique(np.round(others, 14)).size != len(others):
@@ -74,8 +77,8 @@ def model_space_basis(theta: BlaschkeProduct, degree: int = 256) -> list[np.ndar
         e = np.zeros(j + 1, dtype=complex)
         e[j] = 1.0
         basis.append(e)
-    for a in others:
-        basis.append(szego_taylor(a, degree))
+    if others:  # row j holds s_{a_j} alone
+        basis.extend(SzegoSum(np.eye(len(others))[:, :, None], others).taylor(degree))
     return basis
 
 
@@ -162,8 +165,10 @@ def poly_density_residual(space, coeffs, degrees) -> PolyDensityResult:
 
     Computed through one Cholesky of the cached monomial Gram, so the squared
     projections accumulate as partial sums of nonnegative terms and the
-    residual sequence is exactly nonincreasing.  f is embedded once; its
-    inner products with the monomials come from the cached monomial pairs.
+    residual sequence is exactly nonincreasing.  f is embedded once, exactly
+    when it is a ``SzegoSum``; its inner products with the monomials come
+    from the cached monomial pairs and the first dmax + 1 coefficients of
+    its pair.
     """
     if not space.mz_invariant:
         raise ConfigError("polynomial approximation needs a forward-shift-invariant space")
@@ -172,9 +177,11 @@ def poly_density_residual(space, coeffs, degrees) -> PolyDensityResult:
         raise ConfigError("need a nonempty list of nonnegative degrees")
     dmax = degrees[-1]
     gm = space.monomial_gram(dmax)
-    rows = _stack([space.embed(coeffs)] + space.monomial_pairs(dmax))
+    pair = space.embed(coeffs)
+    head = ModelPair(*pair.parts(dmax + 1), pair.residual)
+    rows = _stack([head] + space.monomial_pairs(dmax))
     b = rows[1:].conj() @ rows[0]  # b[j] = <f, z^j>
-    norm_sq = float(np.sum(np.abs(rows[0]) ** 2))
+    norm_sq = pair.norm_sq
     truncated_solve = False
     try:
         low = np.linalg.cholesky(0.5 * (gm + gm.conj().T))

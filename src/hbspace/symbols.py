@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import InvariantViolation, NumericalError
 from .harmonic import DEFAULT_GRID, DiskFunction, boundary_from_taylor, grid_points
-from .series import (as_coeffs, divided_difference, finite_coeffs, h2_norm_sq, horner,
-                     szego_taylor)
+from .series import (SzegoSum, as_coeffs, divided_difference, finite_coeffs, h2_norm_sq,
+                     horner, szego_taylor)
 from .spectral import DefectSplit, defect_split
 
 _INDEPENDENCE_TOL = 1e-10
@@ -25,22 +25,38 @@ _INDEPENDENCE_TOL = 1e-10
 
 @dataclass
 class ModelPair:
-    """A member together with its companion coefficients, one row per component."""
+    """A member together with its companion coefficients, one row per component.
 
-    f: np.ndarray
-    companions: np.ndarray
+    Both parts are coefficient arrays, or both are ``SzegoSum``s (the exact
+    pair of a Szego-sum input, companions with one leading row per component);
+    the builder of an exact pair may pass its squared norm as ``_norm_sq``.
+    """
+
+    f: np.ndarray | SzegoSum
+    companions: np.ndarray | SzegoSum
     residual: float
+    _norm_sq: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.f = as_coeffs(self.f)
-        self.companions = np.atleast_2d(np.asarray(self.companions, dtype=complex))
+        if not isinstance(self.f, SzegoSum):
+            self.f = as_coeffs(self.f)
+            self.companions = np.atleast_2d(np.asarray(self.companions, dtype=complex))
+
+    @property
+    def exact(self) -> bool:
+        """True for the pair of a Szego sum."""
+        return isinstance(self.f, SzegoSum)
 
     @property
     def n(self) -> int:
-        return self.companions.shape[0]
+        return (self.companions.coeffs if self.exact else self.companions).shape[0]
 
     @property
     def norm_sq(self) -> float:
+        if self._norm_sq is not None:
+            return self._norm_sq
+        if self.exact:
+            return self.f.norm_sq + self.companions.norm_sq
         total = h2_norm_sq(self.f)
         if self.companions.size:
             total += float(np.sum(np.abs(self.companions) ** 2))
@@ -50,6 +66,13 @@ class ModelPair:
     def norm(self) -> float:
         return float(np.sqrt(self.norm_sq))
 
+    def parts(self, count) -> tuple[np.ndarray, np.ndarray]:
+        """(f, companions) as coefficient arrays; an exact pair gives its
+        first ``count`` Taylor coefficients."""
+        if self.exact:
+            return self.f.coefficients(count), self.companions.coefficients(count)
+        return self.f, self.companions
+
     def companion_at(self, lam) -> np.ndarray:
         if self.n == 0:
             return np.zeros(0, dtype=complex)
@@ -58,6 +81,11 @@ class ModelPair:
 
 def pair_inner(pair_a: ModelPair, pair_b: ModelPair) -> complex:
     """Space inner product <a, b> of two model pairs."""
+    if pair_a.exact or pair_b.exact:
+        total = SzegoSum.of(pair_a.f).inner(SzegoSum.of(pair_b.f))
+        if pair_a.n and pair_b.n:
+            total += SzegoSum.of(pair_a.companions).inner(SzegoSum.of(pair_b.companions))
+        return total
     m = min(pair_a.f.size, pair_b.f.size)
     total = complex(np.vdot(pair_b.f[:m], pair_a.f[:m]))
     if pair_a.n and pair_b.n:

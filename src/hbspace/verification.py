@@ -61,9 +61,7 @@ def _check_isometry(space, rng):
     coeff = rng.normal(size=6) + 1j * rng.normal(size=6)
     g = space.gram(pts)
     target = float(np.real(np.vdot(coeff, g @ coeff)))
-    combo = np.zeros(space.degree + 1, dtype=complex)
-    for c, lam in zip(coeff, pts):
-        combo += c * space.kernel_taylor(lam)
+    combo = sum(c * space.kernel_taylor(lam) for c, lam in zip(coeff, pts))
     value = space.embed(combo).norm_sq
     rel = abs(value - target) / target
     return CheckResult("model-isometry", rel <= 1e-6, f"relative error {rel:.2e}")

@@ -261,3 +261,33 @@ def test_import_stays_light():
                            "assert not scipy_modules(), scipy_modules()"],
                           env=env, timeout=120, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_embed_kernel_near_the_circle_is_exact(capsys):
+    # ||k_lam||^2 = (2 - |lam|^2) / (2 (1 - |lam|^2)) = 250.6250625... at 0.999;
+    # the kernel cut at the handle degree gave 14.780
+    code, out, _ = run(["embed", "--named", "rank1-half", "--kernel-at", "0.999", "--json"],
+                       capsys)
+    assert code == 0
+    report = json.loads(out[out.index("{"):])
+    target = math.sqrt((2.0 - 0.999 ** 2) / (2.0 * (1.0 - 0.999 ** 2)))
+    assert abs(report["norm"] - target) <= 1e-12 * target
+    assert report["residual"] <= 1e-12
+
+
+def test_norm_formula_refuses_a_cut_kernel(capsys):
+    # norm-formula needs coefficients; the cut at the handle degree would drop
+    # a tail of 1.8e2 against coefficients of size 1, so it exits 3
+    code, _, err = run(["norm-formula", "--named", "rank1-half", "--kernel-at", "0.999",
+                        "--quick"], capsys)
+    assert code == 3
+    assert "Taylor cut" in err
+
+
+def test_embed_kernel_csv_lists_exact_coefficients(tmp_path, capsys):
+    code, _, _ = run(["embed", "--named", "rank1-half", "--kernel-at", "0.5",
+                      "--out", str(tmp_path)], capsys)
+    assert code == 0
+    lines = (tmp_path / "embed.csv").read_text().splitlines()
+    assert lines[1] == "k,f,f1_1"
+    assert len(lines) == 2 + 1025  # coefficients 0..degree of f and f_1

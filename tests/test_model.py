@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hbspace.catalog import cusp_symbol
-from hbspace.errors import ExtremeTypeError, InvariantViolation
+from hbspace.errors import ExtremeTypeError, InvariantViolation, NumericalError
 from hbspace.harmonic import DiskFunction
 from hbspace.model import SpaceHandle
 from hbspace.series import geometric_divide, shift_down, szego_taylor
@@ -48,10 +48,9 @@ def test_embed_kernel_closed_form(rank1_half, rng):
         lam = complex(random_interior(rng, 1)[0])
         pair = rank1_half.embed(rank1_half.kernel_taylor(lam))
         blam_conj = np.conj(lam / np.sqrt(2.0))
-        expected = -(1.0 / np.sqrt(2.0)) * blam_conj * szego_taylor(
-            lam, pair.companions.shape[1] - 1)
-        assert pair.residual < 1e-10
-        assert np.max(np.abs(pair.companions[0] - expected)) < 1e-10
+        expected = -(1.0 / np.sqrt(2.0)) * blam_conj * szego_taylor(lam, 63)
+        assert pair.residual < 1e-12
+        assert np.max(np.abs(pair.companions.coefficients(64)[0] - expected)) < 1e-12
 
 
 def test_norm_of_kernel_matches_diagonal(rank1_half, rng):
@@ -59,7 +58,7 @@ def test_norm_of_kernel_matches_diagonal(rank1_half, rng):
         lam = complex(random_interior(rng, 1, radius=0.9)[0])
         target = (2.0 - abs(lam) ** 2) / (2.0 * (1.0 - abs(lam) ** 2))
         value = rank1_half.embed(rank1_half.kernel_taylor(lam)).norm_sq
-        assert abs(value - target) / target < 1e-8
+        assert abs(value - target) / target < 1e-12
 
 
 def test_norm_examples(rank1_half):
@@ -76,7 +75,7 @@ def test_reproducing_property(rank1_half, cusp, rng):
             kp = space.embed(space.kernel_taylor(lam))
             value = space.inner(pair, kp)
             target = np.polyval(f[::-1], lam)
-            assert abs(value - target) < 1e-8
+            assert abs(value - target) < 1e-12 * (1.0 + abs(target))
 
 
 def test_membership_hardy_polynomials(h2, rng):
@@ -134,7 +133,8 @@ def test_backward_equals_embed_of_shift(rank1_half, cusp, rng):
 
 def test_backward_contracts_kernels(rank1_half, rng):
     for lam in random_interior(rng, 10, radius=0.9):
-        pair = rank1_half.embed(rank1_half.kernel_taylor(complex(lam)))
+        k = rank1_half.kernel_taylor(complex(lam)).taylor(rank1_half.degree)
+        pair = rank1_half.embed(k)
         assert rank1_half.backward(pair).norm <= pair.norm + 1e-10
 
 
@@ -252,10 +252,8 @@ def test_isometry_on_kernel_combinations(h2, rank1_half, cusp, rng):
         coeff = rng.normal(size=6) + 1j * rng.normal(size=6)
         g = space.gram(pts)
         target = float(np.real(np.vdot(coeff, g @ coeff)))
-        combo = np.zeros(space.degree + 1, dtype=complex)
-        for c, lam in zip(coeff, pts):
-            combo += c * space.kernel_taylor(complex(lam))
-        assert abs(space.embed(combo).norm_sq - target) / target < 1e-6
+        combo = sum(c * space.kernel_taylor(complex(lam)) for c, lam in zip(coeff, pts))
+        assert abs(space.embed(combo).norm_sq - target) / target < 1e-12
 
 
 def test_companion_stability_under_degree_doubling(rank1_half):
@@ -482,11 +480,9 @@ def test_two_component_handle(two_term, rng):
     pts = random_interior(rng, 4)
     g = space.gram(pts)
     coeff = rng.normal(size=4)
-    combo = np.zeros(space.degree + 1, dtype=complex)
-    for c, lam in zip(coeff, pts):
-        combo += c * space.kernel_taylor(complex(lam))
+    combo = sum(c * space.kernel_taylor(complex(lam)) for c, lam in zip(coeff, pts))
     target = float(np.real(np.vdot(coeff, g @ coeff)))
-    assert abs(space.embed(combo).norm_sq - target) / target < 1e-6
+    assert abs(space.embed(combo).norm_sq - target) / target < 1e-12
 
 
 @pytest.mark.parametrize("n_grid", [1024, 4096])
@@ -611,3 +607,123 @@ def test_handle_build_splits_the_defect_once(monkeypatch):
         space = SpaceHandle(_row_symbol(rows, N_GRID), n_grid=N_GRID)
         assert space.mode == "analytic"
         assert len(calls) == 1
+
+
+# -- exact kernel functions ------------------------------------------------
+
+RADII = (0.9, 0.99, 0.999, 0.9999)
+
+
+def _exact_kernel_check(space, lam):
+    """||k_lam||^2 against kernel(lam, lam), and the residual, of the exact pair."""
+    pair = space.embed(space.kernel_taylor(lam))
+    target = space.kernel(lam, lam).real
+    assert abs(pair.norm_sq - target) <= 1e-12 * target
+    assert pair.residual <= 1e-12 * (1.0 + pair.norm)
+    return pair
+
+
+@pytest.mark.parametrize("radius", RADII)
+@pytest.mark.parametrize("name", ["h2", "rank1-half", "cusp", "rank2-example", "ddelta",
+                                  "two-term", "weighted", "inner-z2"])
+def test_exact_kernel_norm_near_the_circle(name, radius):
+    # every named handle, the rank-2 example, D(delta_1) and an inner-mode
+    # handle; the Taylor cut of the handle degree lost 7% of ||k|| at 0.999
+    rows = {"h2": [], "rank1-half": [[0.0, 2 ** -0.5]], "cusp": [[0.0, 0.5, 0.5]],
+            "rank2-example": RANK2_EXAMPLE, "ddelta": [ddelta_taylor()],
+            "two-term": [[0.0, 2 ** -0.5], [0.0, 0.0, 0.5]], "inner-z2": [[0.0, 0.0, 1.0]]}
+    if name == "weighted":
+        space = SpaceHandle(weighted_space_symbol([1.0, 2.0, 2.5, 3.0], n_boundary=N_GRID),
+                            n_grid=N_GRID)
+    else:
+        space = SpaceHandle(_row_symbol(rows[name], N_GRID), n_grid=N_GRID)
+    assert space.mode == ("inner" if name == "inner-z2" else "analytic")
+    for angle in (0.7, 2.9, -1.3):
+        _exact_kernel_check(space, radius * np.exp(1j * angle))
+
+
+def test_exact_kernel_rank1_half_closed_form():
+    space = SpaceHandle(_row_symbol([[0.0, 2 ** -0.5]], N_GRID), n_grid=N_GRID)
+    for radius in RADII:
+        target = (2.0 - radius ** 2) / (2.0 * (1.0 - radius ** 2))
+        pair = space.embed(space.kernel_taylor(radius))
+        assert abs(pair.norm_sq - target) <= 1e-12 * target
+
+
+def test_exact_kernel_near_the_origin_on_ddelta(ddelta):
+    # N_lam has degree 40; no negative power of lam enters, so nothing cancels
+    for lam in (0.05, 0.05j, -0.05 + 0.01j, 1e-3):
+        _exact_kernel_check(ddelta, lam)
+
+
+def test_exact_kernel_of_degenerate_handles(h2, inner_space):
+    # h2 (n = 0): the pair is f itself; b = z: the space is the constants
+    for lam in (0.3j, 0.999):
+        pair = _exact_kernel_check(h2, lam)
+        assert pair.n == 0 and pair.residual == 0.0
+        pair = _exact_kernel_check(inner_space, lam)
+        assert pair.n == 0
+        assert abs(pair.norm_sq - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["rank1_half", "cusp", "two_term", "weighted", "ddelta",
+                                  "inner_space", "h2"])
+def test_exact_kernel_reproduces_point_values(name, request, rng):
+    space = request.getfixturevalue(name)
+    f = np.array([0.5, 1.0 - 0.5j, 0.25, -0.75j]) if name != "inner_space" else np.array([1.5])
+    pair = space.embed(f)
+    for lam in list(random_interior(rng, 4, radius=0.95)) + [0.999 * np.exp(0.4j)]:
+        value = space.inner(pair, space.embed(space.kernel_taylor(complex(lam))))
+        target = np.polyval(f[::-1], lam)
+        assert abs(value - target) <= 1e-12 * (1.0 + abs(target))
+
+
+@pytest.mark.parametrize("name", ["rank1_half", "cusp", "two_term", "weighted", "ddelta"])
+def test_exact_pair_agrees_with_the_polynomial_route(name, request, rng):
+    # for |lam| <= 0.5 the cut at degree 256 drops below roundoff, so the
+    # polynomial pair of the cut matches the exact pair coefficient by coefficient
+    space = request.getfixturevalue(name)
+    for lam in random_interior(rng, 3, radius=0.5):
+        k = space.kernel_taylor(complex(lam))
+        exact = space.embed(k)
+        cut = space.embed(k.taylor(256))
+        assert abs(exact.norm_sq - cut.norm_sq) <= 1e-12 * exact.norm_sq
+        f, companions = exact.parts(257)
+        assert np.max(np.abs(f - cut.f)) <= 1e-12
+        assert np.max(np.abs(companions - cut.companions)) <= 1e-12
+
+
+def test_kernel_combination_is_a_finite_szego_sum(two_term, rng):
+    pts = random_interior(rng, 5, radius=0.999)
+    coeff = rng.normal(size=5) + 1j * rng.normal(size=5)
+    combo = sum(c * two_term.kernel_taylor(complex(lam)) for c, lam in zip(coeff, pts))
+    assert combo.points.size == 5
+    g = two_term.gram(pts)
+    target = float(np.real(np.vdot(coeff, g @ coeff)))
+    pair = two_term.embed(combo)
+    assert abs(pair.norm_sq - target) <= 1e-12 * target
+    assert pair.residual <= 1e-12 * (1.0 + pair.norm)
+    assert two_term.membership(combo).member
+    with pytest.raises(TypeError):
+        buffer = np.zeros(two_term.degree + 1, dtype=complex)
+        buffer += two_term.kernel_taylor(0.5)
+    for shift in (two_term.backward, two_term.forward,
+                  lambda q: two_term.resolvent_divide(q, 0.3)):
+        with pytest.raises(ValueError, match="coefficient pairs"):
+            shift(pair)
+
+
+def test_resolvent_divide_refuses_a_cut_tail():
+    space = SpaceHandle(_row_symbol([[0.0, 2 ** -0.5]], N_GRID), n_grid=N_GRID)
+    assert space.degree == 256
+    pair = space.embed(np.array([1.0, 0.5]))
+    with pytest.raises(NumericalError, match="Taylor cut"):
+        space.resolvent_divide(pair, 0.999)
+    assert space.resolvent_divide(pair, 0.7).residual <= 1e-12
+
+
+def test_taylor_cut_refuses_a_kernel_near_the_circle(rank1_half):
+    k = rank1_half.kernel_taylor(0.999)
+    with pytest.raises(NumericalError, match="Taylor cut"):
+        k.taylor(rank1_half.degree)
+    assert k.taylor(40000).size == 40001

@@ -6,10 +6,12 @@ from scipy.linalg.lapack import ztbtrs
 
 from conftest import N_GRID, RANK2_EXAMPLE
 from hbspace import series, subspaces
+from hbspace.errors import NumericalError
 from hbspace.harmonic import DiskFunction
 from hbspace.model import SpaceHandle
 from hbspace.symbols import RowSymbol
 from hbspace.series import (
+    SzegoSum,
     banded_recurrence,
     convolve,
     divided_difference,
@@ -203,3 +205,67 @@ def test_geometric_divide_equals_the_recurrence(lam_bar, width):
         ref = banded_recurrence([[[-lam_bar]]], f[:, None], degree + 1)[:, 0]
         assert got.shape == (degree + 1,)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# -- exact Szego sums -------------------------------------------------------
+
+def _random_sum(rng, shape, terms, width, radius):
+    coeffs = rng.normal(size=shape + (terms, width)) + 1j * rng.normal(size=shape + (terms, width))
+    points = radius * np.exp(2j * np.pi * rng.uniform(size=terms))
+    return SzegoSum(coeffs, points)
+
+
+def test_szego_sum_coefficients_are_the_geometric_division():
+    rng = np.random.default_rng(3)
+    f = _random_sum(rng, (), 3, 5, 0.95)
+    ref = sum(geometric_divide(p, np.conj(mu), 300) for p, mu in zip(f.coeffs, f.points))
+    assert np.max(np.abs(f.coefficients(301) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(f.coefficients(3), f.coefficients(301)[:3])
+
+
+@pytest.mark.parametrize("shape", [(), (2,)], ids=["scalar", "vector"])
+def test_szego_sum_inner_product_is_the_long_sum(shape):
+    # the closed-form tail against 4000 explicit Taylor coefficients, |mu| <= 0.9
+    rng = np.random.default_rng(4)
+    f = _random_sum(rng, shape, 3, 4, 0.9)
+    g = _random_sum(rng, shape, 2, 7, 0.8)
+    a, b = f.coefficients(4000), g.coefficients(4000)
+    ref = complex(np.vdot(b, a))
+    assert abs(f.inner(g) - ref) <= 1e-13 * abs(ref)
+    assert abs(f.norm_sq - np.vdot(a, a).real) <= 1e-13 * f.norm_sq
+    assert f.norms_sq().shape == shape
+
+
+def test_szego_sum_arithmetic():
+    rng = np.random.default_rng(6)
+    f = _random_sum(rng, (), 2, 3, 0.5)
+    g = _random_sum(rng, (), 1, 6, 0.7)
+    c = np.complex128(0.3 - 2j)
+    total = sum([c * f, g * 2.0])  # starts from 0; numpy scalars defer to __rmul__
+    assert isinstance(total, SzegoSum) and total.points.size == 3
+    ref = c * f.coefficients(50) + 2.0 * g.coefficients(50)
+    assert np.max(np.abs(total.coefficients(50) - ref)) <= 1e-14
+    with pytest.raises(TypeError):
+        f + np.ones(3)
+    with pytest.raises(TypeError):
+        np.ones(3) * f
+
+
+def test_szego_sum_refuses_bad_input():
+    with pytest.raises(ValueError):
+        SzegoSum([[1.0]], [1.0])
+    with pytest.raises(ValueError):
+        SzegoSum([[np.nan]], [0.5])
+    with pytest.raises(ValueError):
+        SzegoSum([1.0, 2.0], [0.5])
+
+
+def test_szego_taylor_cut_bounds_its_tail():
+    # the dropped l1 tail of s_mu cut at d is |mu|^(d+1) / (1 - |mu|)
+    s = SzegoSum([[1.0]], [0.9])
+    assert np.allclose(s.taylor(300), szego_taylor(0.9, 300), rtol=1e-13, atol=0.0)
+    with pytest.raises(NumericalError, match="Taylor cut"):
+        s.taylor(100)  # 0.9^101 / 0.1 = 2.4e-4
+    with pytest.raises(NumericalError):
+        subspaces.model_space_basis(subspaces.BlaschkeProduct([0.99]), 256)
+    assert len(subspaces.model_space_basis(subspaces.BlaschkeProduct([0.6, 0.0]), 256)) == 2

@@ -189,7 +189,7 @@ def test_poly_density_hardy_monomial(h2):
 
 
 def test_poly_density_kernel_decay(rank1_half):
-    f = rank1_half.kernel_taylor(0.5, degree=200)
+    f = rank1_half.kernel_taylor(0.5)
     res = poly_density_residual(rank1_half, f, list(range(0, 25, 2)))
     assert np.all(np.diff(res.residuals) <= 0)
     assert res.residuals[-1] <= 1e-3
