@@ -300,8 +300,8 @@ def criterion_12(quick=False) -> tuple[bool, str]:
         if basis.dim != theta.degree:
             return False, f"{name}/{theta.zeros}: dim {basis.dim} != {theta.degree}"
         worst = max(worst, backward_invariance_residual(space, basis))
-    passed = worst <= 1e-6
-    return passed, f"max projection residual {worst:.2e} over 4 pairs (tol 1e-6)"
+    passed = worst <= 1e-12
+    return passed, f"max projection residual {worst:.2e} over 4 pairs (tol 1e-12)"
 
 
 _REGISTRY = [

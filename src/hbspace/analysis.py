@@ -1,13 +1,14 @@
 """Numerical verification of the structural identities of these spaces.
 
 Everything here is phrased against a "space" object exposing
-``poly_norm_sq``, ``norm``, ``companions_at``, ``kernel`` and
-``mz_invariant`` (both the factored symbol handles and the embedded
-Dirichlet-type spaces qualify).  The shift quantities are exact polynomial
-coefficient operations, and so are the radial limits of the norm formula and
-the wandering norm.  The boundary verdicts, forward-shift invariance and the
-existence of a reverse-Carleson measure, are read off the defect split that
-a row symbol takes at validation, so no boundary diagnostic samples a grid.
+``poly_norm_sq``, ``norm``, ``companions_at``, ``kernel``,
+``kernel_diagonal``, ``szego_density`` and ``mz_invariant`` (both the
+factored symbol handles and the embedded Dirichlet-type spaces qualify).
+The shift quantities are exact polynomial coefficient operations, and so are
+the radial limits of the norm formula and the wandering norm.  The boundary
+verdicts, forward-shift invariance and the existence of a reverse-Carleson
+measure, are read off the defect split that a row symbol takes at
+validation, so no boundary diagnostic samples a grid.
 """
 
 from dataclasses import dataclass, field
@@ -254,8 +255,8 @@ def reverse_carleson(space, schedule: LimitSchedule | None = None,
     """Reverse-Carleson diagnostics for a forward-shift-invariant space.
 
     h2(lam) = 1 / ((1 - r^2) k(r lam, r lam)) is formula-exact; its kernel
-    diagonals come from one ``space.gram`` per radius.  h1(lam) =
-    (1 - r^2) ||s_{r lam}||^2, s the Szego kernel, comes from the space's
+    diagonals come from one ``space.kernel_diagonal`` call over all radii.
+    h1(lam) = (1 - r^2) ||s_{r lam}||^2, s the Szego kernel, comes from the space's
     closed form ``szego_density``: 1 + ||A(w)^{-*} B(w)*||^2 for a factored
     symbol and 1 + sum c_i |w|^2 / |1 - conj(w) z_i|^2 for atoms c_i at z_i.
     Both are reported at the deep radius 1 - 2**-deep_level, lowered to the
@@ -281,15 +282,17 @@ def reverse_carleson(space, schedule: LimitSchedule | None = None,
         raise ConfigError(f"no radius 1 - 2**-k lies within the kernel radius "
                           f"{space.kernel_radius}")
 
-    def densities(r):
-        diag = np.diagonal(space.gram(r * lam)).real
-        return 1.0 / ((1.0 - r ** 2) * diag), space.szego_density(r * lam)
-
-    means = [[float(np.mean(h)) for h in densities(r)]
-             for r in schedule.radii if r <= space.kernel_radius]
-    sup_kernel = max((m[0] for m in means), default=None)
-    sup_resolvent = max((m[1] for m in means), default=None)
-    h2, h1 = densities(r_deep)
+    # every radius in one call per density, one row each
+    scheduled = [r for r in schedule.radii if r <= space.kernel_radius]
+    radii = np.unique(scheduled + [r_deep])
+    w = radii[:, None] * lam
+    h2_all = 1.0 / ((1.0 - radii[:, None] ** 2) * space.kernel_diagonal(w))
+    h1_all = space.szego_density(w)
+    rows = np.searchsorted(radii, scheduled)
+    sup_kernel = float(np.max(np.mean(h2_all[rows], axis=1))) if scheduled else None
+    sup_resolvent = float(np.max(np.mean(h1_all[rows], axis=1))) if scheduled else None
+    deep = np.searchsorted(radii, r_deep)
+    h2, h1 = h2_all[deep], h1_all[deep]
 
     g = None
     admits = None

@@ -42,7 +42,6 @@ from .series import (
     banded_recurrence,
     finite_coeffs,
     h2_norm_sq,
-    horner,
     power_table,
     shift_down,
     shift_up,
@@ -56,6 +55,7 @@ from .symbols import (
     gram_matrix,
     kernel_eval,
     pair_inner,
+    row_values,
 )
 
 
@@ -150,11 +150,20 @@ class SpaceHandle:
     def gram(self, points) -> np.ndarray:
         return gram_matrix(self.symbol, points)
 
+    def kernel_diagonal(self, points) -> np.ndarray:
+        """k(w, w) = (1 - B(w) B(w)*) / (1 - conj(w) w) at each point, no Gram:
+        the ``gram`` diagonal, each point's row product taken as a matmul too."""
+        pts = np.asarray(points, dtype=complex)
+        _check_strict_interior(pts)
+        values = row_values(self._rows, pts)[..., None, :]
+        norms = (values @ np.swapaxes(values.conj(), -2, -1))[..., 0, 0].real
+        return (1.0 - norms) / (1.0 - (pts.conj() * pts).real)
+
     def kernel_taylor(self, lam) -> SzegoSum:
         """The kernel function at lam, exactly: N_lam s_lam with the polynomial
         N_lam = 1 - sum_i conj(b_i(lam)) b_i.  ``.taylor(d)`` cuts it."""
         _check_strict_interior(lam)
-        num = -np.conj(self._rows @ power_table(lam, self._rows.shape[1])) @ self._rows
+        num = -np.conj(row_values(self._rows, lam)) @ self._rows
         num[0] += 1.0
         return SzegoSum.trusted(num[None], np.array([lam], dtype=complex))
 
@@ -167,10 +176,10 @@ class SpaceHandle:
         if self.mode != "analytic":
             raise ExtremeTypeError("the Szego density needs the analytic model")
         pts = np.asarray(points, dtype=complex)
-        _check_strict_interior(*pts.ravel())
+        _check_strict_interior(pts)
         if self.n == 0:
             return np.ones(pts.shape)
-        rows = np.stack([horner(c.taylor, pts) for c in self.symbol.components], axis=-1)
+        rows = row_values(self._rows, pts)
         v = np.linalg.solve(self._factor_adjoint(pts), np.conj(rows)[..., None])[..., 0]
         return 1.0 + np.sum(np.abs(v) ** 2, axis=-1)
 
@@ -235,47 +244,62 @@ class SpaceHandle:
     def embed(self, coeffs) -> ModelPair:
         """Compute the model pair of f; the residual certifies the pair.  A
         ``SzegoSum`` gets its exact pair, with Szego-sum parts."""
-        exact = isinstance(coeffs, SzegoSum)
-        c = coeffs.coeffs if exact else finite_coeffs(coeffs)
-        if exact and c.ndim != 2:
-            raise ValueError("embed takes a scalar Szego sum")
-        if c.shape[-1] - 1 > self.degree:
-            raise ValueError(
-                f"input degree {c.shape[-1] - 1} exceeds the handle's budget {self.degree}"
-            )
-        if exact:
+        if isinstance(coeffs, SzegoSum):
             return self._exact_pair(coeffs)
+        c = self._within_budget(finite_coeffs(coeffs))
         if self.mode == "inner" or self.n == 0:
             return self._pair(c, np.zeros((0, c.size), dtype=complex))
         return self._pair(c, self._companions(c))
 
-    def _exact_pair(self, f: SzegoSum) -> ModelPair:
-        """The pair of sum_j P_j s_{lam_j}: term j has the companion
-        (f_1 - c_j e_0) s_{lam_j}, f_1 that of the polynomial P_j, and the
-        residual is the H^2 norm of sum_j (X_j + U_j - A(lam_j)* c_j) s_{lam_j}.
-        The rows f, f_1 and that residual take their norms in one pass."""
-        p, lam = f.coeffs, f.points
-        if self.n == 0:
-            empty = SzegoSum.trusted(np.zeros((0,) + p.shape, dtype=complex), lam)
-            return ModelPair(f, empty, 0.0)
-        n = self.n if self.mode == "analytic" else 0  # companion rows; none in inner mode
-        rows = np.zeros((1 + n + self.n,) + p.shape, dtype=complex)  # f, f_1, residual
+    def _within_budget(self, c: np.ndarray) -> np.ndarray:
+        if c.shape[-1] - 1 > self.degree:
+            raise ValueError(
+                f"input degree {c.shape[-1] - 1} exceeds the handle's budget {self.degree}"
+            )
+        return c
+
+    def _term_rows(self, f: SzegoSum) -> tuple[np.ndarray, int]:
+        """Rows f, f_1 and residual of each term of sum_j P_j s_{lam_j}, shape
+        (1 + k + n, J, W), and k, the number of companion rows (none in inner
+        mode).  Term j has the companion (f_1 - c_j e_0) s_{lam_j}, f_1 that of
+        the polynomial P_j, and the residual row (X_j + U_j - A(lam_j)* c_j) s_{lam_j}."""
+        if f.coeffs.ndim != 2:
+            raise ValueError("embed takes a scalar Szego sum")
+        p, lam = self._within_budget(f.coeffs), f.points
+        k = self.n if self.mode == "analytic" else 0
+        rows = np.zeros((1 + k + self.n,) + p.shape, dtype=complex)
         rows[0] = p
-        if n:
-            rows[1: 1 + n] = np.swapaxes(self._companions(p), 0, 1)
-        plus, coanalytic = self._laurent(p, np.swapaxes(rows[1: 1 + n], 0, 1))
+        if not self.n:
+            return rows, k
+        if k:
+            rows[1: 1 + k] = np.swapaxes(self._companions(p), 0, 1)
+        plus, coanalytic = self._laurent(p, np.swapaxes(rows[1: 1 + k], 0, 1))
         u = self._coanalytic_at(coanalytic, lam)
-        if n:
+        if k:
             a_h = self._factor_adjoint(lam)
             c = np.linalg.solve(a_h, u[..., None])
-            rows[1: 1 + n, :, 0] -= c[..., 0].T
+            rows[1: 1 + k, :, 0] -= c[..., 0].T
             u -= (a_h @ c)[..., 0]
         plus[:, :, 0] += u
-        rows[1 + n:] = np.swapaxes(plus, 0, 1)
-        norms = SzegoSum.trusted(rows, lam).norms_sq()
-        residual = float(np.sqrt(np.sum(norms[1 + n:])))
-        return ModelPair(f, SzegoSum.trusted(rows[1: 1 + n], lam), residual,
-                         _norm_sq=float(np.sum(norms[: 1 + n])))
+        rows[1 + k:] = np.swapaxes(plus, 0, 1)
+        return rows, k
+
+    def embed_terms(self, f: SzegoSum) -> tuple[SzegoSum, SzegoSum]:
+        """The exact pair of each term of ``f`` with the term axis kept: its
+        rows (f, then the companions) and its residual rows, whose norm
+        certifies the term's pair."""
+        rows, k = self._term_rows(f)
+        return (SzegoSum.trusted(rows[: 1 + k], f.points),
+                SzegoSum.trusted(rows[1 + k:], f.points))
+
+    def _exact_pair(self, f: SzegoSum) -> ModelPair:
+        """The pair of a Szego sum: its terms' rows summed, with the norms of
+        the rows f, f_1 and residual taken in one pass."""
+        rows, k = self._term_rows(f)
+        norms = SzegoSum.trusted(rows, f.points).norms_sq()
+        return ModelPair(f, SzegoSum.trusted(rows[1: 1 + k], f.points),
+                         float(np.sqrt(np.sum(norms[1 + k:]))),
+                         _norm_sq=float(np.sum(norms[: 1 + k])))
 
     @staticmethod
     def _coanalytic_at(coanalytic: np.ndarray, points) -> np.ndarray:

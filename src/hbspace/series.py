@@ -8,6 +8,7 @@ involved.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import NumericalError
 
@@ -133,14 +134,16 @@ def banded_recurrence(steps, rhs, size) -> np.ndarray:
     steps = np.asarray(steps, dtype=complex)[: size - 1]  # lags >= size never act
     p = steps.shape[0]
     t = min(max(_CHUNK // n, p, rhs.shape[0]), size)
-    # block (m, c) of [coupling | chunk] is S_{m+p-c} = ext[c - m], S_0 = I and
-    # ext[p + 1] = 0; the coupling's p block columns act on the previous
-    # chunk's last p blocks
-    ext = np.concatenate([steps[::-1], np.eye(n, dtype=complex)[None],
-                          np.zeros((1, n, n), dtype=complex)])
-    offset = np.arange(t + p)[None, :] - np.arange(t)[:, None]
-    band = ext[np.where((offset >= 0) & (offset <= p), offset, p + 1)]
-    band = band.transpose(0, 2, 1, 3).reshape(t * n, (t + p) * n)
+    # block (m, c) of [coupling | chunk] is S_{m+p-c} for 0 <= c - m <= p and
+    # 0 elsewhere, S_0 = I; the coupling's p block columns act on the previous
+    # chunk's last p blocks.  Block row m is the strip [S_p, ..., S_1, I] moved
+    # right by m blocks, so one strided view (down n rows and right n columns
+    # per step) writes all of its p + 1 block diagonals at once.
+    strip = np.concatenate([steps[::-1], np.eye(n, dtype=complex)[None]])
+    band = np.zeros((t * n, (t + p) * n), dtype=complex)
+    rows, cols = band.strides
+    as_strided(band, (t, n, (p + 1) * n), (n * (rows + cols), rows, cols),
+               writeable=True)[:] = strip.transpose(1, 0, 2).reshape(n, -1)
     chunk = band[:, p * n:]
     # when the first chunk covers the request, no later chunk needs Phi
     known = np.zeros((t * n, 1 if t == size else p * n + 1), dtype=complex)
@@ -291,6 +294,25 @@ class SzegoSum:
         rho = np.conj(self.points)[:, None] * other.points
         tail = np.sum((ha[..., -1] @ (rho / (1.0 - rho))) * np.conj(hb[..., -1]))
         return complex(np.vdot(hb.sum(axis=-2), ha.sum(axis=-2)) + tail)
+
+    def term_gram(self, other: "SzegoSum") -> np.ndarray:
+        """G[j, l] = <term j of self, term l of other>, summed over the leading
+        axes (which must agree): the heads' dot products plus the geometric
+        tails, shape (J, L)."""
+        width = max(self.width, other.width)
+        ha = self.heads(width).reshape(-1, self.points.size, width)
+        hb = (ha if other is self else
+              other.heads(width).reshape(-1, other.points.size, width)).conj()
+        rho = np.conj(self.points)[:, None] * other.points
+        tails = np.einsum("rj,rl->jl", ha[..., -1], hb[..., -1])
+        return np.einsum("rjw,rlw->jl", ha, hb) + tails * (rho / (1.0 - rho))
+
+    def backward(self) -> "SzegoSum":
+        """The backward shift L, termwise: L(P s_mu) = (L P) s_mu + P(0) conj(mu) s_mu."""
+        coeffs = np.zeros(self.coeffs.shape[:-1] + (max(self.width - 1, 1),), dtype=complex)
+        coeffs[..., : self.width - 1] = self.coeffs[..., 1:]
+        coeffs[..., 0] += self.coeffs[..., 0] * np.conj(self.points)
+        return SzegoSum.trusted(coeffs, self.points)
 
     def norms_sq(self) -> np.ndarray:
         """Squared H^2 norm of each entry of a vector-valued sum, shape coeffs.shape[:-2]."""

@@ -1,11 +1,21 @@
 """Model spaces of finite Blaschke products and backward-shift-invariant
 intersections, polynomial density residuals, the nearly-invariant norm
 formula, and the quotient membership test for forward-shift-invariant
-subspaces."""
+subspaces.
+
+The model space K_theta is spanned exactly by Szego sums: z^j for each zero
+at the origin and s_a = 1 / (1 - conj(a) z) for each nonzero zero a.  Its
+intersection with a space embeds those candidates in one batch that keeps
+the term axis (``embed_terms``), and everything after that is a K x K matrix
+of term inner products (``SzegoSum.term_gram``): the Gram, the orthonormal
+basis L^{-1} T and the backward-invariance residual.  The backward shift acts
+coordinatewise on model pairs and termwise on Szego sums
+(``SzegoSum.backward``), so the residual embeds nothing either.
+"""
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -14,7 +24,7 @@ from .analysis import LimitSchedule, _divided_difference_all, _radial_limit, _sh
 from .errors import ConfigError, ConvergenceError, NumericalError
 from .model import SpaceHandle
 from .series import (SzegoSum, convolve, divided_difference, finite_coeffs, horner,
-                     series_divide, shift_down, trim)
+                     series_divide, trim)
 from .spectral import _CIRCLE_TOL
 from .symbols import ModelPair
 
@@ -34,7 +44,7 @@ class BlaschkeProduct:
         if not self.zeros:
             raise ValueError("need at least one zero")
         for a in self.zeros:
-            if abs(a) >= 1.0:
+            if not abs(a) < 1.0:  # NaN fails this test too
                 raise ValueError("Blaschke zeros must lie strictly inside the disk")
 
     @property
@@ -63,37 +73,40 @@ class BlaschkeProduct:
         return series_divide(num, den, degree)
 
 
-def model_space_basis(theta: BlaschkeProduct, degree: int = 256) -> list[np.ndarray]:
-    """A basis of H^2 (-) theta H^2: monomials for the zeros at the origin
-    and a Szego kernel per nonzero zero (distinct nonzero zeros required),
-    cut at ``degree``; raises NumericalError when a cut drops a tail above
-    ``series.TAIL_TOL``."""
+def model_space_basis(theta: BlaschkeProduct) -> list[SzegoSum]:
+    """A basis of H^2 (-) theta H^2, exactly: the monomials z^j, one per zero
+    at the origin, as polynomial terms at 0, and the Szego kernel s_a per
+    nonzero zero a (distinct nonzero zeros required)."""
     at_zero = sum(1 for a in theta.zeros if a == 0)
     others = [a for a in theta.zeros if a != 0]
-    if np.unique(np.round(others, 14)).size != len(others):
+    if len({(round(a.real, 14), round(a.imag, 14)) for a in others}) != len(others):
         raise ValueError("nonzero Blaschke zeros must be distinct")
-    basis = []
-    for j in range(at_zero):
-        e = np.zeros(j + 1, dtype=complex)
-        e[j] = 1.0
-        basis.append(e)
-    if others:  # row j holds s_{a_j} alone
-        basis.extend(SzegoSum(np.eye(len(others))[:, :, None], others).taylor(degree))
-    return basis
+    one = np.ones((1, 1), dtype=complex)
+    return ([SzegoSum.trusted(np.eye(1, j + 1, j, dtype=complex), np.zeros(1, dtype=complex))
+             for j in range(at_zero)]
+            + [SzegoSum.trusted(one, np.array([a])) for a in others])
 
 
 @dataclass
 class SubspaceBasis:
     """Orthonormalized members spanning a finite-dimensional subspace.
 
-    ``gram`` is the Gram of the stored basis in the ambient norm (identity up
-    to solver noise); ``raw_gram`` is the Gram of the pre-orthonormalization
-    candidates that survived the membership filter."""
+    ``terms`` holds the exact pair rows (f, then the companions) of the
+    candidate terms T_j that survived the membership filter, and basis vector
+    i is sum_j mix[i, j] T_j; ``pairs`` holds those vectors as exact pairs and
+    ``coeffs`` as Szego sums.  ``gram`` is the Gram of the basis in the
+    ambient norm (identity up to solver noise); ``raw_gram`` is the Gram of
+    the candidates."""
 
     pairs: list
     gram: np.ndarray
-    coeffs: list = field(default_factory=list)
     raw_gram: np.ndarray | None = None
+    terms: SzegoSum | None = None
+    mix: np.ndarray | None = None
+
+    @property
+    def coeffs(self) -> list:
+        return [p.f for p in self.pairs]
 
     @property
     def dim(self) -> int:
@@ -113,44 +126,74 @@ def _stack(pairs) -> np.ndarray:
     return rows
 
 
-def intersect_model_space(space, theta: BlaschkeProduct,
-                          degree: int | None = None) -> SubspaceBasis:
+def _mixed(mix: np.ndarray, terms: SzegoSum, width: int) -> np.ndarray:
+    """Coefficients of sum_j mix[i, j] T_j, term axis kept and padded to
+    ``width``, shape (I,) + rows + (J, width)."""
+    out = np.zeros(mix.shape[:1] + terms.coeffs.shape[:-1] + (width,), dtype=complex)
+    out[..., : terms.width] = np.einsum("ij,...jw->i...jw", mix, terms.coeffs)
+    return out
+
+
+def intersect_model_space(space, theta: BlaschkeProduct) -> SubspaceBasis:
     """Basis of (space) intersect K_theta, orthonormal in the space norm.
 
-    Candidates come from the model-space basis; non-members are filtered out
-    by the membership test and the rest Gram-Schmidted through a Cholesky of
-    their Gram.  Each member and each basis vector is embedded once.
+    The candidates T_j of ``model_space_basis`` are embedded exactly in one
+    batch, term by term (``space.embed_terms``); a candidate whose residual
+    exceeds the space's membership tolerance is dropped.  With L L* the
+    Cholesky factor of the candidates' Gram G, the basis is L^{-1} T, so its
+    pairs are the mixed term rows and its Gram is L^{-1} G L^{-*}: no vector
+    is embedded twice and nothing is cut.
     """
     if not space.mz_invariant:
         raise ConfigError("intersection machinery needs a forward-shift-invariant space")
-    degree = degree if degree is not None else min(space.degree, 256)
-    members = [c for c in model_space_basis(theta, degree) if space.membership(c).member]
-    if not members:
+    rows, residual_rows = space.embed_terms(sum(model_space_basis(theta)))
+    gram = rows.term_gram(rows)
+    residual_gram = residual_rows.term_gram(residual_rows)
+    norms = np.sqrt(np.diagonal(gram).real)
+    keep = np.sqrt(np.abs(np.diagonal(residual_gram))) <= space.tol_membership * (1.0 + norms)
+    if not np.any(keep):
         return SubspaceBasis([], np.zeros((0, 0)))
-    raw = _stack([space.embed(m) for m in members])
-    gm = raw @ raw.conj().T
+    terms = SzegoSum.trusted(rows.coeffs[:, keep], rows.points[keep])
+    gm, residual_gram = gram[np.ix_(keep, keep)], residual_gram[np.ix_(keep, keep)]
     low = np.linalg.cholesky(0.5 * (gm + gm.conj().T))
-    width = max(m.size for m in members)
-    ortho = np.linalg.solve(low, raw[:, :width])
-    coeffs = [np.trim_zeros(row, "b") if np.any(row) else row[:1] for row in ortho]
-    pairs = [space.embed(c) for c in coeffs]
-    rows = _stack(pairs)
-    return SubspaceBasis(pairs, rows @ rows.conj().T, coeffs=coeffs, raw_gram=gm)
+    mix = np.linalg.solve(low, np.eye(low.shape[0]))
+    basis_gram = mix @ gm @ mix.conj().T
+    residuals = np.sqrt(np.abs(np.diagonal(mix @ residual_gram @ mix.conj().T)))
+    coeffs = _mixed(mix, terms, terms.width)
+    pairs = [ModelPair(SzegoSum.trusted(c[0], terms.points),
+                       SzegoSum.trusted(c[1:], terms.points), float(res), _norm_sq=float(g.real))
+             for c, res, g in zip(coeffs, residuals, np.diagonal(basis_gram))]
+    return SubspaceBasis(pairs, basis_gram, gm, terms, mix)
 
 
 def backward_invariance_residual(space, basis: SubspaceBasis) -> float:
-    """Largest relative residual of projecting L(basis member) back onto the
-    subspace; certifies backward-shift invariance of the intersection."""
+    """Largest relative residual ||L b_i - sum_k <L b_i, b_k> b_k|| / ||L b_i||
+    of projecting L(basis member) back onto the subspace; certifies
+    backward-shift invariance of the intersection.
+
+    L acts coordinatewise on model pairs and commutes with the divided
+    differences, so the pair rows of L b_i are sum_j mix[i, j] L T_j
+    (``SzegoSum.backward``) in both space types; nothing is embedded.  The
+    coefficients <L b_i, b_k> come from the term Grams of (L T, T), and the
+    remainder is formed as an explicit Szego sum, one term per candidate
+    holding mix[i, j] L T_j - (c mix)[i, j] T_j (the monomials share the
+    point 0, where no geometric tail couples terms), so that an invariant
+    subspace cancels coefficientwise and its residual is roundoff, not the
+    square root of a difference of norms.  ``space`` is not read.
+    """
     if not basis.dim:
         return 0.0
-    rows = _stack([space.embed(shift_down(c)) for c in basis.coeffs]
-                  + basis.pairs)
-    lrows, brows = rows[: basis.dim], rows[basis.dim:]
-    total = np.sum(np.abs(lrows) ** 2, axis=1)
-    proj = np.sum(np.abs(lrows @ brows.conj().T) ** 2, axis=1)
+    terms, mix = basis.terms, basis.mix
+    shifted = terms.backward()
+    gram = shifted.term_gram(shifted + terms)  # blocks (L T, L T) and (L T, T)
+    count = mix.shape[1]
+    total = np.diagonal(mix @ gram[:, :count] @ mix.conj().T).real
+    proj = mix @ gram[:, count:] @ mix.conj().T  # [i, k] = <L b_i, b_k>
+    width = terms.width
+    remainder = _mixed(mix, shifted, width) - _mixed(proj @ mix, terms, width)
+    rem_sq = SzegoSum.trusted(remainder, terms.points).norms_sq().sum(axis=-1)
     live = total > 1e-24
-    rel = np.maximum(total[live] - proj[live], 0.0) / total[live]
-    return float(np.sqrt(np.max(rel, initial=0.0)))
+    return float(np.sqrt(np.max(rem_sq[live] / total[live], initial=0.0)))
 
 
 @dataclass

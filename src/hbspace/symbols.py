@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InvariantViolation, NumericalError
 from .harmonic import DEFAULT_GRID, DiskFunction, boundary_from_taylor, grid_points
 from .series import (SzegoSum, as_coeffs, divided_difference, finite_coeffs, h2_norm_sq,
-                     horner, szego_taylor)
+                     horner, power_table, szego_taylor)
 from .spectral import DefectSplit, defect_split
 
 _INDEPENDENCE_TOL = 1e-10
@@ -165,9 +165,17 @@ class RowSymbol:
 
 
 def _check_strict_interior(*points):
+    """Each argument a point or an array of points, checked by its largest modulus."""
     for p in points:
-        if not abs(p) < 1.0:  # NaN fails this test too
-            raise ValueError(f"kernel arguments must satisfy |z| < 1, got |z| = {abs(p)}")
+        radius = np.max(np.abs(p), initial=0.0) if isinstance(p, np.ndarray) else abs(p)
+        if not radius < 1.0:  # NaN fails this test too
+            raise ValueError(f"kernel arguments must satisfy |z| < 1, got |z| = {radius}")
+
+
+def row_values(rows: np.ndarray, points) -> np.ndarray:
+    """B(w) at each point from the coefficient rows (n, W): one matmul with
+    the powers of w, shape points.shape + (n,)."""
+    return power_table(points, rows.shape[1]) @ rows.T
 
 
 def kernel_eval(symbol: RowSymbol, z, lam) -> complex:
@@ -180,14 +188,11 @@ def kernel_eval(symbol: RowSymbol, z, lam) -> complex:
 def gram_matrix(symbol: RowSymbol, points) -> np.ndarray:
     """Hermitian Gram G[j, i] = k(lam_j, lam_i) of kernel functions."""
     pts = np.asarray(points, dtype=complex)
-    _check_strict_interior(*pts)
+    _check_strict_interior(pts)
     if np.unique(np.round(pts, 14)).size != pts.size:
         raise ValueError("Gram points must be distinct")
-    if symbol.n:
-        rows = np.stack([horner(c.taylor, pts) for c in symbol.components], axis=1)  # (m, n)
-        bb = rows @ rows.conj().T  # (j, i) -> B(lam_j) B(lam_i)*
-    else:
-        bb = np.zeros((pts.size, pts.size), dtype=complex)
+    rows = row_values(symbol.coefficient_matrix(), pts)  # (m, n)
+    bb = rows @ rows.conj().T  # (j, i) -> B(lam_j) B(lam_i)*
     g = (1.0 - bb) / (1.0 - np.conj(pts)[None, :] * pts[:, None])
     return 0.5 * (g + g.conj().T)
 
@@ -263,6 +268,9 @@ class DirichletSpace:
     mz_invariant = True
     truncated = False
 
+    # the embedding is exact and every residual 0; the handle's membership tolerance
+    tol_membership = 1e-7
+
     def __init__(self, measure: MeasureSpec, degree: int = 128):
         if measure.ac_density is not None:
             raise NotImplementedError(
@@ -296,7 +304,7 @@ class DirichletSpace:
         1 + sum c |w|^2 / |1 - conj(w) z|^2, exact at every interior point.
         """
         pts = np.asarray(points, dtype=complex)
-        _check_strict_interior(*pts.ravel())
+        _check_strict_interior(pts)
         total = np.ones(pts.shape)
         for loc, weight in self.measure.atoms:
             total += weight * np.abs(pts) ** 2 / np.abs(1.0 - np.conj(pts) * loc) ** 2
@@ -315,6 +323,26 @@ class DirichletSpace:
         """The model pair of f; exact, so its residual is 0."""
         c = finite_coeffs(coeffs)
         return ModelPair(c, np.array(self.companions(c)), 0.0)
+
+    def embed_terms(self, f: SzegoSum) -> tuple[SzegoSum, SzegoSum]:
+        """The exact pair of each term of ``f`` with the term axis kept: its
+        rows (f, then one coordinate per atom) and no residual rows.  The
+        coordinate of P s_mu for the atom c at z is
+        sqrt(c) ((D_z P) s_mu + P(z) conj(mu) s_mu(z) s_mu), D_z P = (P - P(z)) / (w - z)."""
+        p, mu = f.coeffs, f.points
+        if p.ndim != 2:
+            raise ValueError("embed takes a scalar Szego sum")
+        locs, weights = (np.array(v) for v in zip(*self.measure.atoms))
+        rows = np.zeros((1 + self.n,) + p.shape, dtype=complex)
+        rows[0] = p
+        acc = np.zeros((self.n, p.shape[0]), dtype=complex)  # Horner at each atom
+        for k in range(p.shape[1] - 1, 0, -1):
+            acc = p[:, k] + locs[:, None] * acc
+            rows[1:, :, k - 1] = acc
+        at_atoms = p[:, 0] + locs[:, None] * acc  # P_j(z_i)
+        rows[1:, :, 0] += at_atoms * np.conj(mu) / (1.0 - np.conj(mu) * locs[:, None])
+        rows[1:] *= np.sqrt(weights)[:, None, None]
+        return SzegoSum.trusted(rows, mu), SzegoSum.trusted(rows[:0], mu)
 
     def membership(self, coeffs) -> MembershipReport:
         """Every polynomial is a member of a Dirichlet-type space."""
@@ -371,15 +399,24 @@ class DirichletSpace:
         return complex(np.vdot(inv_low @ szego_taylor(z, degree),
                                inv_low @ szego_taylor(lam, degree)))
 
+    def _kernel_columns(self, points, degree: int | None) -> np.ndarray:
+        """L^{-1} s_w for each point w, one column each: k(z, w) = <y_w, y_z>."""
+        pts = np.asarray(points, dtype=complex)
+        _check_strict_interior(pts)
+        degree = self.degree if degree is None else degree
+        return self._kernel_solver(degree) @ szego_taylor(pts, degree).T
+
     def gram(self, points, degree: int | None = None) -> np.ndarray:
         """Gram of kernel functions at interior points; PSD by construction."""
-        pts = np.asarray(points, dtype=complex)
-        _check_strict_interior(*pts)
-        degree = self.degree if degree is None else degree
-        vand = np.conj(pts)[None, :] ** np.arange(degree + 1)[:, None]
-        y = self._kernel_solver(degree) @ vand
+        y = self._kernel_columns(points, degree)
         k = y.conj().T @ y
         return 0.5 * (k + k.conj().T)
+
+    def kernel_diagonal(self, points) -> np.ndarray:
+        """k(w, w) at each point: the squared column norms of L^{-1} s_w, no Gram."""
+        pts = np.asarray(points, dtype=complex)
+        y = self._kernel_columns(pts.ravel(), None)
+        return np.sum(np.abs(y) ** 2, axis=0).reshape(pts.shape)
 
     def kernel_taylor(self, lam, degree: int | None = None) -> np.ndarray:
         _check_strict_interior(lam)

@@ -351,6 +351,18 @@ def test_reverse_carleson_dirichlet_kernel_stays_resolved(d_origin, rank1_half):
     assert rc.sup_kernel == pytest.approx(ref.sup_kernel, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["h2", "rank1_half", "cusp", "two_term", "weighted",
+                                  "ddelta", "d_origin", "d_pair"])
+def test_reverse_carleson_h2_is_the_gram_diagonal(name, request):
+    # h2 reads kernel diagonals without a Gram; it must equal the Gram's diagonal
+    space = request.getfixturevalue(name)
+    for level in (3, 6, 16):
+        rc = reverse_carleson(space, LimitSchedule(k_min=3, k_max=3), deep_level=level)
+        r = rc.radius_h2
+        ref = 1.0 / ((1.0 - r ** 2) * np.diagonal(space.gram(r * rc.lam)).real)
+        assert np.max(np.abs(rc.h2 - ref) / ref) <= 1e-14
+
+
 def test_reverse_carleson_inapplicable_for_inner(inner_space):
     rc = reverse_carleson(inner_space)
     assert not rc.applicable

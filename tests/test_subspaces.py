@@ -53,21 +53,23 @@ def test_model_space_basis_monomials():
     for j, b in enumerate(basis):
         expected = np.zeros(j + 1)
         expected[j] = 1.0
-        assert np.array_equal(b, expected)
+        assert np.array_equal(b.coeffs, [expected]) and np.array_equal(b.points, [0.0])
     single = model_space_basis(BlaschkeProduct([0.0]))
-    assert len(single) == 1 and np.array_equal(single[0], [1.0])
+    assert len(single) == 1 and np.array_equal(single[0].coefficients(4), [1.0, 0, 0, 0])
 
 
 def test_model_space_basis_szego_for_simple_zero():
-    a = 0.4 - 0.1j
-    basis = model_space_basis(BlaschkeProduct([a]), degree=128)
-    assert np.max(np.abs(basis[0] - szego_taylor(a, 128))) < 1e-14
+    # the exact Szego kernel against the degree-256 cut the basis used to hold
+    for a in (0.4 - 0.1j, 0.6, -0.6j, 0.3 * np.exp(2.0j)):
+        basis = model_space_basis(BlaschkeProduct([a]))
+        assert np.array_equal(basis[0].points, [a])
+        assert np.max(np.abs(basis[0].taylor(256) - szego_taylor(a, 256))) < 1e-14
 
 
 def test_model_space_basis_orthogonal_to_shifted_range():
     theta = BlaschkeProduct([0.0, 0.35, -0.5j])
     degree = 256
-    basis = model_space_basis(theta, degree)
+    basis = [b.taylor(degree) for b in model_space_basis(theta)]
     assert len(basis) == theta.degree
     th = theta.taylor(degree)
     for b in basis:
@@ -97,22 +99,23 @@ def test_intersect_rank_one_monomial_case(rank1_half):
 
 
 def test_intersect_single_blaschke_factor(rank1_half):
-    basis = intersect_model_space(rank1_half, BlaschkeProduct([0.5]), degree=220)
+    basis = intersect_model_space(rank1_half, BlaschkeProduct([0.5]))
     assert basis.dim == 1
     # the candidate 1/(1 - z/2) has squared norm 1 + 2 sum 4^-k = 5/3
     assert basis.raw_gram[0, 0].real == pytest.approx(5.0 / 3.0, rel=1e-10)
 
 
-def test_backward_invariance_of_intersections(h2, rank1_half):
+def test_backward_invariance_of_intersections(h2, rank1_half, cusp):
     cases = [
         (h2, BlaschkeProduct([0.0, 0.0])),
         (h2, BlaschkeProduct([0.5])),
         (rank1_half, BlaschkeProduct([0.0, 0.0])),
         (rank1_half, BlaschkeProduct([0.5, -0.3])),
+        (cusp, BlaschkeProduct([0.5, -0.3])),  # a difference of norms read 1.5e-8 here
     ]
     for space, theta in cases:
         basis = intersect_model_space(space, theta)
-        assert backward_invariance_residual(space, basis) <= 1e-6
+        assert backward_invariance_residual(space, basis) <= 1e-12
 
 
 def test_intersect_on_dirichlet_space(d_pair):
@@ -122,7 +125,63 @@ def test_intersect_on_dirichlet_space(d_pair):
     basis = intersect_model_space(d_pair, theta)
     assert basis.dim == theta.degree
     assert np.max(np.abs(basis.gram - np.eye(2))) < 1e-10
-    assert backward_invariance_residual(d_pair, basis) <= 1e-6
+    assert backward_invariance_residual(d_pair, basis) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["h2", "rank1_half", "cusp", "two_term", "weighted", "d_pair"])
+def test_intersect_near_the_circle(name, request):
+    # exact candidates: a degree-256 cut of s_a drops a tail at |a| = 0.9 and is refused at 0.99
+    space = request.getfixturevalue(name)
+    for radius in (0.9, 0.99, 0.999):
+        for angle in (0.0, 2.0):
+            a = radius * np.exp(1j * angle)
+            basis = intersect_model_space(space, BlaschkeProduct([a, 0.0]))
+            assert basis.dim == 2
+            norm_sq = space.szego_density(a) / (1.0 - abs(a) ** 2)
+            assert abs(basis.raw_gram[1, 1] - norm_sq) <= 1e-12 * norm_sq
+            solo = intersect_model_space(space, BlaschkeProduct([a]))
+            assert abs(solo.raw_gram[0, 0] - norm_sq) <= 1e-12 * norm_sq
+            assert np.max(np.abs(basis.gram - np.eye(2))) <= 1e-12
+            assert backward_invariance_residual(space, basis) <= 1e-12
+            assert max(p.residual for p in basis.pairs) <= 1e-12
+
+
+def test_intersect_pairs_are_the_embedded_basis(rank1_half, d_pair):
+    # the mixed term rows are the exact pairs of the basis vectors
+    for space in (rank1_half, d_pair):
+        basis = intersect_model_space(space, BlaschkeProduct([0.0, 0.0, 0.5, -0.3j]))
+        for pair, f in zip(basis.pairs, basis.coeffs):
+            assert pair.f is f
+            cut = f.taylor(200)
+            ref = space.embed(cut)
+            head = pair.companions.coefficients(150) - ref.companions[:, :150]
+            assert np.max(np.abs(head)) <= 1e-13
+            assert abs(pair.norm_sq - ref.norm_sq) <= 1e-13
+        gram = np.array([[space.inner(a, b) for b in basis.pairs] for a in basis.pairs])
+        assert np.max(np.abs(gram - basis.gram)) <= 1e-13
+        cut = [space.embed(t.taylor(200)) for t in model_space_basis(BlaschkeProduct(
+            [0.0, 0.0, 0.5, -0.3j]))]
+        raw = np.array([[space.inner(a, b) for b in cut] for a in cut])
+        assert np.max(np.abs(raw - basis.raw_gram)) <= 1e-13 * np.max(np.abs(raw))
+
+
+def test_intersection_embeds_one_batch(monkeypatch):
+    # one intersection and its residual on an untouched handle: one exact embed
+    # of all candidates, no per-vector embed, a correlation no wider than the
+    # widest candidate (z, width 2)
+    space = SpaceHandle(rank1_half_symbol(1024), n_grid=1024)
+    calls = {"embed": 0, "embed_terms": 0, "_companions": 0}
+    for name in calls:
+        original = getattr(SpaceHandle, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(SpaceHandle, name, counted)
+    basis = intersect_model_space(space, BlaschkeProduct([0.0, 0.0, 0.5, -0.3j]))
+    assert backward_invariance_residual(space, basis) <= 1e-12
+    assert calls == {"embed": 0, "embed_terms": 1, "_companions": 1}
+    assert space._g.shape[1] <= 2
 
 
 def _pairwise_poly_density(space, f, degrees):

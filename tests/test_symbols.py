@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hbspace.catalog import named_space, space_from_json
 from hbspace.errors import InvariantViolation, NumericalError
 from hbspace.harmonic import DiskFunction
+from hbspace.series import SzegoSum
 from hbspace.symbols import (
     DirichletSpace,
     MeasureSpec,
@@ -214,6 +215,20 @@ def test_dirichlet_embed_is_exact(d_pair):
     e = d_pair.embed(np.array([0.0, 1.0]))
     assert d_pair.inner(pair, e) == pytest.approx(d_pair.monomial_gram(3)[1] @ c, rel=1e-14)
     assert d_pair.membership(c).member
+
+
+def test_dirichlet_embed_terms_is_the_cut_embed():
+    # closed-form coordinates of P s_mu, boundary atoms included, against the
+    # coefficient embed of a cut at which the dropped tail is below roundoff
+    rng = np.random.default_rng(2)
+    space = DirichletSpace(MeasureSpec(atoms=[(1.0, 0.7), (0.3 - 0.5j, 1.3), (np.exp(2j), 0.2)]))
+    f = SzegoSum(rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)), [0.5, -0.3 + 0.4j, 0.0])
+    rows, residual_rows = space.embed_terms(f)
+    assert rows.coeffs.shape == (4, 3, 4) and residual_rows.coeffs.shape == (0, 3, 4)
+    cut = space.embed(f.taylor(300))
+    companions = SzegoSum(rows.coeffs[1:], rows.points).coefficients(200)
+    assert np.max(np.abs(companions - cut.companions[:, :200])) <= 1e-14
+    assert abs(rows.term_gram(rows).sum() - cut.norm_sq) <= 1e-14 * cut.norm_sq
 
 
 def test_named_dirichlet_spaces_honour_degree():
