@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Tabulate reverse-Carleson densities h1, h2 and the minimal boundary
-density g for the symbol-backed example spaces, plus the exact criterion for
-a family of one-atom Dirichlet measures sliding toward the boundary.
+"""Tabulate the reverse-Carleson constant, the kernel density h2 at the deep
+radius and the minimal boundary density g for the symbol-backed example
+spaces, plus the exact criterion for a family of one-atom Dirichlet
+measures sliding toward the boundary.
 
 Usage: python scripts/carleson_densities.py [OUTDIR]
 """
@@ -20,16 +21,12 @@ OUT = sys.argv[1] if len(sys.argv) > 1 else "out"
 
 def main():
     for name in ("h2", "rank1-half", "cusp"):
-        space = named_space(name)
-        rc = reverse_carleson(space, deep_level=16)
-        rows = []
-        for i, lam in enumerate(rc.lam):
-            rows.append((lam, rc.h1[i] if rc.h1 is not None else "",
-                         rc.h2[i], rc.g[i]))
-        write_csv(f"{OUT}/carleson_{name}.csv", ["lam", "h1", "h2", "g"], rows,
-                  {"space": name, "admits": rc.admits,
-                   "radius_h1": rc.radius_h1, "radius_h2": rc.radius_h2})
-        print(f"{name:12s} admits={rc.admits}  sup(iii)={rc.sup_kernel:.6g}")
+        rc = reverse_carleson(named_space(name))
+        write_csv(f"{OUT}/carleson_{name}.csv", ["lam", "h2", "g"],
+                  list(zip(rc.lam, rc.h2, rc.g)),
+                  {"space": name, "admits": rc.admits, "constant": rc.constant,
+                   "radius_h2": rc.radius_h2})
+        print(f"{name:12s} admits={rc.admits}  constant={rc.constant:.16g}")
 
     rows = []
     for radius in np.linspace(0.0, 0.999, 12):

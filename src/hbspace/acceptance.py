@@ -192,21 +192,15 @@ def criterion_05(quick=False) -> tuple[bool, str]:
 
 
 def criterion_06(quick=False) -> tuple[bool, str]:
-    """Reverse-Carleson densities and the Dirichlet corollary."""
-    hb = _spaces()["rank1-half"]
-    rc = reverse_carleson(hb, deep_level=12 if quick else 16)
-    err_limit = float(np.max(np.abs(rc.h2 - 2.0)))
-    tol = 2e-3 if quick else 1e-4
-    if err_limit > tol:
-        return False, f"h2 deviates from 2 by {err_limit:.3e} at r={rc.radius_h2}"
-    err_g = float(np.max(np.abs(rc.h2 - rc.g)))
-    if err_g > tol:
-        return False, f"h2 vs minimal density off by {err_g:.3e}"
+    """Reverse-Carleson constant and density, and the Dirichlet corollary."""
+    rc = reverse_carleson(_spaces()["rank1-half"])
+    err_constant = abs(rc.constant - 2.0) / 2.0
+    err_g = float(np.max(np.abs(rc.g - 2.0))) / 2.0
     d = dirichlet_reverse_carleson(MeasureSpec(atoms=[(0.0, 1.0)]))
     exact = d.admits and float(np.max(np.abs(d.h - 2.0))) == 0.0
-    passed = exact
-    return passed, (f"h2 limit error {err_limit:.2e} (tol {tol:g}); "
-                    f"h2 vs g {err_g:.2e}; origin measure admits with h = 2 exactly: {exact}")
+    passed = rc.admits and max(err_constant, err_g) <= 1e-12 and exact
+    return passed, (f"constant {rc.constant:.16g} (rel err {err_constant:.2e}, tol 1e-12); "
+                    f"g off 2 by {err_g:.2e}; origin measure admits with h = 2 exactly: {exact}")
 
 
 def criterion_07(quick=False) -> tuple[bool, str]:

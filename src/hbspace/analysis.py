@@ -2,15 +2,16 @@
 
 Everything here is phrased against a "space" object exposing
 ``poly_norm_sq``, ``norm``, ``companions_at``, ``kernel``,
-``kernel_diagonal``, ``szego_density`` and ``mz_invariant`` (both the
-factored symbol handles and the embedded Dirichlet-type spaces qualify).
+``kernel_diagonal`` and ``mz_invariant`` (both the factored symbol handles
+and the embedded Dirichlet-type spaces qualify).
 The shift quantities are exact polynomial coefficient operations, and so are
 the radial limits of the norm formula and the wandering norm.  The boundary
 verdicts, forward-shift invariance and the existence of a reverse-Carleson
-measure, are read off the defect split that a row symbol takes at
-validation, so no boundary diagnostic samples a grid.
+measure with its constant, are read off the defect split that a row symbol
+takes at validation, so no boundary diagnostic samples a grid.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,73 +240,68 @@ def shift_intertwine_residual(size: int = 64) -> float:
 class ReverseCarlesonReport:
     applicable: bool
     admits: bool | None
-    sup_resolvent: float | None
-    sup_kernel: float | None
+    constant: float | None
     lam: np.ndarray
-    h1: np.ndarray | None
     h2: np.ndarray | None
     g: np.ndarray | None
-    radius_h1: float | None
     radius_h2: float | None
     note: str = ""
 
 
-def reverse_carleson(space, schedule: LimitSchedule | None = None,
-                     lam_points: int = 64, deep_level: int = 16) -> ReverseCarlesonReport:
-    """Reverse-Carleson diagnostics for a forward-shift-invariant space.
+def _reciprocal_norm_sq(a: np.ndarray) -> float:
+    """||1 / a||_2^2 for a polynomial a with a(0) > 0 and no zeros in the
+    closed disk: 1 / (a(0)^2 prod_j (1 - |k_j|^2)), k_j the reflection
+    coefficients of the Schur-Cohn step-down recursion on a / a(0), all of
+    modulus < 1 (Hayes, Statistical Digital Signal Processing and Modeling,
+    1996, ch. 5).  Its relative error grows like eps / (1 - |k_j|), the
+    conditioning of the value itself."""
+    poly = a / a[0]
+    scale = a[0].real ** 2
+    while poly.size > 1:
+        k = poly[-1]
+        gap = 1.0 - abs(k) ** 2
+        scale *= gap
+        poly = (poly[:-1] - k * np.conj(poly[:0:-1])) / gap
+    return 1.0 / scale
 
-    h2(lam) = 1 / ((1 - r^2) k(r lam, r lam)) is formula-exact; its kernel
-    diagonals come from one ``space.kernel_diagonal`` call over all radii.
-    h1(lam) = (1 - r^2) ||s_{r lam}||^2, s the Szego kernel, comes from the space's
-    closed form ``szego_density``: 1 + ||A(w)^{-*} B(w)*||^2 for a factored
-    symbol and 1 + sum c_i |w|^2 / |1 - conj(w) z_i|^2 for atoms c_i at z_i.
-    Both are reported at the deep radius 1 - 2**-deep_level, lowered to the
-    deepest level within ``space.kernel_radius`` when the kernel is a
-    degree-truncated one; the radius used is recorded.  ``sup_kernel`` and
-    ``sup_resolvent`` are the largest circle means of h2 and h1 over the
-    schedule radii within that radius.  For polynomial symbols the minimal
-    boundary density g = 1 / d, d = 1 - sum |b_i|^2, is reported for
-    comparison from the Laurent coefficients of d.  A measure exists iff 1/d
-    is integrable, that is iff d has no circle root (its circle zeros have
-    even order), which the symbol's defect split records.
+
+def reverse_carleson(space, lam_points: int = 64) -> ReverseCarlesonReport:
+    """Reverse-Carleson verdict and constant for a forward-shift-invariant space.
+
+    The circle means of h2(w) = 1 / ((1 - |w|^2) k(w, w)) and of the Szego
+    density (1 - |w|^2) ||s_w||^2 rise with |w| to the boundary mean of the
+    minimal density g = 1 / d, d = 1 - sum |b_i|^2: a measure exists iff
+    that mean is finite, and ``constant`` is its value.  On a symbol space
+    it is ||1 / a||_2^2, a the outer factor of the symbol's defect split, in
+    closed form by the step-down recursion; it is infinite iff d has a circle
+    root.  For atoms c_i at z_i it is 1 + sum c_i / (1 - |z_i|^2).  ``h2`` is
+    one kernel-diagonal row at the radius 1 - 2**-16, lowered to the deepest
+    1 - 2**-k within ``space.kernel_radius`` when the kernel is a
+    degree-truncated one; ``g`` is 1 / d on the lam points of a symbol space,
+    from the Laurent coefficients of d.
     """
     if not space.mz_invariant:
-        return ReverseCarlesonReport(False, None, None, None, np.zeros(0),
-                                     None, None, None, None, None,
+        return ReverseCarlesonReport(False, None, None, np.zeros(0), None, None, None,
                                      note="criterion inapplicable: space is not "
                                           "forward-shift invariant")
     lam = np.exp(2j * np.pi * np.arange(lam_points) / lam_points)
-    schedule = schedule or LimitSchedule(k_min=3, k_max=6)
-    radii = (1.0 - 2.0 ** (-k) for k in range(deep_level, 0, -1))
-    r_deep = next((r for r in radii if r <= space.kernel_radius), None)
-    if r_deep is None:
+    radii = (1.0 - 2.0 ** (-k) for k in range(16, 0, -1))
+    r = next((radius for radius in radii if radius <= space.kernel_radius), None)
+    if r is None:
         raise ConfigError(f"no radius 1 - 2**-k lies within the kernel radius "
                           f"{space.kernel_radius}")
+    h2 = 1.0 / ((1.0 - r ** 2) * space.kernel_diagonal(r * lam))
 
-    # every radius in one call per density, one row each
-    scheduled = [r for r in schedule.radii if r <= space.kernel_radius]
-    radii = np.unique(scheduled + [r_deep])
-    w = radii[:, None] * lam
-    h2_all = 1.0 / ((1.0 - radii[:, None] ** 2) * space.kernel_diagonal(w))
-    h1_all = space.szego_density(w)
-    rows = np.searchsorted(radii, scheduled)
-    sup_kernel = float(np.max(np.mean(h2_all[rows], axis=1))) if scheduled else None
-    sup_resolvent = float(np.max(np.mean(h1_all[rows], axis=1))) if scheduled else None
-    deep = np.searchsorted(radii, r_deep)
-    h2, h1 = h2_all[deep], h1_all[deep]
-
-    g = None
-    admits = None
     symbol = getattr(space, "symbol", None)
-    if symbol is not None:
-        boundary_defect = np.maximum(laurent_values(symbol.defect.laurent, np.angle(lam)), 0.0)
-        g = np.where(boundary_defect > 1e-14,
-                     1.0 / np.maximum(boundary_defect, 1e-300), np.inf)
-        admits = symbol.defect.circle_roots.size == 0
-    elif hasattr(space, "measure"):
-        admits = dirichlet_reverse_carleson(space.measure, lam_points).admits
-    return ReverseCarlesonReport(True, admits, sup_resolvent, sup_kernel, lam,
-                                 h1, h2, g, r_deep, r_deep)
+    if symbol is None:
+        atomic = dirichlet_reverse_carleson(space.measure, lam_points)
+        return ReverseCarlesonReport(True, atomic.admits, 1.0 + atomic.integral,
+                                     lam, h2, None, r)
+    admits = symbol.defect.circle_roots.size == 0
+    constant = _reciprocal_norm_sq(symbol.defect.outer) if admits else math.inf
+    boundary_defect = np.maximum(laurent_values(symbol.defect.laurent, np.angle(lam)), 0.0)
+    g = np.where(boundary_defect > 1e-14, 1.0 / np.maximum(boundary_defect, 1e-300), np.inf)
+    return ReverseCarlesonReport(True, admits, constant, lam, h2, g, r)
 
 
 @dataclass
@@ -316,7 +312,8 @@ class DirichletCarlesonReport:
     h: np.ndarray | None
     atoms: list = field(default_factory=list)
 
-    def h_at(self, lam) -> float:
+    def h_at(self, lam):
+        """The density at a point or at each of an array of points."""
         total = 1.0
         for loc, weight in self.atoms:
             total += weight / abs(1.0 - np.conj(lam) * loc) ** 2
@@ -329,20 +326,11 @@ def dirichlet_reverse_carleson(measure: MeasureSpec, lam_points: int = 64) -> Di
     boundary density is h(lam) = 1 + sum c_i / |1 - conj(lam) z_i|^2."""
     if measure.ac_density is not None:
         raise NotImplementedError("atomic measures only")
-    admits = True
-    integral = 0.0
-    for loc, weight in measure.atoms:
-        gap = 1.0 - abs(loc) ** 2
-        if gap <= 0.0:
-            admits = False
-            integral = np.inf
-            break
-        integral += weight / gap
     lam = np.exp(2j * np.pi * np.arange(lam_points) / lam_points)
-    h = None
-    if admits:
-        h = np.ones(lam_points)
-        for loc, weight in measure.atoms:
-            h += weight / np.abs(1.0 - np.conj(lam) * loc) ** 2
-    return DirichletCarlesonReport(admits, float(integral), lam, h,
-                                   atoms=list(measure.atoms))
+    report = DirichletCarlesonReport(False, math.inf, lam, None, atoms=list(measure.atoms))
+    gaps = [1.0 - abs(loc) ** 2 for loc, _ in report.atoms]
+    if min(gaps, default=1.0) > 0.0:
+        report.admits = True
+        report.integral = float(sum(weight / gap for (_, weight), gap in zip(report.atoms, gaps)))
+        report.h = report.h_at(lam) * np.ones(lam_points)  # an array with no atoms too
+    return report

@@ -237,26 +237,23 @@ def cmd_norm_formula(args) -> int:
 
 def cmd_carleson(args) -> int:
     space = _load_space(args)
-    report = reverse_carleson(space, deep_level=12 if args.quick else 16)
+    report = reverse_carleson(space)
     if not report.applicable:
         print(report.note)
         _emit_json(args, {"command": "carleson", "applicable": False})
         return EXIT_OK
     print(f"admits reverse Carleson measure: {report.admits}")
-    print(f"sup kernel criterion: {report.sup_kernel:.6g}")
-    print(f"h2 radius: {report.radius_h2}  h1 radius: {report.radius_h1}")
-    rows = []
-    for i, lam in enumerate(report.lam):
-        rows.append((lam,
-                     report.h1[i] if report.h1 is not None else "",
-                     report.h2[i],
-                     report.g[i] if report.g is not None else ""))
+    print(f"reverse-Carleson constant: {report.constant:.16g}")
+    print(f"h2 radius: {report.radius_h2}")
     if args.out:
-        write_csv(_out_path(args, "carleson.csv"), ["lam", "h1", "h2", "g"], rows,
+        g = report.g if report.g is not None else [""] * report.lam.size
+        write_csv(_out_path(args, "carleson.csv"), ["lam", "h2", "g"],
+                  list(zip(report.lam, report.h2, g)),
                   {"command": "carleson", "seed": args.seed})
+    # no measure: null, since JSON has no infinity
+    constant = report.constant if report.admits else None
     _emit_json(args, {"command": "carleson", "admits": report.admits,
-                      "sup_kernel": report.sup_kernel,
-                      "radius_h2": report.radius_h2})
+                      "constant": constant, "radius_h2": report.radius_h2})
     return EXIT_OK
 
 

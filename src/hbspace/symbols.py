@@ -172,6 +172,12 @@ def _check_strict_interior(*points):
             raise ValueError(f"kernel arguments must satisfy |z| < 1, got |z| = {radius}")
 
 
+def _check_distinct(points: np.ndarray):
+    """A Gram of kernel functions at a repeated point is singular."""
+    if np.unique(np.round(points, 14)).size != points.size:
+        raise ValueError("Gram points must be distinct")
+
+
 def row_values(rows: np.ndarray, points) -> np.ndarray:
     """B(w) at each point from the coefficient rows (n, W): one matmul with
     the powers of w, shape points.shape + (n,)."""
@@ -189,8 +195,7 @@ def gram_matrix(symbol: RowSymbol, points) -> np.ndarray:
     """Hermitian Gram G[j, i] = k(lam_j, lam_i) of kernel functions."""
     pts = np.asarray(points, dtype=complex)
     _check_strict_interior(pts)
-    if np.unique(np.round(pts, 14)).size != pts.size:
-        raise ValueError("Gram points must be distinct")
+    _check_distinct(pts)
     rows = row_values(symbol.coefficient_matrix(), pts)  # (m, n)
     bb = rows @ rows.conj().T  # (j, i) -> B(lam_j) B(lam_i)*
     g = (1.0 - bb) / (1.0 - np.conj(pts)[None, :] * pts[:, None])
@@ -407,8 +412,10 @@ class DirichletSpace:
         return self._kernel_solver(degree) @ szego_taylor(pts, degree).T
 
     def gram(self, points, degree: int | None = None) -> np.ndarray:
-        """Gram of kernel functions at interior points; PSD by construction."""
-        y = self._kernel_columns(points, degree)
+        """Gram of kernel functions at distinct interior points; PSD by construction."""
+        pts = np.asarray(points, dtype=complex)
+        _check_distinct(pts)
+        y = self._kernel_columns(pts, degree)
         k = y.conj().T @ y
         return 0.5 * (k + k.conj().T)
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from hbspace.model import SpaceHandle
 from hbspace.series import h2_norm_sq, szego_taylor
 from hbspace.spectral import laurent_values
 from hbspace.symbols import MeasureSpec, RowSymbol, weighted_space_symbol
-from conftest import ODD_ROOT_ROW, random_interior, scaled_row
+from conftest import ODD_ROOT_ROW, RANK2_EXAMPLE, random_interior, scaled_row
 
 
 def test_schedule_validation():
@@ -228,10 +230,12 @@ def test_exact_verdicts_agree_with_a_fine_minimum(rank):
         assert report.invariant == bool(np.max(np.abs(d)) > 1e-12)
         if not report.invariant:
             continue
-        rc = reverse_carleson(SpaceHandle(symbol, n_grid=1024), deep_level=8)
+        rc = reverse_carleson(SpaceHandle(symbol, n_grid=1024))
         assert rc.admits == bool(np.min(d) > 1e-6), (rank, sup, np.min(d))
-        if rc.admits:  # log d is smooth, so the grid mean is spectrally accurate
+        assert rc.admits == np.isfinite(rc.constant)
+        if rc.admits:  # log d and 1 / d are smooth, so grid means are spectrally accurate
             assert abs(report.log_estimate - np.mean(np.log(d))) <= 1e-12
+            assert rc.constant == pytest.approx(np.mean(1.0 / d), rel=1e-13)
 
 
 def test_odd_root_row_is_refused():
@@ -256,26 +260,25 @@ def test_mz_truncated_symbols_flagged():
 
 
 def test_reverse_carleson_hardy(h2):
-    rc = reverse_carleson(h2, deep_level=16)
+    rc = reverse_carleson(h2)
     assert rc.applicable and rc.admits
     assert np.max(np.abs(rc.h2 - 1.0)) < 1e-4
-    assert rc.h1 is not None and np.max(np.abs(rc.h1 - 1.0)) < 0.15
     assert np.max(np.abs(rc.g - 1.0)) < 1e-12
 
 
 def test_reverse_carleson_rank_one(rank1_half):
-    rc = reverse_carleson(rank1_half, deep_level=16)
+    rc = reverse_carleson(rank1_half)
     assert rc.admits
     assert np.max(np.abs(rc.h2 - 2.0)) < 1e-4
     assert np.max(np.abs(rc.h2 - rc.g)) < 1e-4
-    # h1 is lam-independent for a rotation-invariant symbol
-    assert rc.h1 is not None
-    assert np.max(np.abs(rc.h1 - rc.h1[0])) < 1e-10
-    assert rc.radius_h2 == pytest.approx(1.0 - 2.0 ** -16)
+    # the Szego density is lam-independent for a rotation-invariant symbol
+    h1 = rank1_half.szego_density(rc.radius_h2 * rc.lam)
+    assert np.max(np.abs(h1 - h1[0])) < 1e-10
+    assert rc.radius_h2 == 1.0 - 2.0 ** -16
 
 
 def test_reverse_carleson_cusp_does_not_admit(cusp):
-    rc = reverse_carleson(cusp, deep_level=10)
+    rc = reverse_carleson(cusp)
     assert rc.applicable
     assert not rc.admits  # 1 / sin^2 is not integrable
 
@@ -289,7 +292,13 @@ def test_near_circle_pair_of_a_positive_defect_admits():
     assert laurent_values(symbol.defect.laurent, np.zeros(1))[0] == pytest.approx(1e-11, rel=1e-6)
     assert symbol.defect.circle_roots.size == 0
     space = SpaceHandle(symbol, n_grid=1024)
-    assert reverse_carleson(space, deep_level=8).admits
+    rc = reverse_carleson(space)
+    assert rc.admits
+    # 1 / d = 1 / (alpha - beta cos(theta)) has mean (alpha^2 - beta^2)^(-1/2),
+    # alpha = 1 - 2 h^2, beta = 2 h^2 for the stored h = c / 2; the step-down
+    # loses eps / (1 - |k_q|) to the near-circle root, ~4e-11 here
+    exact = 1.0 / np.sqrt(float(1 - 4 * Fraction(c / 2) ** 2))
+    assert rc.constant == pytest.approx(exact, rel=1e-9)
     assert mz_test(symbol).invariant
     assert space.defect_identity_residual() <= 1e-12
 
@@ -299,10 +308,9 @@ def test_reverse_carleson_constant_density_second_example():
 
     space = SpaceHandle(weighted_space_symbol([1.0, 4.0, 4.0], n_boundary=1024),
                         n_grid=1024)
-    # finite-radius error of h2 is ~ 2 g (g - 1) (1 - r); g = 4 needs k >= 18
-    rc = reverse_carleson(space, deep_level=18)
+    rc = reverse_carleson(space)
+    assert rc.constant == pytest.approx(4.0, rel=1e-12)
     assert np.max(np.abs(rc.g - 4.0)) < 1e-12
-    assert np.max(np.abs(rc.h2 - rc.g)) < 1e-4
 
 
 def test_reverse_carleson_cusp_rate(cusp):
@@ -323,50 +331,98 @@ def test_reverse_carleson_cusp_rate(cusp):
 @pytest.mark.parametrize("name", ["h2", "rank1_half", "cusp", "two_term", "weighted"])
 def test_reverse_carleson_h1_meets_g_at_the_deep_radius(name, request):
     space = request.getfixturevalue(name)
-    rc = reverse_carleson(space, deep_level=16)
-    assert rc.radius_h1 == rc.radius_h2 == 1.0 - 2.0 ** -16
+    rc = reverse_carleson(space)
+    assert rc.radius_h2 == 1.0 - 2.0 ** -16
+    h1 = space.szego_density(rc.radius_h2 * rc.lam)
     ok = np.isfinite(rc.g) & (rc.g <= 20.0)
-    assert np.max(np.abs(rc.h1[ok] - rc.g[ok]) / rc.g[ok]) <= 1e-3
+    assert np.max(np.abs(h1[ok] - rc.g[ok]) / rc.g[ok]) <= 1e-3
 
 
 def test_reverse_carleson_cusp_h1_is_exact(cusp):
     # b = z (1 + z) / 2 and a = (1 - z) / 2 give h1(w) = 1 + |w (1 + w) / (1 - w)|^2;
     # a degree-256 embed of the Szego kernel was 2.7e-7 off at this radius
-    rc = reverse_carleson(cusp, deep_level=4)
-    assert rc.radius_h1 == 0.9375
-    w = 0.9375 * rc.lam
+    w = 0.9375 * np.exp(2j * np.pi * np.arange(64) / 64)
     exact = 1.0 + np.abs(w * (1.0 + w) / (1.0 - w)) ** 2
-    assert np.max(np.abs(rc.h1 - exact) / exact) <= 1e-12
+    assert np.max(np.abs(cusp.szego_density(w) - exact) / exact) <= 1e-12
 
 
 def test_reverse_carleson_dirichlet_kernel_stays_resolved(d_origin, rank1_half):
     # D(delta_0) = H(z / sqrt(2)); the degree-128 kernel is evaluated only
     # where degree * (1 - r) >= 16, so h2 must match the symbol route there
-    rc = reverse_carleson(d_origin, deep_level=16)
-    assert rc.radius_h2 == rc.radius_h1 == 1.0 - 2.0 ** -3
-    ref = reverse_carleson(rank1_half, LimitSchedule(k_min=3, k_max=3), deep_level=3)
-    assert ref.radius_h2 == rc.radius_h2
-    assert np.max(np.abs(rc.h2 - ref.h2)) <= 1e-12
-    assert np.max(np.abs(rc.h1 - ref.h1)) <= 1e-12
-    assert rc.sup_kernel == pytest.approx(ref.sup_kernel, abs=1e-12)
+    rc = reverse_carleson(d_origin)
+    r = rc.radius_h2
+    assert r == 1.0 - 2.0 ** -3
+    w = r * rc.lam
+    ref = 1.0 / ((1.0 - r ** 2) * rank1_half.kernel_diagonal(w))
+    assert np.max(np.abs(rc.h2 - ref)) <= 1e-12
+    assert np.max(np.abs(d_origin.szego_density(w) - rank1_half.szego_density(w))) <= 1e-12
+    assert rc.constant == pytest.approx(reverse_carleson(rank1_half).constant, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["h2", "rank1_half", "cusp", "two_term", "weighted",
                                   "ddelta", "d_origin", "d_pair"])
 def test_reverse_carleson_h2_is_the_gram_diagonal(name, request):
-    # h2 reads kernel diagonals without a Gram; it must equal the Gram's diagonal
+    # h2 reads kernel diagonals without a Gram; they must equal the Gram's diagonal
     space = request.getfixturevalue(name)
-    for level in (3, 6, 16):
-        rc = reverse_carleson(space, LimitSchedule(k_min=3, k_max=3), deep_level=level)
-        r = rc.radius_h2
-        ref = 1.0 / ((1.0 - r ** 2) * np.diagonal(space.gram(r * rc.lam)).real)
-        assert np.max(np.abs(rc.h2 - ref) / ref) <= 1e-14
+    rc = reverse_carleson(space)
+    for r in (1.0 - 2.0 ** -3, 1.0 - 2.0 ** -6, 1.0 - 2.0 ** -16):
+        diagonal = np.diagonal(space.gram(r * rc.lam)).real
+        assert np.max(np.abs(space.kernel_diagonal(r * rc.lam) - diagonal) / diagonal) <= 1e-14
+    r = rc.radius_h2
+    ref = 1.0 / ((1.0 - r ** 2) * np.diagonal(space.gram(r * rc.lam)).real)
+    assert np.max(np.abs(rc.h2 - ref) / ref) <= 1e-14
 
 
 def test_reverse_carleson_inapplicable_for_inner(inner_space):
     rc = reverse_carleson(inner_space)
     assert not rc.applicable
     assert "inapplicable" in rc.note
+
+
+@pytest.mark.parametrize("name, exact", [("h2", 1.0), ("rank1_half", 2.0), ("two_term", 4.0),
+                                         ("weighted", 3.0), ("d_pair", 11.0 / 3.0)])
+def test_reverse_carleson_constant_closed_forms(name, exact, request):
+    # 1 / d is constant on these monomial rows; atoms c_i at z_i give
+    # 1 + sum c_i / (1 - |z_i|^2)
+    rc = reverse_carleson(request.getfixturevalue(name))
+    assert rc.admits
+    assert rc.constant == pytest.approx(exact, rel=1e-12)
+
+
+def test_reverse_carleson_constant_of_a_two_term_row():
+    rows = [[0.0, 0.3, 0.2], [0.0, 0.0, 0.4]]
+    trapezoid = float(np.mean(1.0 / _fine_defect(rows, 1 << 14)))
+    assert trapezoid == pytest.approx(1.4290089472673804, rel=1e-14)
+    rc = reverse_carleson(SpaceHandle(RowSymbol(rows)))
+    assert rc.admits
+    assert rc.constant == pytest.approx(trapezoid, rel=1e-12)
+
+
+def test_reverse_carleson_without_a_measure_has_no_constant(cusp, ddelta):
+    for space in (cusp, ddelta, SpaceHandle(RowSymbol(RANK2_EXAMPLE))):
+        rc = reverse_carleson(space)
+        assert rc.applicable and not rc.admits
+        assert rc.constant == np.inf
+
+
+@pytest.mark.parametrize("name, with_kernel", [("rank1_half", True), ("two_term", True),
+                                               ("weighted", True), ("d_pair", False)])
+def test_reverse_carleson_radial_profile_rises_to_the_constant(name, with_kernel, request):
+    # the Szego density and h2 are subharmonic, so their circle means rise with
+    # r toward the boundary mean of 1 / d; the Dirichlet kernel is a
+    # degree-truncated one past r = 0.875, so there only the Szego density is read
+    space = request.getfixturevalue(name)
+    rc = reverse_carleson(space)
+    radii = 1.0 - 2.0 ** -np.arange(4, 13)
+    w = radii[:, None] * rc.lam
+    profiles = [np.mean(space.szego_density(w), axis=1)]
+    if with_kernel:
+        h2 = 1.0 / ((1.0 - radii[:, None] ** 2) * space.kernel_diagonal(w))
+        profiles.append(np.mean(h2, axis=1))
+    for means in profiles:
+        assert np.all(np.diff(means) >= 0.0)
+        assert np.all(means <= rc.constant)
+        assert means[-1] >= (1.0 - 1e-2) * rc.constant
 
 
 def test_dirichlet_carleson_origin():

@@ -149,7 +149,21 @@ def test_carleson_subcommand(tmp_path, capsys):
     assert code == 0
     assert "admits reverse Carleson measure: True" in out
     lines = (tmp_path / "carleson.csv").read_text().splitlines()
-    assert lines[1] == "lam,h1,h2,g"
+    assert lines[1] == "lam,h2,g"
+    code, out, _ = run(["carleson", "--named", "rank1-half", "--json"], capsys)
+    assert code == 0
+    report = json.loads(out[out.index("{"):])
+    assert report["admits"] is True
+    assert report["radius_h2"] == 1.0 - 2.0 ** -16
+    assert abs(report["constant"] - 2.0) <= 2e-12
+    # no measure: the constant is infinite, and strict JSON has no infinity
+    code, out, _ = run(["carleson", "--named", "cusp", "--json"], capsys)
+    assert code == 0
+    assert "reverse-Carleson constant: inf" in out
+    assert "Infinity" not in out and "NaN" not in out
+    report = json.loads(out[out.index("{"):])
+    assert report["admits"] is False
+    assert report["constant"] is None
 
 
 def test_mz_test_subcommand(capsys):

@@ -165,6 +165,19 @@ def test_intersect_pairs_are_the_embedded_basis(rank1_half, d_pair):
         assert np.max(np.abs(raw - basis.raw_gram)) <= 1e-13 * np.max(np.abs(raw))
 
 
+def test_intersect_membership_filter_drops_candidates(cusp):
+    # every Szego kernel is a member, so only a tolerance below the candidates'
+    # roundoff residuals (1.6e-17 on the row, 1.5e-17 on the cusp) drops one
+    row = RowSymbol([[0.0, 0.3, 0.2], [0.0, 0.0, 0.4]])
+    theta = BlaschkeProduct([0.5, -0.3, 0.0])
+    for space, dim in ((SpaceHandle(row), 3),
+                       (SpaceHandle(row, tol_membership=1e-300), 2),
+                       (SpaceHandle(cusp.symbol, tol_membership=1e-300), 2)):
+        basis = intersect_model_space(space, theta)
+        assert basis.dim == dim
+        assert np.max(np.abs(basis.gram - np.eye(dim))) <= 1e-12
+
+
 def test_intersection_embeds_one_batch(monkeypatch):
     # one intersection and its residual on an untouched handle: one exact embed
     # of all candidates, no per-vector embed, a correlation no wider than the

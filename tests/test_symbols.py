@@ -95,6 +95,13 @@ def test_gram_rejects_duplicates():
         gram_matrix(RowSymbol([]), [0.3, 0.3])
 
 
+def test_dirichlet_gram_rejects_duplicates(d_pair):
+    # a repeated point made a singular Gram, eigenvalues (0, 2.007)
+    with pytest.raises(ValueError, match="Gram points must be distinct"):
+        d_pair.gram([0.1, 0.1])
+    assert np.linalg.eigvalsh(d_pair.gram([0.1, 0.2]))[0] > 0.0
+
+
 def test_gram_psd_on_random_points(rng):
     b = RowSymbol([d([0.0, 0.5, 0.3]), d([0.0, 0.0, 0.0, 0.4])])
     pts = random_interior(rng, 50)
