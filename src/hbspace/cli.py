@@ -391,7 +391,8 @@ def _add_space_args(p):
 def _add_common(p):
     p.add_argument("--out", help="directory for CSV/SVG outputs")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized point sets")
-    p.add_argument("--quick", action="store_true", help="reduced schedules")
+    p.add_argument("--quick", action="store_true", help="reduced schedules "
+                   "(read by kernel, norm-formula, poly-density, rank and suite only)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 

@@ -19,7 +19,9 @@ with C the block Toeplitz matrix of those companions, and the Szego kernel
 s_w has the companion -A(w)^{-*} B(w)* s_w.  The residual of a pair is the
 norm of the nonnegative Laurent coefficients of B* f + A* f_1, a finite
 sum; its negative coefficients are the co-analytic data that the forward
-shift and the resolvent read.  No circle grid enters the embedding.
+shift and the resolvent read.  No circle grid enters the embedding.  A
+handle caches the spectra of its constants [B*, A*] and g per FFT size, so a
+warm embed transforms only its input; regrowing g drops the g spectra.
 
 Kernel functions are exact: k_lam = N_lam s_lam with the polynomial
 N_lam = 1 - sum_i conj(b_i(lam)) b_i, a ``series.SzegoSum``.  The pair of a
@@ -96,6 +98,7 @@ class SpaceHandle:
         self._g = np.zeros((symbol.n, 0), dtype=complex)
         self._gram: np.ndarray | None = None
         self._pairs: list[ModelPair] = []
+        self._spectra: dict[tuple[str, int], np.ndarray] = {}
 
         n = symbol.n
         self.mode = "analytic"
@@ -205,15 +208,20 @@ class SpaceHandle:
             steps = lead @ self._w[1: self.factor.coeffs.shape[0], :, 1:]  # k >= 1
             rhs = self._w[:, :, 0] @ lead.T
             self._g = banded_recurrence(steps, rhs, size).T.copy()
+            self._spectra = {key: v for key, v in self._spectra.items() if key[0] == "w"}
         return self._g[:, :length]
 
     def _companions(self, c: np.ndarray) -> np.ndarray:
         """The correlation f_1[j] = -sum_{k >= j} g_{k-j} f_k, one FFT product;
-        batched over leading axes of ``c`` (..., L), shape (..., n, L)."""
+        batched over leading axes of ``c`` (..., L), shape (..., n, L).  The cached
+        spectrum of g_0..g_{size/2-1} serves every L: lags k >= L reach only outputs past L - 1."""
         length = c.shape[-1]
         size = _fft_size(2 * length - 1)
-        spectrum = (np.fft.fft(self._correlation(length), size, axis=1)
-                    * np.fft.fft(c[..., None, ::-1], size))
+        g_hat = self._spectra.get(("g", size))
+        if g_hat is None:  # _correlation may regrow g, dropping the g spectra
+            g_hat = np.fft.fft(self._correlation(size // 2), size, axis=1)
+            self._spectra["g", size] = g_hat
+        spectrum = g_hat * np.fft.fft(c[..., None, ::-1], size)
         return -np.fft.ifft(spectrum, axis=-1)[..., length - 1::-1]
 
     def _laurent(self, f: np.ndarray, companions: np.ndarray) -> tuple:
@@ -230,7 +238,9 @@ class SpaceHandle:
         if self.mode == "analytic":
             x = np.concatenate([x, companions], axis=-2)
         size = _fft_size(width + f.shape[-1] - 1)
-        w_hat = np.fft.fft(self._w[::-1], size, axis=0)
+        w_hat = self._spectra.get(("w", size))
+        if w_hat is None:
+            w_hat = self._spectra["w", size] = np.fft.fft(self._w[::-1], size, axis=0)
         u_hat = np.einsum("tij,...jt->...it", w_hat, np.fft.fft(x, size, axis=-1))
         u = np.fft.ifft(u_hat, axis=-1)[..., : width - 1 + f.shape[-1]]
         return u[..., width - 1:], np.swapaxes(u[..., width - 2::-1], -2, -1)
@@ -425,9 +435,9 @@ class SpaceHandle:
         return np.linalg.solve(a_lam_h, u)
 
     def resolvent_divide(self, pair: ModelPair, lam) -> ModelPair:
-        """Model pair of f / (1 - conj(lam) z), cut at the handle degree;
-        raises NumericalError when the cut drops more than ``tol_solve`` of
-        the coefficient scale."""
+        """Model pair of f / (1 - conj(lam) z), cut where its tail falls below
+        roundoff (at most at the handle degree, where a cut dropping more than
+        ``tol_solve`` raises NumericalError) and zero-padded to the degree."""
         if abs(lam) >= 1.0:
             raise ValueError("evaluation point must satisfy |lam| < 1")
         if self.mode != "analytic":
@@ -439,8 +449,12 @@ class SpaceHandle:
             rows[1:, : pair.companions.shape[1]] = pair.companions
             rows[1:, 0] -= self.resolvent_correction(pair, lam)
         out = SzegoSum.trusted(rows[:, None], np.array([lam], dtype=complex))
-        out = out.taylor(self.degree, self.tol_solve)
-        return self.pair_from_parts(out[0], out[1:])
+        cut = min(self.degree, out.roundoff_degree())
+        short = out.taylor(cut, self.tol_solve)
+        residual = self.pair_from_parts(short[0], short[1:]).residual
+        # trailing zeros leave B* f + A* f_1 unchanged, so the residual certifies
+        out = np.concatenate([short, np.zeros((1 + self.n, self.degree - cut))], axis=1)
+        return ModelPair(out[0], out[1:], residual)
 
     # -- membership ----------------------------------------------------------
 

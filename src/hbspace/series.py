@@ -287,6 +287,20 @@ class SzegoSum:
                 f"coefficients of size {scale:.2e}; largest |mu| = {np.max(ratio):.6g}")
         return kept
 
+    def roundoff_degree(self) -> int:
+        """The smallest degree d >= W - 1 at which the l1 norm of the dropped
+        geometric tails, sum_j |q_{W-1}| |mu_j|^(d-W+2) / (1 - |mu_j|), is at most
+        eps times the largest head coefficient (1/J of it per term), in closed
+        form from the heads: a ``taylor`` cut there drops only roundoff."""
+        heads = self.heads(self.width)
+        last = np.abs(heads[..., -1]).reshape(-1, self.points.size).sum(axis=0)
+        ratio = np.abs(self.points)
+        live = (last > 0.0) & (ratio > 0.0)
+        room = (np.finfo(float).eps * np.max(np.abs(heads)) * (1.0 - ratio[live])
+                / (self.points.size * last[live]))
+        steps = np.log(room) / np.log(ratio[live])  # m at which the tail from m fits
+        return self.width - 2 + max(1, int(np.ceil(np.max(steps, initial=1.0))))
+
     def inner(self, other: "SzegoSum") -> complex:
         """H^2 inner product <self, other>, summed over the leading axes."""
         width = max(self.width, other.width)

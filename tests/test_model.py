@@ -5,7 +5,7 @@ from hbspace.catalog import cusp_symbol
 from hbspace.errors import ExtremeTypeError, InvariantViolation, NumericalError
 from hbspace.harmonic import DiskFunction
 from hbspace.model import SpaceHandle
-from hbspace.series import geometric_divide, shift_down, szego_taylor
+from hbspace.series import SzegoSum, geometric_divide, shift_down, szego_taylor
 from hbspace import spectral
 from hbspace.spectral import MatrixSymbol, factor_residual
 from hbspace.symbols import RowSymbol, weighted_space_symbol
@@ -623,20 +623,26 @@ def _exact_kernel_check(space, lam):
     return pair
 
 
+NAMED_ROWS = {"h2": [], "rank1-half": [[0.0, 2 ** -0.5]], "cusp": [[0.0, 0.5, 0.5]],
+              "rank2-example": RANK2_EXAMPLE, "ddelta": [ddelta_taylor()],
+              "two-term": [[0.0, 2 ** -0.5], [0.0, 0.0, 0.5]], "inner-z2": [[0.0, 0.0, 1.0]]}
+
+
+def _named_handle(name, n_grid=N_GRID):
+    """A fresh handle for a ``NAMED_ROWS`` entry or the weighted symbol."""
+    if name == "weighted":
+        return SpaceHandle(weighted_space_symbol([1.0, 2.0, 2.5, 3.0], n_boundary=n_grid),
+                           n_grid=n_grid)
+    return SpaceHandle(_row_symbol(NAMED_ROWS[name], n_grid), n_grid=n_grid)
+
+
 @pytest.mark.parametrize("radius", RADII)
 @pytest.mark.parametrize("name", ["h2", "rank1-half", "cusp", "rank2-example", "ddelta",
                                   "two-term", "weighted", "inner-z2"])
 def test_exact_kernel_norm_near_the_circle(name, radius):
     # every named handle, the rank-2 example, D(delta_1) and an inner-mode
     # handle; the Taylor cut of the handle degree lost 7% of ||k|| at 0.999
-    rows = {"h2": [], "rank1-half": [[0.0, 2 ** -0.5]], "cusp": [[0.0, 0.5, 0.5]],
-            "rank2-example": RANK2_EXAMPLE, "ddelta": [ddelta_taylor()],
-            "two-term": [[0.0, 2 ** -0.5], [0.0, 0.0, 0.5]], "inner-z2": [[0.0, 0.0, 1.0]]}
-    if name == "weighted":
-        space = SpaceHandle(weighted_space_symbol([1.0, 2.0, 2.5, 3.0], n_boundary=N_GRID),
-                            n_grid=N_GRID)
-    else:
-        space = SpaceHandle(_row_symbol(rows[name], N_GRID), n_grid=N_GRID)
+    space = _named_handle(name)
     assert space.mode == ("inner" if name == "inner-z2" else "analytic")
     for angle in (0.7, 2.9, -1.3):
         _exact_kernel_check(space, radius * np.exp(1j * angle))
@@ -727,3 +733,89 @@ def test_taylor_cut_refuses_a_kernel_near_the_circle(rank1_half):
     with pytest.raises(NumericalError, match="Taylor cut"):
         k.taylor(rank1_half.degree)
     assert k.taylor(40000).size == 40001
+
+
+@pytest.mark.parametrize("n_grid", [1024, 4096])
+@pytest.mark.parametrize("name", ["h2", "rank1-half", "cusp", "two-term", "weighted",
+                                  "ddelta", "rank2-example"])
+def test_resolvent_cut_matches_the_budget_cut(name, n_grid):
+    # the cut at the tail's roundoff length, zero-padded, against the cut at
+    # the handle degree; at 0.9 on the smaller grid the degree is the cut
+    space = _named_handle(name, n_grid)
+    pair = space.embed(np.array([0.3, -0.2 + 0.5j, 0.7, 0.1j, -0.4]))
+    for lam in (0.0, 0.05, 0.5, 0.9 * np.exp(0.7j)):
+        out = space.resolvent_divide(pair, lam)
+        rows = np.vstack([pair.f, pair.companions])
+        if space.n:
+            rows[1:, 0] -= space.resolvent_correction(pair, lam)
+        budget = SzegoSum(rows[:, None], [lam]).taylor(space.degree)
+        assert out.f.shape == (space.degree + 1,)
+        assert out.companions.shape == (space.n, space.degree + 1)
+        scale = np.max(np.abs(budget))
+        assert np.max(np.abs(out.f - budget[0])) <= 1e-15 * scale
+        assert np.max(np.abs(out.companions - budget[1:]), initial=0.0) <= 1e-15 * scale
+        assert out.residual <= 1e-12 * (1.0 + out.norm)
+
+
+def test_roundoff_degree_is_where_the_tail_drops_below_roundoff():
+    eps = np.finfo(float).eps
+    for lam, width in ((0.0, 4), (0.05, 1), (0.5, 6), (0.9j, 3), (0.999, 2)):
+        s = SzegoSum(np.arange(1.0, width + 1.0)[None], [lam])
+        d = s.roundoff_degree()
+        heads = np.abs(s.heads(width))
+        scale, last = np.max(heads), heads[0, -1]
+        tail = lambda m: last * abs(lam) ** m / (1.0 - abs(lam))  # l1 from order W - 1 + m
+        assert d >= width - 1
+        assert tail(d - width + 2) <= eps * scale
+        if d > width - 1:
+            assert tail(d - width + 1) > eps * scale
+
+
+@pytest.mark.parametrize("name", ["cusp", "two-term", "weighted"])
+def test_spectra_cache_matches_a_fresh_handle(name, rng):
+    warm = _named_handle(name)
+
+    def check(f):
+        a, b = warm.embed(f), _named_handle(name).embed(f)
+        if a.exact:
+            parts = [(a.f.coeffs, b.f.coeffs), (a.companions.coeffs, b.companions.coeffs)]
+        else:
+            parts = [(a.f, b.f), (a.companions, b.companions)]
+        for x, y in parts:
+            assert np.max(np.abs(x - y)) <= 1e-15 * np.max(np.abs(y))
+        assert abs(a.residual - b.residual) <= 1e-15 * b.norm
+
+    def sweep(lengths):
+        for length in lengths:
+            check(rng.normal(size=length) + 1j * rng.normal(size=length))
+        pts = random_interior(rng, 3, radius=0.95)
+        check(sum(c * warm.kernel_taylor(complex(lam))
+                  for c, lam in zip(rng.normal(size=3), pts)))
+
+    sweep(range(3, 21))
+    assert warm._g.shape[1] < 61
+    warm.monomial_gram(60)  # regrows g, which drops its spectra
+    assert warm._g.shape[1] >= 61
+    assert all(kind == "w" for kind, _ in warm._spectra)
+    sweep(range(3, 71))
+    sizes = [size for _, size in warm._spectra]
+    assert max(sizes.count(size) for size in sizes) <= 2
+
+
+def test_warm_embed_skips_the_constant_ffts(monkeypatch):
+    # the spectra of [B*, A*] and of g are taken once per FFT size
+    calls = []
+    fft = np.fft.fft
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+    monkeypatch.setattr(np.fft, "fft", counting)
+    for f in (np.array([0.3, -0.2 + 0.5j, 0.7, 0.1j]), SzegoSum([[1.0, -0.5j]], [0.4 - 0.3j])):
+        space = _named_handle("two-term")
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            space.embed(f)
+            counts.append(len(calls))
+        assert counts[0] - counts[1] == 2
