@@ -5,7 +5,8 @@ Everything here is phrased against a "space" object exposing
 ``kernel_diagonal`` and ``mz_invariant`` (both the factored symbol handles
 and the embedded Dirichlet-type spaces qualify).
 The shift quantities are exact polynomial coefficient operations, and so are
-the radial limits of the norm formula and the wandering norm.  The boundary
+the radial limits of the norm formula and the wandering norm, whose
+``final`` is the value at r = 1 itself.  The boundary
 verdicts, forward-shift invariance and the existence of a reverse-Carleson
 measure with its constant, are read off the defect split that a row symbol
 takes at validation, so no boundary diagnostic samples a grid.
@@ -78,19 +79,10 @@ def _shift_defects(space, mat: np.ndarray) -> np.ndarray:
 class LimitEstimate:
     rows: list[tuple[float, float]]
     final: float
-    extrapolated: float | None
 
     @property
     def values(self):
         return [v for _, v in self.rows]
-
-
-def _richardson(rows) -> float | None:
-    if len(rows) < 2:
-        return None
-    (r1, v1), (r2, v2) = rows[-2], rows[-1]
-    h1, h2 = 1.0 - r1, 1.0 - r2
-    return float((h1 * v2 - h2 * v1) / (h1 - h2))
 
 
 def _radial_limit(schedule: LimitSchedule | None, m: int,
@@ -111,7 +103,7 @@ def _radial_limit(schedule: LimitSchedule | None, m: int,
     values = integrand(r, lam).reshape(radii.size, m)
     means = values.mean(axis=1)
     rows = [(float(rk), float(v)) for rk, v in zip(radii[:-1], means[:-1])]
-    return LimitEstimate(rows, float(means[-1]), _richardson(rows)), values[-1]
+    return LimitEstimate(rows, float(means[-1])), values[-1]
 
 
 def norm_limit_estimate(space, coeffs, schedule: LimitSchedule | None = None) -> LimitEstimate:

@@ -2,10 +2,11 @@
 
 Subcommands: kernel, embed, norm, norm-formula, carleson, mz-test,
 poly-density, factor, rank, dual, verify, suite.  Exit codes: 0 success,
-1 invariant failure, 2 configuration error, 3 numerical failure.  The
-environment variable HBSPACE_THREADS caps the worker threads used for
-independent point evaluations; aggregation order is fixed, so outputs are
-byte-identical for identical (config, seed).
+1 invariant failure, 2 configuration error, 3 numerical failure.  ``--quick``
+(reduced schedules) belongs to kernel, norm-formula, poly-density, rank and
+suite, the subcommands that read it.  ``kernel`` evaluates its whole table in
+one broadcast kernel call, so outputs are byte-identical for identical
+(config, seed).
 """
 
 import argparse
@@ -13,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,23 +38,6 @@ EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("HBSPACE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"HBSPACE_THREADS must be an integer, got {raw!r}")
-
-
-def _parallel_map(fn, items):
-    workers = _worker_count()
-    items = list(items)
-    if workers == 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load_space(args):
@@ -152,16 +135,12 @@ def cmd_kernel(args) -> int:
         count = 16 if args.quick else 64
         pts = rng.uniform(0.05, 0.9, (count, 2)) * np.exp(
             2j * np.pi * rng.uniform(0, 1, (count, 2)))
-    rows = _parallel_map(lambda p: (p[0], p[1], space.kernel(p[0], p[1])), pts)
+    rows = list(zip(pts[:, 0], pts[:, 1], space.kernel(pts[:, 0], pts[:, 1])))
     meta = {"command": "kernel", "seed": args.seed}
     if args.out:
         write_csv(_out_path(args, "kernel.csv"), ["z", "lam", "k"], rows, meta)
-        radius = 0.9
-        m = 24
-        diag = np.array([[space.kernel(radius * np.exp(2j * np.pi * (i / m)),
-                                       radius * np.exp(2j * np.pi * (j / m))).real
-                          for j in range(m)] for i in range(m)])
-        heatmap(_out_path(args, "kernel.svg"), diag,
+        torus = 0.9 * np.exp(2j * np.pi * (np.arange(24) / 24))
+        heatmap(_out_path(args, "kernel.svg"), space.kernel(torus[:, None], torus[None, :]).real,
                 title="Re k on the 0.9-radius torus grid")
     for z, lam, k in rows[: 5 if not args.json else 0]:
         print(f"k({z:.4f}, {lam:.4f}) = {k:.12g}")
@@ -220,8 +199,6 @@ def cmd_norm_formula(args) -> int:
     for r, v in est.rows:
         print(f"r = {r:.10f}  estimate = {v:.12g}")
     print(f"limit (r = 1): {est.final:.12g}")
-    if est.extrapolated is not None:
-        print(f"extrapolated: {est.extrapolated:.12g} (advisory)")
     if args.out:
         write_csv(_out_path(args, "norm_formula.csv"), ["r", "estimate"], est.rows,
                   {"command": "norm-formula", "seed": args.seed, "direct": direct})
@@ -391,8 +368,6 @@ def _add_space_args(p):
 def _add_common(p):
     p.add_argument("--out", help="directory for CSV/SVG outputs")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized point sets")
-    p.add_argument("--quick", action="store_true", help="reduced schedules "
-                   "(read by kernel, norm-formula, poly-density, rank and suite only)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -432,6 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
             _add_space_args(p)
         if needs_function:
             _add_function_args(p)
+        if name in ("kernel", "norm-formula", "poly-density", "rank", "suite"):
+            p.add_argument("--quick", action="store_true", help="reduced schedules")
         if name == "kernel":
             p.add_argument("--pairs", help="explicit z:lam pairs, ';' separated")
         if name == "norm-formula":

@@ -55,6 +55,7 @@ from .symbols import (
     RowSymbol,
     _check_strict_interior,
     gram_matrix,
+    kernel_diagonal,
     kernel_eval,
     pair_inner,
     row_values,
@@ -102,7 +103,7 @@ class SpaceHandle:
 
         n = symbol.n
         self.mode = "analytic"
-        self._rows = rows = symbol.coefficient_matrix()
+        rows = symbol.rows
         if n == 0:
             return
         # w[k] = [B_k*, A_k*], the Taylor blocks in conj(zeta) of [B*, A*]
@@ -147,26 +148,20 @@ class SpaceHandle:
         ``row_defect_factor`` certified at the build."""
         return 0.0 if self._factorization is None else self._factorization.residual
 
-    def kernel(self, z, lam) -> complex:
+    def kernel(self, z, lam):
         return kernel_eval(self.symbol, z, lam)
 
     def gram(self, points) -> np.ndarray:
         return gram_matrix(self.symbol, points)
 
     def kernel_diagonal(self, points) -> np.ndarray:
-        """k(w, w) = (1 - B(w) B(w)*) / (1 - conj(w) w) at each point, no Gram:
-        the ``gram`` diagonal, each point's row product taken as a matmul too."""
-        pts = np.asarray(points, dtype=complex)
-        _check_strict_interior(pts)
-        values = row_values(self._rows, pts)[..., None, :]
-        norms = (values @ np.swapaxes(values.conj(), -2, -1))[..., 0, 0].real
-        return (1.0 - norms) / (1.0 - (pts.conj() * pts).real)
+        return kernel_diagonal(self.symbol, points)
 
     def kernel_taylor(self, lam) -> SzegoSum:
         """The kernel function at lam, exactly: N_lam s_lam with the polynomial
         N_lam = 1 - sum_i conj(b_i(lam)) b_i.  ``.taylor(d)`` cuts it."""
         _check_strict_interior(lam)
-        num = -np.conj(row_values(self._rows, lam)) @ self._rows
+        num = -np.conj(row_values(self.symbol.rows, lam)) @ self.symbol.rows
         num[0] += 1.0
         return SzegoSum.trusted(num[None], np.array([lam], dtype=complex))
 
@@ -182,7 +177,7 @@ class SpaceHandle:
         _check_strict_interior(pts)
         if self.n == 0:
             return np.ones(pts.shape)
-        rows = row_values(self._rows, pts)
+        rows = row_values(self.symbol.rows, pts)
         v = np.linalg.solve(self._factor_adjoint(pts), np.conj(rows)[..., None])[..., 0]
         return 1.0 + np.sum(np.abs(v) ** 2, axis=-1)
 

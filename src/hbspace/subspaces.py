@@ -14,7 +14,6 @@ coordinatewise on model pairs and termwise on Szego sums
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,7 +199,6 @@ def backward_invariance_residual(space, basis: SubspaceBasis) -> float:
 class PolyDensityResult:
     degrees: list[int]
     residuals: np.ndarray
-    truncated_solve: bool = False
 
 
 def poly_density_residual(space, coeffs, degrees) -> PolyDensityResult:
@@ -208,7 +206,9 @@ def poly_density_residual(space, coeffs, degrees) -> PolyDensityResult:
 
     Computed through one Cholesky of the cached monomial Gram, so the squared
     projections accumulate as partial sums of nonnegative terms and the
-    residual sequence is exactly nonincreasing.  f is embedded once, exactly
+    residual sequence is exactly nonincreasing.  The Gram is I + C*C for the
+    companion matrix C, so its eigenvalues are >= 1 and the Cholesky of a
+    finite Gram cannot fail.  f is embedded once, exactly
     when it is a ``SzegoSum``; its inner products with the monomials come
     from the cached monomial pairs and the first dmax + 1 coefficients of
     its pair.
@@ -224,26 +224,9 @@ def poly_density_residual(space, coeffs, degrees) -> PolyDensityResult:
     head = ModelPair(*pair.parts(dmax + 1), pair.residual)
     rows = _stack([head] + space.monomial_pairs(dmax))
     b = rows[1:].conj() @ rows[0]  # b[j] = <f, z^j>
-    norm_sq = pair.norm_sq
-    truncated_solve = False
-    try:
-        low = np.linalg.cholesky(0.5 * (gm + gm.conj().T))
-        t = np.linalg.solve(low, b)
-        proj_sq = np.cumsum(np.abs(t) ** 2)[degrees]
-    except np.linalg.LinAlgError:
-        truncated_solve = True
-        proj_sq = np.empty(len(degrees))
-        kept = []
-        for idx, d in enumerate(degrees):
-            block = 0.5 * (gm[: d + 1, : d + 1] + gm[: d + 1, : d + 1].conj().T)
-            vals, vecs = np.linalg.eigh(block)
-            cut = vals > 1e-12 * max(vals[-1], 0.0)
-            kept.append(int(cut.sum()))
-            coords = vecs[:, cut].conj().T @ b[: d + 1]
-            proj_sq[idx] = float(np.sum(np.abs(coords) ** 2 / vals[cut]))
-        warnings.warn(f"Gram nearly singular; kept modes per degree: {kept}")
-    residuals = np.sqrt(np.maximum(norm_sq - proj_sq, 0.0))
-    return PolyDensityResult(degrees, residuals, truncated_solve)
+    low = np.linalg.cholesky(0.5 * (gm + gm.conj().T))
+    proj_sq = np.cumsum(np.abs(np.linalg.solve(low, b)) ** 2)[degrees]
+    return PolyDensityResult(degrees, np.sqrt(np.maximum(pair.norm_sq - proj_sq, 0.0)))
 
 
 def _gram_extremal(space, degree: int) -> np.ndarray:
@@ -263,7 +246,7 @@ def extremal_function(space) -> np.ndarray:
     the tail below roundoff cut.  Raises ConfigError when M = {0}.
     """
     if isinstance(space, SpaceHandle):
-        rows = space.symbol.coefficient_matrix()  # width 1 only for the Hardy space
+        rows = space.symbol.rows  # width 1 only for the Hardy space
         rows = np.pad(rows, ((0, 0), (0, max(2 - rows.shape[1], 0))))
         gap = 1.0 - float(np.sum(np.abs(rows[:, 1]) ** 2))
         if gap <= 1e-12:

@@ -113,7 +113,9 @@ class RowSymbol:
     ``truncated`` marks symbols standing in for an infinite-rank space, so
     that rank and invariance verdicts can be labeled as inconclusive.
     ``defect`` is the split of 1 - sum_i |b_i|^2 taken at validation; the
-    boundary verdicts and the handle's defect factor read it.  Validation
+    boundary verdicts and the handle's defect factor read it.  ``rows`` is
+    the read-only coefficient matrix (n, W), component i in row i, which
+    every kernel and the handle read.  Validation
     raises InvariantViolation when a component does not vanish at 0, the
     components are dependent or the row is not a contraction, and
     ConvergenceError when the root split of its defect fails numerically.
@@ -121,6 +123,7 @@ class RowSymbol:
 
     components: list
     truncated: bool = False
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
     defect: DefectSplit = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -134,24 +137,14 @@ class RowSymbol:
     def n(self) -> int:
         return len(self.components)
 
-    def coefficient_matrix(self) -> np.ndarray:
-        if not self.components:
-            return np.zeros((0, 1), dtype=complex)
-        width = max(c.taylor.size for c in self.components)
-        mat = np.zeros((len(self.components), width), dtype=complex)
-        for i, c in enumerate(self.components):
-            mat[i, : c.taylor.size] = c.taylor
-        return mat
-
-    def row_at(self, z) -> np.ndarray:
-        """The row vector B(z) = (b_1(z), ..., b_n(z))."""
-        return np.array([horner(c.taylor, z) for c in self.components])
-
     def _validate(self):
         for c in self.components:
             if abs(c.taylor[0]) > 1e-12:
                 raise InvariantViolation("every symbol component must vanish at the origin")
-        mat = self.coefficient_matrix()
+        mat = np.zeros((self.n, max((c.taylor.size for c in self.components), default=1)),
+                       dtype=complex)
+        for i, c in enumerate(self.components):
+            mat[i, : c.taylor.size] = c.taylor
         if self.components:
             sv = np.linalg.svd(mat, compute_uv=False)
             if sv[-1] <= _INDEPENDENCE_TOL:
@@ -159,6 +152,8 @@ class RowSymbol:
                     "symbol components are numerically linearly dependent "
                     f"(smallest singular value {sv[-1]:.2e})"
                 )
+        mat.flags.writeable = False
+        self.rows = mat
         # the split refuses a defect that is negative on the circle; by the
         # maximum principle for the subharmonic sum_i |b_i|^2 that covers the disk
         self.defect = defect_split(mat)
@@ -184,11 +179,27 @@ def row_values(rows: np.ndarray, points) -> np.ndarray:
     return power_table(points, rows.shape[1]) @ rows.T
 
 
-def kernel_eval(symbol: RowSymbol, z, lam) -> complex:
-    """Reproducing kernel k(z, lam) of the space attached to the symbol."""
+def _kernel(b_z: np.ndarray, b_lam: np.ndarray, z, lam):
+    """(1 - B(z) B(lam)*) / (1 - conj(lam) z) from the row values B(z) and
+    B(lam) (..., n) at the points z and lam, broadcasting."""
+    return (1.0 - np.sum(b_z * np.conj(b_lam), axis=-1)) / (1.0 - np.conj(lam) * z)
+
+
+def kernel_eval(symbol: RowSymbol, z, lam):
+    """Reproducing kernel k(z, lam) of the space attached to the symbol;
+    array arguments broadcast."""
+    z, lam = np.asarray(z, dtype=complex), np.asarray(lam, dtype=complex)
     _check_strict_interior(z, lam)
-    num = 1.0 - complex(np.dot(symbol.row_at(z), np.conj(symbol.row_at(lam))))
-    return num / (1.0 - np.conj(lam) * z)
+    return _kernel(row_values(symbol.rows, z), row_values(symbol.rows, lam), z, lam)
+
+
+def kernel_diagonal(symbol: RowSymbol, points) -> np.ndarray:
+    """k(w, w) at each point, no Gram: B is evaluated once, as in ``gram_matrix``,
+    so the values equal its diagonal."""
+    pts = np.asarray(points, dtype=complex)
+    _check_strict_interior(pts)
+    b = row_values(symbol.rows, pts)
+    return _kernel(b, b, pts, pts).real
 
 
 def gram_matrix(symbol: RowSymbol, points) -> np.ndarray:
@@ -196,15 +207,14 @@ def gram_matrix(symbol: RowSymbol, points) -> np.ndarray:
     pts = np.asarray(points, dtype=complex)
     _check_strict_interior(pts)
     _check_distinct(pts)
-    rows = row_values(symbol.coefficient_matrix(), pts)  # (m, n)
-    bb = rows @ rows.conj().T  # (j, i) -> B(lam_j) B(lam_i)*
-    g = (1.0 - bb) / (1.0 - np.conj(pts)[None, :] * pts[:, None])
+    b = row_values(symbol.rows, pts)  # (m, n)
+    g = _kernel(b[:, None], b[None, :], pts[:, None], pts[None, :])
     return 0.5 * (g + g.conj().T)
 
 
 def delta_boundary(symbol: RowSymbol, zeta) -> np.ndarray:
     """Defect matrix (I - B(zeta)* B(zeta))^(1/2) at a boundary point."""
-    row = symbol.row_at(zeta)[None, :]  # 1 x n
+    row = row_values(symbol.rows, zeta)[None, :]  # 1 x n
     m = np.eye(symbol.n, dtype=complex) - row.conj().T @ row
     vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
     vals = np.clip(vals, 0.0, None)
@@ -329,14 +339,11 @@ class DirichletSpace:
         c = finite_coeffs(coeffs)
         return ModelPair(c, np.array(self.companions(c)), 0.0)
 
-    def embed_terms(self, f: SzegoSum) -> tuple[SzegoSum, SzegoSum]:
-        """The exact pair of each term of ``f`` with the term axis kept: its
-        rows (f, then one coordinate per atom) and no residual rows.  The
-        coordinate of P s_mu for the atom c at z is
-        sqrt(c) ((D_z P) s_mu + P(z) conj(mu) s_mu(z) s_mu), D_z P = (P - P(z)) / (w - z)."""
-        p, mu = f.coeffs, f.points
-        if p.ndim != 2:
-            raise ValueError("embed takes a scalar Szego sum")
+    def _rows(self, p: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """Rows (f, then one coordinate per atom) of each term P_j s_{mu_j},
+        shape (1 + n, J, W) for the polynomials p (J, W).  The coordinate of
+        P s_mu for the atom c at z is sqrt(c) ((D_z P) s_mu + P(z) conj(mu) s_mu(z) s_mu),
+        D_z P = (P - P(z)) / (w - z), by one Horner pass over all terms and atoms."""
         locs, weights = (np.array(v) for v in zip(*self.measure.atoms))
         rows = np.zeros((1 + self.n,) + p.shape, dtype=complex)
         rows[0] = p
@@ -347,7 +354,15 @@ class DirichletSpace:
         at_atoms = p[:, 0] + locs[:, None] * acc  # P_j(z_i)
         rows[1:, :, 0] += at_atoms * np.conj(mu) / (1.0 - np.conj(mu) * locs[:, None])
         rows[1:] *= np.sqrt(weights)[:, None, None]
-        return SzegoSum.trusted(rows, mu), SzegoSum.trusted(rows[:0], mu)
+        return rows
+
+    def embed_terms(self, f: SzegoSum) -> tuple[SzegoSum, SzegoSum]:
+        """The exact pair of each term of ``f`` with the term axis kept: its
+        rows (f, then one coordinate per atom) and no residual rows."""
+        if f.coeffs.ndim != 2:
+            raise ValueError("embed takes a scalar Szego sum")
+        rows = self._rows(f.coeffs, f.points)
+        return SzegoSum.trusted(rows, f.points), SzegoSum.trusted(rows[:0], f.points)
 
     def membership(self, coeffs) -> MembershipReport:
         """Every polynomial is a member of a Dirichlet-type space."""
@@ -369,22 +384,19 @@ class DirichletSpace:
         return pair_inner(pair_a, pair_b)
 
     def monomial_pairs(self, degree: int) -> list[ModelPair]:
-        """Model pairs of 1, z, ..., z^degree."""
-        return [self.embed(np.eye(1, k + 1, k)[0]) for k in range(degree + 1)]
+        """Model pairs of 1, z, ..., z^degree, from one batch of rows."""
+        rows = self._rows(np.eye(degree + 1), np.zeros(degree + 1))
+        return [ModelPair(rows[0, k, : k + 1], rows[1:, k, : max(k, 1)], 0.0)
+                for k in range(degree + 1)]
 
     def monomial_gram(self, degree: int) -> np.ndarray:
-        """Gram G[j, k] = <z^k, z^j> of the monomials up to ``degree``."""
-        if degree in self._gram_cache:
-            return self._gram_cache[degree]
-        m = degree + 1
-        g = np.eye(m, dtype=complex)
-        for loc, weight in self.measure.atoms:
-            qm = np.zeros((m, degree), dtype=complex)
-            for j in range(1, m):
-                qm[j, :j] = loc ** np.arange(j - 1, -1, -1)
-            g += weight * (qm.conj() @ qm.T)
-        self._gram_cache[degree] = g
-        return g
+        """Gram G[j, k] = <z^k, z^j> of the monomials up to ``degree``, from
+        the rows of all of them at once."""
+        if degree not in self._gram_cache:
+            rows = self._rows(np.eye(degree + 1), np.zeros(degree + 1))
+            flat = np.swapaxes(rows, 0, 1).reshape(degree + 1, -1)
+            self._gram_cache[degree] = flat.conj() @ flat.T
+        return self._gram_cache[degree]
 
     def _kernel_solver(self, degree: int) -> np.ndarray:
         """L^{-1} for the Cholesky factor L L* of the monomial Gram G, so that
@@ -395,35 +407,33 @@ class DirichletSpace:
                 np.linalg.cholesky(self.monomial_gram(degree)))
         return self._solver_cache[degree]
 
-    def kernel(self, z, lam, degree: int | None = None) -> complex:
+    def kernel(self, z, lam, degree: int | None = None):
         """Reproducing kernel of the degree-truncated space; converges
-        geometrically to the kernel of the full space for |z|, |lam| < 1."""
-        _check_strict_interior(z, lam)
-        degree = self.degree if degree is None else degree
-        inv_low = self._kernel_solver(degree)
-        return complex(np.vdot(inv_low @ szego_taylor(z, degree),
-                               inv_low @ szego_taylor(lam, degree)))
+        geometrically to the kernel of the full space for |z|, |lam| < 1.
+        Array arguments broadcast."""
+        return np.sum(np.conj(self._kernel_columns(z, degree))
+                      * self._kernel_columns(lam, degree), axis=-1)
 
     def _kernel_columns(self, points, degree: int | None) -> np.ndarray:
-        """L^{-1} s_w for each point w, one column each: k(z, w) = <y_w, y_z>."""
+        """L^{-1} s_w for each point w, shape points.shape + (degree + 1,):
+        k(z, w) = <y_w, y_z>."""
         pts = np.asarray(points, dtype=complex)
         _check_strict_interior(pts)
         degree = self.degree if degree is None else degree
-        return self._kernel_solver(degree) @ szego_taylor(pts, degree).T
+        y = szego_taylor(pts.ravel(), degree) @ self._kernel_solver(degree).T
+        return y.reshape(pts.shape + (degree + 1,))
 
     def gram(self, points, degree: int | None = None) -> np.ndarray:
         """Gram of kernel functions at distinct interior points; PSD by construction."""
         pts = np.asarray(points, dtype=complex)
         _check_distinct(pts)
         y = self._kernel_columns(pts, degree)
-        k = y.conj().T @ y
+        k = y.conj() @ y.T
         return 0.5 * (k + k.conj().T)
 
     def kernel_diagonal(self, points) -> np.ndarray:
-        """k(w, w) at each point: the squared column norms of L^{-1} s_w, no Gram."""
-        pts = np.asarray(points, dtype=complex)
-        y = self._kernel_columns(pts.ravel(), None)
-        return np.sum(np.abs(y) ** 2, axis=0).reshape(pts.shape)
+        """k(w, w) at each point: the squared norms of L^{-1} s_w, no Gram."""
+        return np.sum(np.abs(self._kernel_columns(points, None)) ** 2, axis=-1)
 
     def kernel_taylor(self, lam, degree: int | None = None) -> np.ndarray:
         _check_strict_interior(lam)

@@ -29,7 +29,7 @@ def _random_interior(rng, count, radius=0.85):
 
 def _check_kernel_normalization(space, rng):
     pts = _random_interior(rng, 20)
-    worst = max(abs(space.kernel(z, 0.0) - 1.0) for z in pts)
+    worst = float(np.max(np.abs(space.kernel(pts, 0.0) - 1.0)))
     return CheckResult("kernel-normalization", worst <= 1e-14,
                        f"max |k(z,0) - 1| = {worst:.2e}")
 

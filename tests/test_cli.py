@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import hbspace
-from hbspace.cli import main
+from hbspace.cli import build_parser, main
 from conftest import ODD_ROOT_ROW, noncontractive_row
 
 
@@ -144,8 +144,7 @@ def test_norm_formula_subcommand(tmp_path, capsys):
 
 
 def test_carleson_subcommand(tmp_path, capsys):
-    code, out, _ = run(["carleson", "--named", "rank1-half", "--quick",
-                        "--out", str(tmp_path)], capsys)
+    code, out, _ = run(["carleson", "--named", "rank1-half", "--out", str(tmp_path)], capsys)
     assert code == 0
     assert "admits reverse Carleson measure: True" in out
     lines = (tmp_path / "carleson.csv").read_text().splitlines()
@@ -246,16 +245,27 @@ def test_suite_quick_json_schema(tmp_path, capsys):
     assert report["passed"] is True
 
 
-def test_thread_fanout_is_deterministic(tmp_path, capsys, monkeypatch):
+def test_kernel_outputs_are_deterministic(tmp_path, capsys):
+    # the table and the heatmap are each one broadcast kernel call; two runs
+    # with one seed write the same bytes
     d1, d2 = tmp_path / "a", tmp_path / "b"
-    code, _, _ = run(["kernel", "--named", "rank1-half", "--seed", "3",
-                      "--out", str(d1)], capsys)
-    assert code == 0
-    monkeypatch.setenv("HBSPACE_THREADS", "4")
-    code, _, _ = run(["kernel", "--named", "rank1-half", "--seed", "3",
-                      "--out", str(d2)], capsys)
-    assert code == 0
-    assert (d1 / "kernel.csv").read_bytes() == (d2 / "kernel.csv").read_bytes()
+    for d in (d1, d2):
+        code, _, _ = run(["kernel", "--named", "dirichlet-pair", "--seed", "3",
+                          "--json", "--out", str(d)], capsys)
+        assert code == 0
+    for name in ("kernel.csv", "kernel.svg", "report.json"):
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_quick_belongs_to_the_subcommands_that_read_it(capsys):
+    parser = build_parser()
+    for argv in (["kernel"], ["norm-formula"], ["poly-density"], ["rank"], ["suite"]):
+        assert parser.parse_args(argv + ["--quick"]).quick
+    for argv in (["embed"], ["norm"], ["carleson"], ["mz-test"], ["factor"], ["dual"],
+                 ["verify"]):
+        code, _, err = run(argv + ["--quick"], capsys)
+        assert code == 2
+        assert "--quick" in err
 
 
 def test_import_stays_light():
@@ -263,10 +273,12 @@ def test_import_stays_light():
     src = str(Path(hbspace.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    # no scipy module loads on import, nor while the quick suite runs
+    # no scipy module loads on import, nor while the quick suite runs; the CLI
+    # runs no thread pool, so concurrent.futures is not imported either
     done = subprocess.run([sys.executable, "-c",
                            "import sys\n"
                            "from hbspace.cli import main\n"
+                           "assert 'concurrent.futures' not in sys.modules\n"
                            "def scipy_modules():\n"
                            "    return sorted(name for name in sys.modules\n"
                            "                  if name == 'scipy' or name.startswith('scipy.'))\n"

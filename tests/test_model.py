@@ -271,7 +271,7 @@ def test_companion_stability_under_degree_doubling(rank1_half):
 
 def _boundary_rows(symbol, n_grid):
     """Samples of the row on the circle grid, shape (n_grid, n)."""
-    return np.fft.ifft(symbol.coefficient_matrix(), n=n_grid, axis=1).T * n_grid
+    return np.fft.ifft(symbol.rows, n=n_grid, axis=1).T * n_grid
 
 
 def _grid_b_star_f(space, f):
@@ -367,7 +367,7 @@ def test_correlation_matches_dense_lower_triangular_solve(name, request):
     space = request.getfixturevalue(name)
     degree = 80
     rhs = np.zeros((degree + 1, space.n), dtype=complex)
-    rows = space.symbol.coefficient_matrix()
+    rows = space.symbol.rows
     rhs[: rows.shape[1]] = rows.T.conj()
     dense = _dense_lower_block_toeplitz(space.factor.coeffs, degree)
     ref = np.linalg.solve(dense, rhs.ravel()).reshape(degree + 1, -1).T
@@ -570,7 +570,7 @@ def test_handle_certificate_bounds_the_grid_and_keeps_the_route(n_grid):
         with pytest.raises(AttributeError):
             space.factorization = None
         assert spectral.defect_identity_bound(
-            bumped, symbol.coefficient_matrix()) >= eps / 2
+            bumped, symbol.rows) >= eps / 2
     assert routes == {True, False}
 
 
@@ -582,7 +582,7 @@ def test_defect_identity_residual_is_the_build_certificate(rows):
     # a fresh bound of the same factor and row exactly
     space = SpaceHandle(_row_symbol(rows, N_GRID), n_grid=N_GRID)
     fresh = spectral.defect_identity_bound(space.factor.coeffs,
-                                           space.symbol.coefficient_matrix())
+                                           space.symbol.rows)
     assert space.defect_identity_residual() == fresh
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hbspace.analysis import LimitSchedule
-from hbspace.catalog import rank1_half_symbol
+from hbspace.catalog import named_space, rank1_half_symbol
 from hbspace.errors import ConfigError, ConvergenceError, NumericalError
 from hbspace.harmonic import DiskFunction, grid_points
 from hbspace.model import SpaceHandle
@@ -253,6 +253,18 @@ def test_poly_density_embeds_each_vector_once(monkeypatch):
     monkeypatch.setattr(SpaceHandle, "embed", counting_embed)
     poly_density_residual(space, kernel, range(0, 25, 2))
     assert len(calls) <= 26
+
+
+CATALOG = ["h2", "rank1-half", "cusp", "dirichlet-origin", "dirichlet-half", "dirichlet-pair"]
+
+
+@pytest.mark.parametrize("name", CATALOG + ["two_term", "weighted", "ddelta"])
+def test_monomial_gram_eigenvalues_are_at_least_one(name, request):
+    # the Gram is I + C*C (I + sum c_i Q_i* Q_i on a Dirichlet space), so the
+    # Cholesky in poly_density_residual needs no fallback
+    space = named_space(name) if name in CATALOG else request.getfixturevalue(name)
+    gram = space.monomial_gram(48)
+    assert np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[0] >= 1.0 - 1e-12
 
 
 def test_poly_density_hardy_monomial(h2):

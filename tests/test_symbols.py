@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hbspace.catalog import named_space, space_from_json
 from hbspace.errors import InvariantViolation, NumericalError
 from hbspace.harmonic import DiskFunction
+from hbspace.model import SpaceHandle
 from hbspace.series import SzegoSum
 from hbspace.symbols import (
     DirichletSpace,
@@ -16,9 +17,10 @@ from hbspace.symbols import (
     estimate_rank,
     gram_matrix,
     kernel_eval,
+    row_values,
     weighted_space_symbol,
 )
-from conftest import random_interior
+from conftest import RANK2_EXAMPLE, random_interior
 
 N = 512
 
@@ -123,7 +125,7 @@ def test_delta_scalar_value():
 def test_delta_squared_complements_symbol():
     b = RowSymbol([d([0.0, 0.5]), d([0.0, 0.0, 0.5])])
     zeta = np.exp(1.1j)
-    row = b.row_at(zeta)[None, :]
+    row = row_values(b.rows, zeta)[None, :]
     delta = delta_boundary(b, zeta)
     total = delta @ delta + row.conj().T @ row
     assert np.max(np.abs(total - np.eye(2))) < 1e-12
@@ -236,6 +238,50 @@ def test_dirichlet_embed_terms_is_the_cut_embed():
     companions = SzegoSum(rows.coeffs[1:], rows.points).coefficients(200)
     assert np.max(np.abs(companions - cut.companions[:, :200])) <= 1e-14
     assert abs(rows.term_gram(rows).sum() - cut.norm_sq) <= 1e-14 * cut.norm_sq
+
+
+def _dirichlet_gram_closed_form(atoms, degree):
+    """I + sum c conj(a)^(j - m) a^(k - m) sum_{t < m} |a|^(2t), m = min(j, k)."""
+    g = np.eye(degree + 1, dtype=complex)
+    for a, c in atoms:
+        for j in range(degree + 1):
+            for k in range(degree + 1):
+                m = min(j, k)
+                g[j, k] += (c * np.conj(a) ** (j - m) * a ** (k - m)
+                            * sum(abs(a) ** (2 * t) for t in range(m)))
+    return g
+
+
+def test_dirichlet_monomial_gram_closed_form():
+    # one batched embed of the identity gives the Gram; a boundary atom included
+    atoms = [(0.5, 1.0), (-0.3 + 0.4j, 0.7), (np.exp(0.9j), 0.25)]
+    space = DirichletSpace(MeasureSpec(atoms=atoms))
+    ref = _dirichlet_gram_closed_form(atoms, 48)
+    gram = space.monomial_gram(48)
+    assert np.max(np.abs(gram - ref)) <= 1e-14 * np.max(np.abs(ref))
+    pairs = space.monomial_pairs(48)
+    for k in (0, 1, 7, 48):
+        exact = space.embed(np.eye(1, k + 1, k)[0])
+        assert np.array_equal(pairs[k].f, exact.f)
+        assert np.max(np.abs(pairs[k].companions - exact.companions)) <= 1e-15 * k
+        assert pairs[k].residual == 0.0
+    assert abs(space.inner(pairs[7], pairs[3]) - gram[3, 7]) <= 1e-14 * abs(gram[3, 7])
+
+
+@pytest.mark.parametrize("name", ["h2", "rank1_half", "cusp", "two_term", "weighted", "ddelta",
+                                  "rank2", "d_origin", "d_pair"])
+def test_kernel_broadcasts_like_scalar_calls(name, request):
+    if name == "rank2":
+        space = SpaceHandle(RowSymbol([d(c) for c in RANK2_EXAMPLE]), n_grid=N)
+    else:
+        space = request.getfixturevalue(name)
+    rng = np.random.default_rng(5)
+    z = random_interior(rng, 9, 0.9)[:, None]
+    lam = random_interior(rng, 9, 0.9)[None, :]
+    grid = space.kernel(z, lam)
+    assert grid.shape == (9, 9)
+    scalar = np.array([[space.kernel(a, b) for b in lam[0]] for a in z[:, 0]])
+    assert np.max(np.abs(grid - scalar) / np.abs(scalar)) <= 1e-15
 
 
 def test_named_dirichlet_spaces_honour_degree():
