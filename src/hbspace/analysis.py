@@ -39,23 +39,10 @@ class LimitSchedule:
         return [1.0 - 2.0 ** (-k) for k in range(self.k_min, self.k_max + 1)]
 
 
-def _divided_difference_all(c: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    """Columns are the coefficients of (f - f(eta)) / (z - eta), one per eta;
-    ``c`` is one polynomial or a matrix holding one polynomial column per eta."""
-    d = c.shape[0] - 1
-    if d < 1:
-        return np.zeros((1, etas.size), dtype=complex)
-    q = np.empty((d, etas.size), dtype=complex)
-    acc = np.zeros(etas.size, dtype=complex)
-    for k in range(d, 0, -1):
-        acc = c[k] + etas * acc
-        q[k - 1] = acc
-    return q
-
-
 def _has_gram(space) -> bool:
-    """False where the Hardy norm is the space norm: the inner mode and H^2 (n = 0)."""
-    return getattr(space, "mode", "analytic") != "inner" and space.n != 0
+    """False where the Hardy norm is the space norm: H^2 (n = 0) and a space
+    that is not forward-shift invariant, whose monomials may not be members."""
+    return space.mz_invariant and space.n != 0
 
 
 def _column_norms(space, mat: np.ndarray) -> np.ndarray:
@@ -115,7 +102,7 @@ def norm_limit_estimate(space, coeffs, schedule: LimitSchedule | None = None) ->
     base = h2_norm_sq(c)
 
     def integrand(r, lam):
-        q = _divided_difference_all(c, lam)
+        q = divided_difference(c, lam)
         return base + _shift_defects(space, q) + (1.0 - r ** 2) * _column_norms(space, q)
     return _radial_limit(schedule, 2 * max(c.size, 1), integrand)[0]
 
@@ -135,7 +122,7 @@ def wandering_norm(space, coeffs, schedule: LimitSchedule | None = None) -> Limi
     its value at r = 1, is exactly 0: a polynomial has no unitary part."""
     c = as_coeffs(coeffs)
     return _radial_limit(schedule, 2 * max(c.size, 1), lambda r, lam: (1.0 - r ** 2)
-                         * _column_norms(space, _divided_difference_all(c, lam)))[0]
+                         * _column_norms(space, divided_difference(c, lam)))[0]
 
 
 def backward_iterates(space, coeffs, n_max: int) -> np.ndarray:

@@ -28,7 +28,6 @@ from .analysis import (
 )
 from .catalog import named_space, space_from_json
 from .errors import ConfigError, HBSpaceError, InvariantViolation, NumericalError
-from .model import SpaceHandle
 from .reporting import heatmap, line_plot, write_csv
 from .series import SzegoSum
 from .subspaces import poly_density_residual
@@ -174,17 +173,12 @@ def cmd_embed(args) -> int:
 def cmd_norm(args) -> int:
     space = _load_space(args)
     f = _input_function(args, space)
-    if isinstance(space, SpaceHandle):
-        report = space.membership(f)
-        print(f"member: {report.member}  residual: {report.residual:.6e}")
-        if report.member:
-            print(f"norm: {report.norm:.12g}")
-        _emit_json(args, {"command": "norm", "member": bool(report.member),
-                          "residual": report.residual, "norm": report.norm})
-        return EXIT_OK
-    value = space.norm(f)
-    print(f"norm: {value:.12g}")
-    _emit_json(args, {"command": "norm", "member": True, "norm": value})
+    report = space.membership(f)
+    print(f"member: {report.member}  residual: {report.residual:.6e}")
+    if report.member:
+        print(f"norm: {report.norm:.12g}")
+    _emit_json(args, {"command": "norm", "member": bool(report.member),
+                      "residual": report.residual, "norm": report.norm})
     return EXIT_OK
 
 
@@ -275,9 +269,9 @@ def cmd_poly_density(args) -> int:
 
 def cmd_factor(args) -> int:
     space = _load_space(args)
-    if not isinstance(space, SpaceHandle) or space.mode != "analytic" or space.n == 0:
-        raise ConfigError("factor output needs an analytic-model symbol space")
     report = space.factorization
+    if report is None:
+        raise ConfigError("factor output needs an analytic-model symbol space")
     print(f"method: {report.method}  iterations: {report.iterations}")
     print(f"residual: {report.residual:.6e}  regularization: {report.regularization:g}")
     coeffs = report.symbol.coeffs

@@ -1,11 +1,12 @@
 """The isometric model embedding f -> (f, f_1).
 
 A member f of the space attached to a row symbol B has a unique companion
-vector f_1 in the Hardy space of C^n making B* f + A* f_1 strictly
+vector f_1 in the Hardy space of C^k making B* f + A* f_1 strictly
 co-analytic, where A is the outer defect factor with A*A + B*B = I, taken
 exactly from the polynomial symbol by ``spectral.row_defect_factor`` and
 bounded over the whole circle from Laurent coefficients.  The squared space
-norm is ||f||_2^2 + ||f_1||_2^2.
+norm is ||f||_2^2 + ||f_1||_2^2.  The companion count k is n; it is 0 for the
+Hardy space (n = 0) and for a scalar inner b (d = 0), where A has no rows.
 
 For polynomial data the model is finite and exact.  The Taylor coefficients
 g_m (in conj(zeta)) of A*^{-1} B* solve the block lower-triangular Toeplitz
@@ -31,8 +32,6 @@ B* P + A* f_1.  The nonnegative part of B* f + A* f_1 is then
 (X + U(conj(lam)) - A(lam)* c) s_lam, X the polynomial pair's own, so the
 residual is the H^2 norm of a Szego sum: finite, with no Taylor cut.
 """
-
-import warnings
 
 import numpy as np
 
@@ -76,12 +75,12 @@ def _coefficient_pair(pair: ModelPair) -> ModelPair:
 class SpaceHandle:
     """A ready-to-compute space: symbol, defect factor, caches.
 
-    Modes: ``analytic`` (the defect factor exists; forward shift available)
-    and ``inner`` (a scalar symbol whose defect vanishes identically; the
-    space sits isometrically in the Hardy space and only backward-shift
-    operations apply).  Both read the symbol's defect split, so a build
-    splits no roots of its own.  Construction fails with ExtremeTypeError for
-    rows of rank >= 2 whose defect vanishes identically.
+    ``k`` is the companion count, the rows of the defect factor A.  ``mode``
+    is ``inner`` for n >= 1 with k = 0 (the space sits isometrically in the
+    Hardy space and only backward-shift operations apply) and ``analytic``
+    otherwise.  A build reads the symbol's defect split, so it splits no roots
+    of its own; it fails with ExtremeTypeError for rows of rank >= 2 whose
+    defect vanishes identically.
     """
 
     # the kernel is closed-form, so it is resolved at every radius
@@ -98,22 +97,17 @@ class SpaceHandle:
         self._factorization = None
         self._g = np.zeros((symbol.n, 0), dtype=complex)
         self._gram: np.ndarray | None = None
-        self._pairs: list[ModelPair] = []
         self._spectra: dict[tuple[str, int], np.ndarray] = {}
 
-        n = symbol.n
-        self.mode = "analytic"
-        rows = symbol.rows
-        if n == 0:
-            return
-        # w[k] = [B_k*, A_k*], the Taylor blocks in conj(zeta) of [B*, A*]
-        if n == 1 and symbol.defect.outer is None:  # d = 0: b is inner
-            self.mode = "inner"
-            self._w = rows.T.conj()[:, :, None]
-            return
-        self._factorization = row_defect_factor(rows, symbol.defect)
-        a = self._factorization.symbol.coeffs
-        self._w = np.zeros((max(a.shape[0], rows.shape[1]), n, n + 1), dtype=complex)
+        rows, a = symbol.rows, np.zeros((1, 0, symbol.n))  # A with no rows
+        inner = symbol.n == 1 and symbol.defect.outer is None  # d = 0: b is inner
+        if symbol.n and not inner:
+            self._factorization = row_defect_factor(rows, symbol.defect)
+            a = self._factorization.symbol.coeffs
+        self.k = a.shape[1]
+        self.mode = "inner" if inner else "analytic"
+        # w[t] = [B_t*, A_t*], the Taylor blocks in conj(zeta) of [B*, A*]
+        self._w = np.zeros((max(a.shape[0], rows.shape[1]), symbol.n, 1 + self.k), dtype=complex)
         self._w[: rows.shape[1], :, 0] = rows.T.conj()
         self._w[: a.shape[0], :, 1:] = np.conj(np.transpose(a, (0, 2, 1)))
 
@@ -125,7 +119,7 @@ class SpaceHandle:
 
     @property
     def mz_invariant(self) -> bool:
-        return self.mode == "analytic"
+        return self.k == self.n
 
     @property
     def truncated(self) -> bool:
@@ -171,11 +165,11 @@ class SpaceHandle:
         The companion of s_w is -A(w)^{-*} B(w)* s_w, so the value is
         1 + ||A(w)^{-*} B(w)*||^2, exact at every interior point.
         """
-        if self.mode != "analytic":
+        if not self.mz_invariant:
             raise ExtremeTypeError("the Szego density needs the analytic model")
         pts = np.asarray(points, dtype=complex)
         _check_strict_interior(pts)
-        if self.n == 0:
+        if not self.k:
             return np.ones(pts.shape)
         rows = row_values(self.symbol.rows, pts)
         v = np.linalg.solve(self._factor_adjoint(pts), np.conj(rows)[..., None])[..., 0]
@@ -208,9 +202,11 @@ class SpaceHandle:
 
     def _companions(self, c: np.ndarray) -> np.ndarray:
         """The correlation f_1[j] = -sum_{k >= j} g_{k-j} f_k, one FFT product;
-        batched over leading axes of ``c`` (..., L), shape (..., n, L).  The cached
+        batched over leading axes of ``c`` (..., L), shape (..., k, L).  The cached
         spectrum of g_0..g_{size/2-1} serves every L: lags k >= L reach only outputs past L - 1."""
         length = c.shape[-1]
+        if not self.k:
+            return np.zeros(c.shape[:-1] + (0, length), dtype=complex)
         size = _fft_size(2 * length - 1)
         g_hat = self._spectra.get(("g", size))
         if g_hat is None:  # _correlation may regrow g, dropping the g spectra
@@ -223,15 +219,14 @@ class SpaceHandle:
         """Analytic and co-analytic parts of u = B* f + A* f_1.
 
         Batched over leading axes of ``f`` (..., L) and ``companions``
-        (..., n, L).  zeta^P u is a polynomial for P the symbol degree, so
+        (..., k, L).  zeta^P u is a polynomial for P the symbol degree, so
         one FFT product at padded length gives its Laurent coefficients
         exactly.  Returns the coefficients of the orders 0, ..., L - 1, shape
-        (..., n, L), and of the orders -1, ..., -P, shape (..., P, n).
+        (..., n, L), and of the orders -1, ..., -P, shape (..., P, n).  Its
+        callers answer the Hardy space (n = 0) themselves.
         """
         width = self._w.shape[0]
-        x = f[..., None, :]
-        if self.mode == "analytic":
-            x = np.concatenate([x, companions], axis=-2)
+        x = np.concatenate([f[..., None, :], companions], axis=-2)
         size = _fft_size(width + f.shape[-1] - 1)
         w_hat = self._spectra.get(("w", size))
         if w_hat is None:
@@ -241,8 +236,8 @@ class SpaceHandle:
         return u[..., width - 1:], np.swapaxes(u[..., width - 2::-1], -2, -1)
 
     def _pair(self, c: np.ndarray, companions: np.ndarray) -> ModelPair:
-        if self.n == 0:
-            return ModelPair(c, np.zeros((0, c.size), dtype=complex), 0.0)
+        if not self.n:  # the Hardy space, where u = B* f + A* f_1 has no rows
+            return ModelPair(c, companions, 0.0)
         plus, _ = self._laurent(c, companions)
         return ModelPair(c, companions, float(np.linalg.norm(plus)))
 
@@ -252,8 +247,6 @@ class SpaceHandle:
         if isinstance(coeffs, SzegoSum):
             return self._exact_pair(coeffs)
         c = self._within_budget(finite_coeffs(coeffs))
-        if self.mode == "inner" or self.n == 0:
-            return self._pair(c, np.zeros((0, c.size), dtype=complex))
         return self._pair(c, self._companions(c))
 
     def _within_budget(self, c: np.ndarray) -> np.ndarray:
@@ -265,19 +258,18 @@ class SpaceHandle:
 
     def _term_rows(self, f: SzegoSum) -> tuple[np.ndarray, int]:
         """Rows f, f_1 and residual of each term of sum_j P_j s_{lam_j}, shape
-        (1 + k + n, J, W), and k, the number of companion rows (none in inner
-        mode).  Term j has the companion (f_1 - c_j e_0) s_{lam_j}, f_1 that of
-        the polynomial P_j, and the residual row (X_j + U_j - A(lam_j)* c_j) s_{lam_j}."""
+        (1 + k + n, J, W), and the companion count k.  Term j has the companion
+        (f_1 - c_j e_0) s_{lam_j}, f_1 that of the polynomial P_j, and the
+        residual row (X_j + U_j - A(lam_j)* c_j) s_{lam_j}."""
         if f.coeffs.ndim != 2:
             raise ValueError("embed takes a scalar Szego sum")
         p, lam = self._within_budget(f.coeffs), f.points
-        k = self.n if self.mode == "analytic" else 0
+        k = self.k
         rows = np.zeros((1 + k + self.n,) + p.shape, dtype=complex)
         rows[0] = p
-        if not self.n:
+        if not self.n:  # the Hardy space: no companion and no residual rows
             return rows, k
-        if k:
-            rows[1: 1 + k] = np.swapaxes(self._companions(p), 0, 1)
+        rows[1: 1 + k] = np.swapaxes(self._companions(p), 0, 1)
         plus, coanalytic = self._laurent(p, np.swapaxes(rows[1: 1 + k], 0, 1))
         u = self._coanalytic_at(coanalytic, lam)
         if k:
@@ -314,12 +306,12 @@ class SpaceHandle:
         return np.einsum("...m,...mi->...i", powers, coanalytic)
 
     def pair_from_parts(self, coeffs, companions) -> ModelPair:
-        """Assemble a pair from explicit parts, recertifying the residual."""
+        """Assemble a pair from explicit parts, recertifying the residual; a
+        handle with k = 0 takes no companion rows."""
         c = as_coeffs(coeffs)
-        comp = np.atleast_2d(np.asarray(companions, dtype=complex))
-        if self.n == 0 or self.mode == "inner":
-            comp = np.zeros((0, c.size), dtype=complex)
-        return self._pair(c, comp)
+        if not self.k:
+            return self._pair(c, np.zeros((0, c.size), dtype=complex))
+        return self._pair(c, np.atleast_2d(np.asarray(companions, dtype=complex)))
 
     def norm(self, coeffs) -> float:
         return self.embed(coeffs).norm
@@ -330,45 +322,32 @@ class SpaceHandle:
 
     # -- polynomial norms via the monomial Gram -----------------------------
 
-    def _monomial_companions(self, degree: int) -> np.ndarray:
-        """C[i, j, k] = -g_{k-j}, coefficient j of companion i of z^k (0 for j > k)."""
-        if self.mode == "inner":
+    def monomial_companions(self, degree: int) -> np.ndarray:
+        """The companion matrix C, shape (k, degree + 1, degree + 1), k the
+        companion count: C[i, j, m] = -g_{m-j}, coefficient j of companion i
+        of z^m (0 for j > m).  Refused on an inner handle, whose monomials may
+        not be members."""
+        if not self.mz_invariant:
             raise NumericalError("monomial Gram undefined: monomials may not be members")
-        g = self._correlation(degree + 1) if self.n else np.zeros((0, degree + 1))
+        g = self._correlation(degree + 1) if self.k else np.zeros((0, degree + 1))
         index = np.arange(degree + 1)
-        lag = index[None, :] - index[:, None]  # k - j
+        lag = index[None, :] - index[:, None]  # m - j
         return np.where(lag >= 0, -g[:, np.maximum(lag, 0)], 0.0)
-
-    def monomial_pairs(self, degree: int) -> list[ModelPair]:
-        """Model pairs of 1, z, ..., z^degree, read off the correlation."""
-        if len(self._pairs) <= degree:
-            comp = self._monomial_companions(degree)
-            eye = np.eye(degree + 1, dtype=complex)
-            if self.n:
-                plus, _ = self._laurent(eye, np.transpose(comp, (2, 0, 1)))
-                residuals = np.linalg.norm(plus, axis=(-2, -1))
-            else:
-                residuals = np.zeros(degree + 1)
-            self._pairs = [ModelPair(eye[k, : k + 1], comp[:, : k + 1, k].copy(),
-                                     float(residuals[k])) for k in range(degree + 1)]
-        return self._pairs[: degree + 1]
 
     def monomial_gram(self, degree: int) -> np.ndarray:
         """Gram G[j, k] = <z^k, z^j> of monomials in the space norm, I + C*C."""
         if self._gram is None or self._gram.shape[0] <= degree:
-            comp = self._monomial_companions(degree).reshape(-1, degree + 1)
+            comp = self.monomial_companions(degree).reshape(-1, degree + 1)
             g = np.eye(degree + 1, dtype=complex) + comp.conj().T @ comp
             self._gram = 0.5 * (g + g.conj().T)
         return self._gram[: degree + 1, : degree + 1]
 
     def poly_norm_sq(self, coeffs) -> float:
-        """Squared space norm of a polynomial member.
-
-        Inner mode uses the Hardy norm (the space embeds isometrically);
-        analytic mode uses the cached monomial Gram.
+        """Squared space norm of a polynomial member: the Hardy norm when
+        k = 0 (the space embeds isometrically), else the cached monomial Gram.
         """
         c = finite_coeffs(coeffs)
-        if self.mode == "inner" or self.n == 0:
+        if not self.k:
             return h2_norm_sq(c)
         g = self.monomial_gram(c.size - 1)
         return float(np.real(np.vdot(c, g @ c)))
@@ -381,10 +360,8 @@ class SpaceHandle:
     def backward(self, pair: ModelPair) -> ModelPair:
         """The backward shift acts coordinatewise on a model pair."""
         f = shift_down(_coefficient_pair(pair).f)
-        if pair.n:
-            comp = np.array([shift_down(row) for row in pair.companions])
-        else:
-            comp = np.zeros((0, f.size), dtype=complex)
+        comp = np.zeros((pair.n, f.size), dtype=complex)
+        comp[:, : pair.companions.shape[1] - 1] = pair.companions[:, 1:]
         return self.pair_from_parts(f, comp)
 
     def _coanalytic(self, pair: ModelPair) -> np.ndarray:
@@ -394,9 +371,9 @@ class SpaceHandle:
 
     def forward_constant(self, pair: ModelPair) -> np.ndarray:
         """The constant companion correction of the forward shift."""
-        if self.mode != "analytic":
+        if not self.mz_invariant:
             raise ExtremeTypeError("forward shift unsupported for inner-type spaces")
-        if self.n == 0:
+        if not self.k:
             return np.zeros(0, dtype=complex)
         v = self._coanalytic(pair)[0]  # coefficient of zeta**(-1), the constant mode of zeta * u
         a0h = self.factor.at_zero().conj().T
@@ -405,29 +382,21 @@ class SpaceHandle:
     def forward(self, pair: ModelPair) -> ModelPair:
         """Model pair of z f: companion is z f_1 plus a constant correction."""
         c = self.forward_constant(pair)
-        f = shift_up(pair.f)
-        if self.n:
-            comp = np.zeros((self.n, pair.companions.shape[1] + 1), dtype=complex)
-            comp[:, 0] = c
-            comp[:, 1:] = pair.companions
-        else:
-            comp = np.zeros((0, f.size), dtype=complex)
-        return self.pair_from_parts(f, comp)
+        comp = np.zeros((self.k, pair.companions.shape[1] + 1), dtype=complex)
+        comp[:, 0] = c
+        comp[:, 1:] = pair.companions
+        return self.pair_from_parts(shift_up(pair.f), comp)
 
     def resolvent_correction(self, pair: ModelPair, lam) -> np.ndarray:
         """The co-analytic correction vector at lam: solve A(lam)* c = u(lam)."""
-        if self.mode != "analytic":
+        if not self.mz_invariant:
             raise ExtremeTypeError("resolvent correction needs the analytic model")
-        if self.n == 0:
+        if not self.k:
             return np.zeros(0, dtype=complex)
         if abs(lam) >= 1.0:
             raise ValueError("evaluation point must satisfy |lam| < 1")
         u = self._coanalytic_at(self._coanalytic(pair), lam)
-        a_lam_h = self._factor_adjoint(lam)
-        cond = np.linalg.cond(a_lam_h)
-        if cond > 1e8:
-            warnings.warn(f"defect factor nearly singular at lam={lam}: cond={cond:.2e}")
-        return np.linalg.solve(a_lam_h, u)
+        return np.linalg.solve(self._factor_adjoint(lam), u)
 
     def resolvent_divide(self, pair: ModelPair, lam) -> ModelPair:
         """Model pair of f / (1 - conj(lam) z), cut where its tail falls below
@@ -435,29 +404,28 @@ class SpaceHandle:
         ``tol_solve`` raises NumericalError) and zero-padded to the degree."""
         if abs(lam) >= 1.0:
             raise ValueError("evaluation point must satisfy |lam| < 1")
-        if self.mode != "analytic":
+        if not self.mz_invariant:
             raise ExtremeTypeError("resolvent division needs the analytic model")
         f = _coefficient_pair(pair).f
-        rows = np.zeros((1 + self.n, max(f.size, pair.companions.shape[1])), dtype=complex)
+        rows = np.zeros((1 + self.k, max(f.size, pair.companions.shape[1])), dtype=complex)
         rows[0, : f.size] = f  # then the companion numerators f_1 - c e_0
-        if self.n:
-            rows[1:, : pair.companions.shape[1]] = pair.companions
-            rows[1:, 0] -= self.resolvent_correction(pair, lam)
+        rows[1:, : pair.companions.shape[1]] = pair.companions
+        rows[1:, 0] -= self.resolvent_correction(pair, lam)
         out = SzegoSum.trusted(rows[:, None], np.array([lam], dtype=complex))
         cut = min(self.degree, out.roundoff_degree())
         short = out.taylor(cut, self.tol_solve)
         residual = self.pair_from_parts(short[0], short[1:]).residual
         # trailing zeros leave B* f + A* f_1 unchanged, so the residual certifies
-        out = np.concatenate([short, np.zeros((1 + self.n, self.degree - cut))], axis=1)
+        out = np.concatenate([short, np.zeros((1 + self.k, self.degree - cut))], axis=1)
         return ModelPair(out[0], out[1:], residual)
 
     # -- membership ----------------------------------------------------------
 
     def membership(self, coeffs) -> MembershipReport:
         """Membership verdict by residual size; the verdict (not an
-        exception) is the result.  In analytic mode every polynomial is a
-        member and the residual is roundoff; in inner mode the residual is
-        the part of f beyond the model space.  Non-finite coefficients raise
+        exception) is the result.  With k = n every polynomial is a member
+        and the residual is roundoff; on an inner handle the residual is the
+        part of f beyond the model space.  Non-finite coefficients raise
         ValueError."""
         pair = self.embed(coeffs)
         member = pair.residual <= self.tol_membership * (1.0 + pair.norm)

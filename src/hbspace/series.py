@@ -70,14 +70,17 @@ def divided_difference(c, lam) -> np.ndarray:
     """Coefficients of (f(z) - f(lam)) / (z - lam).
 
     This is the resolvent-type shift L applied at the point lam; for a
-    degree-d input the output has degree d - 1.
+    degree-d input the output has degree d - 1.  For an array of points the
+    result has one column per point, shape (d,) + lam.shape, and ``c`` may
+    hold one polynomial column per point, shape (d + 1,) + lam.shape.
     """
-    a = as_coeffs(c)
-    if a.size <= 1:
-        return np.zeros(1, dtype=complex)
-    q = np.empty(a.size - 1, dtype=complex)
+    shape = lam.shape if isinstance(lam, np.ndarray) else ()  # a point builds no array
+    a = np.asarray(c, dtype=complex) if shape else as_coeffs(c)
+    if a.shape[0] <= 1:
+        return np.zeros((1,) + shape, dtype=complex)
+    q = np.empty((a.shape[0] - 1,) + shape, dtype=complex)
     acc = 0.0 + 0.0j
-    for k in range(a.size - 1, 0, -1):
+    for k in range(a.shape[0] - 1, 0, -1):
         acc = a[k] + lam * acc
         q[k - 1] = acc
     return q

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .analysis import LimitSchedule, _divided_difference_all, _radial_limit, _shift_defects
+from .analysis import LimitSchedule, _radial_limit, _shift_defects
 from .errors import ConfigError, ConvergenceError, NumericalError
 from .model import SpaceHandle
 from .series import (SzegoSum, convolve, divided_difference, finite_coeffs, horner,
@@ -112,19 +112,6 @@ class SubspaceBasis:
         return len(self.pairs)
 
 
-def _stack(pairs) -> np.ndarray:
-    """Rows (f, companions) of the pairs, each part zero-padded to its widest
-    occurrence, so that rows @ rows^H holds the inner products <p_i, p_j>."""
-    wf = max(p.f.size for p in pairs)
-    wc = max(p.companions.shape[1] for p in pairs)
-    n = pairs[0].n
-    rows = np.zeros((len(pairs), wf + n * wc), dtype=complex)
-    for row, p in zip(rows, pairs):
-        row[: p.f.size] = p.f
-        row[wf:].reshape(n, wc)[:, : p.companions.shape[1]] = p.companions
-    return rows
-
-
 def _mixed(mix: np.ndarray, terms: SzegoSum, width: int) -> np.ndarray:
     """Coefficients of sum_j mix[i, j] T_j, term axis kept and padded to
     ``width``, shape (I,) + rows + (J, width)."""
@@ -209,9 +196,9 @@ def poly_density_residual(space, coeffs, degrees) -> PolyDensityResult:
     residual sequence is exactly nonincreasing.  The Gram is I + C*C for the
     companion matrix C, so its eigenvalues are >= 1 and the Cholesky of a
     finite Gram cannot fail.  f is embedded once, exactly
-    when it is a ``SzegoSum``; its inner products with the monomials come
-    from the cached monomial pairs and the first dmax + 1 coefficients of
-    its pair.
+    when it is a ``SzegoSum``; its inner products with the monomials,
+    <f, z^j> = f_j + sum_i <f_1i, C[i, :, j]>, come from the companion
+    matrix and the first dmax + 1 coefficients of its pair.
     """
     if not space.mz_invariant:
         raise ConfigError("polynomial approximation needs a forward-shift-invariant space")
@@ -219,11 +206,14 @@ def poly_density_residual(space, coeffs, degrees) -> PolyDensityResult:
     if not degrees or degrees[0] < 0:
         raise ConfigError("need a nonempty list of nonnegative degrees")
     dmax = degrees[-1]
+    comp = space.monomial_companions(dmax)  # first, so that the Gram can reuse it
     gm = space.monomial_gram(dmax)
     pair = space.embed(coeffs)
-    head = ModelPair(*pair.parts(dmax + 1), pair.residual)
-    rows = _stack([head] + space.monomial_pairs(dmax))
-    b = rows[1:].conj() @ rows[0]  # b[j] = <f, z^j>
+    f, f1 = pair.parts(dmax + 1)
+    head = np.zeros((1 + comp.shape[0], dmax + 1), dtype=complex)  # f and f_1, cut or padded
+    head[0, : f.size] = f[: dmax + 1]
+    head[1:, : f1.shape[1]] = f1[:, : dmax + 1]
+    b = head[0] + np.einsum("iw,iwj->j", head[1:], comp.conj())  # b[j] = <f, z^j>
     low = np.linalg.cholesky(0.5 * (gm + gm.conj().T))
     proj_sq = np.cumsum(np.abs(np.linalg.solve(low, b)) ** 2)[degrees]
     return PolyDensityResult(degrees, np.sqrt(np.maximum(pair.norm_sq - proj_sq, 0.0)))
@@ -300,7 +290,7 @@ def nearly_invariant_norm(space, phi, f, schedule=None) -> NearlyInvariantResult
     def shifted(lam):
         ratio = horner(f, lam) / horner(phi, lam)
         # column j holds the coefficients of L^phi_lam f at lam = lam[j]
-        q = _divided_difference_all(f_pad[:, None] - phi_pad[:, None] * ratio, lam)
+        q = divided_difference(f_pad[:, None] - phi_pad[:, None] * ratio, lam)
         return _shift_defects(space, q)
 
     schedule = schedule or LimitSchedule(k_min=4, k_max=8)

@@ -282,6 +282,7 @@ class DirichletSpace:
 
     mz_invariant = True
     truncated = False
+    factorization = None
 
     # the embedding is exact and every residual 0; the handle's membership tolerance
     tol_membership = 1e-7
@@ -299,6 +300,7 @@ class DirichletSpace:
         self.measure = measure
         self.degree = degree
         self._gram_cache: dict[int, np.ndarray] = {}
+        self._companion_cache: dict[int, np.ndarray] = {}
         self._solver_cache: dict[int, np.ndarray] = {}
 
     @property
@@ -383,19 +385,28 @@ class DirichletSpace:
         """Space inner product through the embedding."""
         return pair_inner(pair_a, pair_b)
 
-    def monomial_pairs(self, degree: int) -> list[ModelPair]:
-        """Model pairs of 1, z, ..., z^degree, from one batch of rows."""
-        rows = self._rows(np.eye(degree + 1), np.zeros(degree + 1))
-        return [ModelPair(rows[0, k, : k + 1], rows[1:, k, : max(k, 1)], 0.0)
-                for k in range(degree + 1)]
+    def _companion_matrix(self, degree: int) -> np.ndarray:
+        """C[i, j, k], coefficient j of the coordinate of z^k for atom i,
+        from the rows of all the monomials at once."""
+        return np.swapaxes(self._rows(np.eye(degree + 1), np.zeros(degree + 1))[1:], 1, 2)
+
+    def monomial_companions(self, degree: int) -> np.ndarray:
+        """The companion matrix C, shape (n, degree + 1, degree + 1), cached
+        per degree."""
+        if degree not in self._companion_cache:
+            self._companion_cache[degree] = self._companion_matrix(degree)
+        return self._companion_cache[degree]
 
     def monomial_gram(self, degree: int) -> np.ndarray:
-        """Gram G[j, k] = <z^k, z^j> of the monomials up to ``degree``, from
-        the rows of all of them at once."""
+        """Gram G[j, k] = <z^k, z^j> of the monomials up to ``degree``, I + C*C.
+        It reads C from the companion cache but does not fill it: the kernel
+        solve's Gram degree would otherwise keep a large C alive."""
         if degree not in self._gram_cache:
-            rows = self._rows(np.eye(degree + 1), np.zeros(degree + 1))
-            flat = np.swapaxes(rows, 0, 1).reshape(degree + 1, -1)
-            self._gram_cache[degree] = flat.conj() @ flat.T
+            comp = self._companion_cache.get(degree)
+            if comp is None:
+                comp = self._companion_matrix(degree)
+            comp = comp.reshape(-1, degree + 1)
+            self._gram_cache[degree] = np.eye(degree + 1) + comp.conj().T @ comp
         return self._gram_cache[degree]
 
     def _kernel_solver(self, degree: int) -> np.ndarray:

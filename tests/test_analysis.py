@@ -7,7 +7,6 @@ from hbspace import analysis
 from hbspace.analysis import (
     LimitSchedule,
     _column_norms,
-    _divided_difference_all,
     backward_iterates,
     bergman_dirichlet_unitary,
     cauchy_dual,
@@ -23,7 +22,7 @@ from hbspace.analysis import (
 from hbspace.catalog import cusp_symbol, h2_symbol, inner_symbol, rank1_half_symbol
 from hbspace.errors import ConfigError, InvariantViolation
 from hbspace.model import SpaceHandle
-from hbspace.series import h2_norm_sq, szego_taylor
+from hbspace.series import divided_difference, h2_norm_sq, szego_taylor
 from hbspace.spectral import laurent_values
 from hbspace.symbols import MeasureSpec, RowSymbol, weighted_space_symbol
 from conftest import ODD_ROOT_ROW, RANK2_EXAMPLE, random_interior, scaled_row
@@ -72,7 +71,7 @@ def _grid_quadrature(space, c, schedule):
     for k, r in enumerate(schedule.radii, start=schedule.k_min):
         m = 16 * 2 ** k
         lam = np.exp(2j * np.pi * np.arange(m) / m)
-        q = _divided_difference_all(c, r * lam)
+        q = divided_difference(c, r * lam)
         zq = np.vstack([np.zeros((1, m), dtype=complex), q])
         q_norms = _column_norms(space, q)
         vals = _column_norms(space, zq) - r ** 2 * q_norms
@@ -118,9 +117,9 @@ def test_norm_limit_nodes_follow_the_degree(rank1_half, monkeypatch):
 
     def counting(c, etas):
         columns.append(etas.size)
-        return _divided_difference_all(c, etas)
+        return divided_difference(c, etas)
 
-    monkeypatch.setattr(analysis, "_divided_difference_all", counting)
+    monkeypatch.setattr(analysis, "divided_difference", counting)
     schedule = LimitSchedule(4, 10)
     norm_limit_estimate(rank1_half, np.arange(1.0, 6.0), schedule)
     assert sum(columns) <= 10 * (len(schedule.radii) + 1)

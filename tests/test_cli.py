@@ -289,6 +289,27 @@ def test_import_stays_light():
     assert done.returncode == 0, done.stderr[-2000:]
 
 
+def test_norm_dirichlet_space_reports_membership(capsys):
+    # both space types answer norm through membership: member, residual 0, and
+    # the norm^2 c* G c of the closed-form Gram
+    # G[j, k] = delta_jk + sum_a conj(a)^(j - m) a^(k - m) sum_{t < m} |a|^(2t), m = min(j, k)
+    code, out, _ = run(["norm", "--named", "dirichlet-pair", "--coeffs", "0,1,0.5", "--json"],
+                       capsys)
+    assert code == 0
+    assert "member: True" in out
+    report = json.loads(out[out.index("{"):])
+    assert report["member"] is True and report["residual"] == 0.0
+    c = [0.0, 1.0, 0.5]
+    target = 0.0
+    for j in range(3):
+        for k in range(3):
+            m = min(j, k)
+            g = float(j == k) + sum(a ** (j - m) * a ** (k - m) * sum(a ** (2 * t) for t in range(m))
+                                    for a in (0.5, -0.5))
+            target += c[j] * g * c[k]
+    assert abs(report["norm"] ** 2 - target) <= 1e-12 * target
+
+
 def test_embed_kernel_near_the_circle_is_exact(capsys):
     # ||k_lam||^2 = (2 - |lam|^2) / (2 (1 - |lam|^2)) = 250.6250625... at 0.999;
     # the kernel cut at the handle degree gave 14.780

@@ -293,6 +293,22 @@ def test_poly_density_on_dirichlet(d_pair):
     assert res.residuals[-1] < 1e-3
 
 
+def test_poly_density_builds_dirichlet_monomials_once(monkeypatch):
+    # the Gram reads the companion matrix that poly_density_residual caches
+    space = named_space("dirichlet-pair")
+    calls = []
+    rows = DirichletSpace._rows
+
+    def counting_rows(self, p, mu):
+        calls.append(p.shape)
+        return rows(self, p, mu)
+
+    monkeypatch.setattr(DirichletSpace, "_rows", counting_rows)
+    for _ in range(3):
+        poly_density_residual(space, [1.0, 0.5, 0.25], [2, 8])
+    assert calls == [(9, 9)]
+
+
 def test_nearly_invariant_reduces_to_norm_formula(h2):
     result = nearly_invariant_norm(h2, np.array([1.0]), np.array([0.0, 1.0]),
                                    LimitSchedule(4, 8))

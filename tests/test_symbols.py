@@ -11,6 +11,7 @@ from hbspace.series import SzegoSum
 from hbspace.symbols import (
     DirichletSpace,
     MeasureSpec,
+    ModelPair,
     RowSymbol,
     delta_boundary,
     dirichlet_norm,
@@ -259,13 +260,39 @@ def test_dirichlet_monomial_gram_closed_form():
     ref = _dirichlet_gram_closed_form(atoms, 48)
     gram = space.monomial_gram(48)
     assert np.max(np.abs(gram - ref)) <= 1e-14 * np.max(np.abs(ref))
-    pairs = space.monomial_pairs(48)
+    comp = space.monomial_companions(48)
     for k in (0, 1, 7, 48):
         exact = space.embed(np.eye(1, k + 1, k)[0])
-        assert np.array_equal(pairs[k].f, exact.f)
-        assert np.max(np.abs(pairs[k].companions - exact.companions)) <= 1e-15 * k
-        assert pairs[k].residual == 0.0
-    assert abs(space.inner(pairs[7], pairs[3]) - gram[3, 7]) <= 1e-14 * abs(gram[3, 7])
+        width = exact.companions.shape[1]
+        assert np.max(np.abs(comp[:, :width, k] - exact.companions)) <= 1e-15 * k
+        assert not np.any(comp[:, width:, k])
+    pairs = [ModelPair(np.eye(1, 49, k)[0], comp[:, :, k], 0.0) for k in (7, 3)]
+    assert abs(space.inner(*pairs) - gram[3, 7]) <= 1e-14 * abs(gram[3, 7])
+
+
+@pytest.mark.parametrize("name", ["h2", "rank1_half", "cusp", "two_term", "weighted", "ddelta",
+                                  "rank2", "d_origin", "d_pair"])
+def test_monomial_companions_give_the_gram_and_the_embeds(name, request):
+    # C[i, j, k] is coefficient j of companion i of z^k on both space types
+    if name == "rank2":
+        space = SpaceHandle(RowSymbol([d(c) for c in RANK2_EXAMPLE]), n_grid=N)
+    else:
+        space = request.getfixturevalue(name)
+    comp = space.monomial_companions(24)
+    assert comp.shape == (space.n, 25, 25)  # (0, 25, 25) on H^2
+    flat = comp.reshape(-1, 25)
+    gram = space.monomial_gram(24)
+    assert np.max(np.abs(np.eye(25) + flat.conj().T @ flat - gram)) <= 1e-14 * np.max(np.abs(gram))
+    for k in (0, 1, 7, 24):
+        companions = space.embed(np.eye(1, k + 1, k)[0]).companions
+        ref = np.zeros((space.n, k + 1), dtype=complex)
+        ref[:, : companions.shape[1]] = companions
+        assert np.max(np.abs(comp[:, : k + 1, k] - ref), initial=0.0) <= 1e-13
+
+
+def test_inner_handle_refuses_monomial_companions(inner_space):
+    with pytest.raises(NumericalError):
+        inner_space.monomial_companions(4)
 
 
 @pytest.mark.parametrize("name", ["h2", "rank1_half", "cusp", "two_term", "weighted", "ddelta",

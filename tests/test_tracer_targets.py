@@ -6,6 +6,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from hbspace.catalog import h2_symbol, inner_symbol, rank1_half_symbol
+from hbspace.model import SpaceHandle
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -33,3 +36,14 @@ def test_every_tracer_target_resolves():
             if not found:
                 missing.append(f"{module_name}.{dotted}")
     assert not missing, f"tracer targets missing from hbspace: {missing}"
+
+
+def test_embed_route_reads_every_handle_kind():
+    # the traced run labels each embed by the handle's n and mode
+    tracer = _tracer_module()
+    for symbol, mode in ((h2_symbol(), "analytic"), (inner_symbol(1024), "inner"),
+                         (rank1_half_symbol(1024), "analytic")):
+        handle = SpaceHandle(symbol, n_grid=1024)
+        assert isinstance(handle.n, int)
+        assert handle.mode == mode
+        assert isinstance(tracer._embed_route((handle,)), str)
