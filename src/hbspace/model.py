@@ -30,7 +30,11 @@ term P s_lam is (P s_lam, (f_1 - c e_0) s_lam), with f_1 the companion of
 the polynomial P and c = A(lam)^{-*} U(conj(lam)), U the co-analytic part of
 B* P + A* f_1.  The nonnegative part of B* f + A* f_1 is then
 (X + U(conj(lam)) - A(lam)* c) s_lam, X the polynomial pair's own, so the
-residual is the H^2 norm of a Szego sum: finite, with no Taylor cut.
+residual is the H^2 norm of a Szego sum: finite, with no Taylor cut.  A
+kernel's companion is -A(z) B(lam)* s_lam in closed form; ``kernel_taylor``
+attaches these numerators to its sum, combinations keep them, and ``embed``
+takes them with no correlation and no solve by A(lam)*, its residual still
+computed from the rows by one direct correlation with [B*, A*].
 """
 
 import numpy as np
@@ -153,11 +157,16 @@ class SpaceHandle:
 
     def kernel_taylor(self, lam) -> SzegoSum:
         """The kernel function at lam, exactly: N_lam s_lam with the polynomial
-        N_lam = 1 - sum_i conj(b_i(lam)) b_i.  ``.taylor(d)`` cuts it."""
+        N_lam = 1 - sum_i conj(b_i(lam)) b_i.  ``.taylor(d)`` cuts it.  It carries
+        its companion numerators -A(z) B(lam)*, keyed by [B*, A*]."""
         _check_strict_interior(lam)
-        num = -np.conj(row_values(self.symbol.rows, lam)) @ self.symbol.rows
+        b_lam = row_values(self.symbol.rows, lam)
+        num = -np.conj(b_lam) @ self.symbol.rows
         num[0] += 1.0
-        return SzegoSum.trusted(num[None], np.array([lam], dtype=complex))
+        out = SzegoSum.trusted(num[None], np.array([lam], dtype=complex))
+        if self.n:  # A_t = (w[t, :, 1:])*, so A_t conj(b) = conj(b w[t, :, 1:])
+            out.attached = (self._w, -np.conj(b_lam @ self._w[:, :, 1:]).T[:, None])
+        return out
 
     def szego_density(self, points) -> np.ndarray:
         """(1 - |w|^2) ||s_w||^2 for the Szego kernel s_w = 1 / (1 - conj(w) z).
@@ -235,6 +244,18 @@ class SpaceHandle:
         u = np.fft.ifft(u_hat, axis=-1)[..., : width - 1 + f.shape[-1]]
         return u[..., width - 1:], np.swapaxes(u[..., width - 2::-1], -2, -1)
 
+    def _correlate(self, x: np.ndarray) -> tuple:
+        """``_laurent`` of the stacked rows x = (f, f_1), shape (..., 1 + k, L), by
+        the direct correlation u_m = sum_t w_t x_{m+t} over a strided view."""
+        width, length = self._w.shape[0], x.shape[-1]
+        padded = np.zeros(x.shape[:-1] + (length + 2 * (width - 1),), dtype=complex)
+        padded[..., width - 1: width - 1 + length] = x
+        step = padded.strides[-1]
+        windows = np.ndarray(x.shape[:-1] + (length + width - 1, width), complex, padded, 0,
+                             padded.strides[:-1] + (step, step))  # [..., s, t] = padded[..., s + t]
+        u = np.einsum("tij,...jst->...is", self._w, windows)
+        return u[..., width - 1:], np.swapaxes(u[..., width - 2::-1], -2, -1)
+
     def _pair(self, c: np.ndarray, companions: np.ndarray) -> ModelPair:
         if not self.n:  # the Hardy space, where u = B* f + A* f_1 has no rows
             return ModelPair(c, companions, 0.0)
@@ -260,19 +281,26 @@ class SpaceHandle:
         """Rows f, f_1 and residual of each term of sum_j P_j s_{lam_j}, shape
         (1 + k + n, J, W), and the companion count k.  Term j has the companion
         (f_1 - c_j e_0) s_{lam_j}, f_1 that of the polynomial P_j, and the
-        residual row (X_j + U_j - A(lam_j)* c_j) s_{lam_j}."""
+        residual row (X_j + U_j - A(lam_j)* c_j) s_{lam_j}; a sum carrying
+        companion numerators keyed by this model's [B*, A*] keeps them, c_j = 0."""
         if f.coeffs.ndim != 2:
             raise ValueError("embed takes a scalar Szego sum")
         p, lam = self._within_budget(f.coeffs), f.points
-        k = self.k
-        rows = np.zeros((1 + k + self.n,) + p.shape, dtype=complex)
-        rows[0] = p
+        k, attached = self.k, f.attached
+        closed = attached is not None and np.array_equal(attached[0], self._w)
+        width = max(p.shape[1], attached[1].shape[-1]) if closed else p.shape[1]
+        rows = np.zeros((1 + k + self.n, p.shape[0], width), dtype=complex)
+        rows[0, :, : p.shape[1]] = p
         if not self.n:  # the Hardy space: no companion and no residual rows
             return rows, k
-        rows[1: 1 + k] = np.swapaxes(self._companions(p), 0, 1)
-        plus, coanalytic = self._laurent(p, np.swapaxes(rows[1: 1 + k], 0, 1))
+        if closed:
+            rows[1: 1 + k, :, : attached[1].shape[-1]] = attached[1]
+            plus, coanalytic = self._correlate(np.swapaxes(rows[: 1 + k], 0, 1))
+        else:
+            rows[1: 1 + k] = np.swapaxes(self._companions(p), 0, 1)
+            plus, coanalytic = self._laurent(p, np.swapaxes(rows[1: 1 + k], 0, 1))
         u = self._coanalytic_at(coanalytic, lam)
-        if k:
+        if k and not closed:
             a_h = self._factor_adjoint(lam)
             c = np.linalg.solve(a_h, u[..., None])
             rows[1: 1 + k, :, 0] -= c[..., 0].T

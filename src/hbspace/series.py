@@ -191,6 +191,15 @@ def szego_taylor(lam, degree) -> np.ndarray:
     return power_table(np.conj(lam), degree + 1)
 
 
+def _stack_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The terms (..., J, W) of a then of b, zero-padded to the wider width."""
+    terms, width = a.shape[-2] + b.shape[-2], max(a.shape[-1], b.shape[-1])
+    out = np.zeros(a.shape[:-2] + (terms, width), dtype=complex)
+    out[..., : a.shape[-2], : a.shape[-1]] = a
+    out[..., a.shape[-2]:, : b.shape[-1]] = b
+    return out
+
+
 class SzegoSum:
     """f = sum_j P_j(z) s_{mu_j}(z) with s_mu = 1 / (1 - conj(mu) z), held exactly.
 
@@ -202,10 +211,13 @@ class SzegoSum:
     <f, g> = <heads> + sum_jk q_{W-1} conj(q'_{W-1}) conj(mu_j) nu_k / (1 - conj(mu_j) nu_k).
     Scalars multiply and sums add (``sum`` of terms works); numpy arrays do
     not mix in.  Only ``taylor`` cuts the series, and it refuses a cut whose
-    dropped tail is not negligible.
+    dropped tail is not negligible.  ``attached`` is None or (key, rows (...,
+    J, W')) kept term by term beside the sum (a kernel's companion numerators);
+    scalar multiples keep it, sums keep it when the keys are equal.
     """
 
     __array_ufunc__ = None  # numpy defers to __rmul__ / __radd__
+    attached = None
 
     def __init__(self, coeffs, points):
         self.coeffs = np.asarray(coeffs, dtype=complex)
@@ -240,21 +252,24 @@ class SzegoSum:
             return NotImplemented
         if not np.isfinite(scalar):
             raise ValueError("coefficients must be finite")
-        return SzegoSum.trusted(scalar * self.coeffs, self.points)
+        out = SzegoSum.trusted(scalar * self.coeffs, self.points)
+        if self.attached is not None:
+            out.attached = (self.attached[0], scalar * self.attached[1])
+        return out
 
     __rmul__ = __mul__
 
     def __add__(self, other):
         if not isinstance(other, SzegoSum):
             return self if np.ndim(other) == 0 and other == 0 else NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if a.shape[:-2] != b.shape[:-2]:
+        if self.coeffs.shape[:-2] != other.coeffs.shape[:-2]:
             raise ValueError("Szego sums of different shapes")
-        terms, width = a.shape[-2] + b.shape[-2], max(a.shape[-1], b.shape[-1])
-        coeffs = np.zeros(a.shape[:-2] + (terms, width), dtype=complex)
-        coeffs[..., : a.shape[-2], : a.shape[-1]] = a
-        coeffs[..., a.shape[-2]:, : b.shape[-1]] = b
-        return SzegoSum.trusted(coeffs, np.concatenate([self.points, other.points]))
+        out = SzegoSum.trusted(_stack_terms(self.coeffs, other.coeffs),
+                               np.concatenate([self.points, other.points]))
+        mine, theirs = self.attached, other.attached
+        if mine is not None and theirs is not None and np.array_equal(mine[0], theirs[0]):
+            out.attached = (mine[0], _stack_terms(mine[1], theirs[1]))
+        return out
 
     __radd__ = __add__
 

@@ -15,13 +15,14 @@ takes its q roots from a q x q colleague matrix; a complex d takes its 2q
 roots from the companion matrix of z^q d.  The outer factor is rebuilt from
 its roots by one FFT of its values at the roots of unity, exact
 interpolation at size 2^ceil(log2(q + 1)).  The lossless row
-(B, reversed scalar factor) is then peeled into degree-one paraunitary
-factors whose completion carries A.  The factor is certified by
-``defect_identity_bound``, which bounds A*A + B*B - I over the whole circle
-from its Laurent coefficients.  ``matrix_outer_factor`` takes a sampled
-scalar field that is a trigonometric polynomial, reads its Laurent
-coefficients by one FFT and factors them by the same root split, checked on
-its grid by ``factor_residual``.
+(B, reversed scalar factor) has a balanced realization with orthonormal
+rows, whose unitary extension carries A in a fixed number of small solves.
+The factor is certified by ``defect_identity_bound``, which bounds
+A*A + B*B - I over the whole circle from its Laurent coefficients.
+``matrix_outer_factor`` takes a sampled scalar field that is a
+trigonometric polynomial, reads its Laurent coefficients by one FFT and
+factors them by the same root split, checked on its grid by
+``factor_residual``.
 """
 
 from dataclasses import dataclass
@@ -124,28 +125,16 @@ def defect_identity_bound(factor_coeffs, row_coeffs) -> float:
     b = np.atleast_2d(np.asarray(row_coeffs, dtype=complex))
     n = a.shape[1]
     width = max(a.shape[0], b.shape[1])
-    blocks = np.zeros((width, n + 1, n), dtype=complex)
+    blocks = np.zeros((2 * width - 1, n + 1, n), dtype=complex)
     blocks[: a.shape[0], :n] = a
     blocks[: b.shape[1], n] = b.T
-    lags = np.stack([np.einsum("kji,kjl->il", blocks[: width - lag].conj(), blocks[lag:])
-                     for lag in range(width)])
+    step = blocks.strides
+    later = np.ndarray((width, width, n + 1, n), complex, blocks, 0,
+                       (step[0],) + step)  # [m, k] = M_{k+m}, a strided view
+    lags = np.einsum("kji,mkjl->mil", blocks[:width].conj(), later)
     lags[0] -= np.eye(n)
     norms = np.linalg.norm(lags, ord=2, axis=(1, 2))
     return float(norms[0] + 2.0 * np.sum(norms[1:]))
-
-
-def _gauge_fix(coeffs: np.ndarray) -> np.ndarray:
-    """Left-multiply by the constant unitary making A(0) lower triangular
-    with positive diagonal."""
-    a0 = coeffs[0]
-    # a0 J = Q R with J the reversal, so u = J Q* gives u a0 = J R J, lower triangular
-    q, _ = np.linalg.qr(a0[:, ::-1])
-    u = q.conj().T[::-1]
-    lower = u @ a0
-    phases = np.diagonal(lower).copy()
-    phases = np.where(np.abs(phases) < 1e-300, 1.0, phases / np.abs(phases))
-    u = np.diag(np.conj(phases)) @ u
-    return np.einsum("ij,kjl->kil", u, coeffs)
 
 
 def laurent_values(d, thetas) -> np.ndarray:
@@ -221,26 +210,27 @@ def _outer_from_laurent(d) -> tuple[np.ndarray, np.ndarray]:
     angles = np.angle(circle) if circle.size else np.zeros(1)  # one arc: the circle
     gaps = np.diff(np.append(angles, angles[0] + 2.0 * np.pi))
     middles = angles + 0.5 * gaps
-    values = laurent_values(d, middles)
-    worst = int(np.argmin(values))
+    # pair neighbours by angle, starting after the widest gap so that no pair
+    # straddles the cut at angle pi; d is read at the arc middles and at the
+    # unit-normalized pair means in one pass
+    circle = np.roll(circle, -(int(np.argmax(gaps)) + 1))
+    pairs = circle[: circle.size - circle.size % 2].reshape(-1, 2)
+    centers = np.exp(1j * np.angle(pairs.mean(axis=1)))
+    values = laurent_values(d, np.concatenate([middles, np.angle(centers)]))
+    worst = int(np.argmin(values[: middles.size]))
     if values[worst] < -_CONTRACTION_SLOP:
         raise InvariantViolation(
             f"the defect is negative on the circle: {values[worst]:.3e} at "
             f"angle {np.angle(np.exp(1j * middles[worst])):.6f}; the symbol "
             "is not a contraction")
-    # pair neighbours by angle, starting after the widest gap so that no pair
-    # straddles the cut at angle pi
-    circle = np.roll(circle, -(int(np.argmax(gaps)) + 1))
     if circle.size % 2 or outside.size + circle.size // 2 != q:
         raise ConvergenceError(
             f"root splitting found {outside.size} roots outside the disk and "
             f"{circle.size} on the circle for a defect of degree {q}")
-    pairs = circle.reshape(-1, 2)
-    centers = np.exp(1j * np.angle(pairs.mean(axis=1)))
     # a pair is a double zero only where d vanishes to roundoff at its centre;
     # otherwise it is a near-circle pair r, 1 / conj(r) whose outer member is a root of a
     roundoff = 64.0 * np.finfo(float).eps * (abs(d[0]) + 2.0 * np.sum(np.abs(d[1:])))
-    zero = np.abs(laurent_values(d, np.angle(centers))) <= roundoff
+    zero = np.abs(values[middles.size:]) <= roundoff
     outer = np.where(np.abs(pairs[:, 0]) >= np.abs(pairs[:, 1]), pairs[:, 0], pairs[:, 1])
     a = _expand_roots(1.0 / np.concatenate([outside, outer[~zero], centers[zero]]))
     if not np.any(d.imag):  # its roots pair by conjugation, so a is real
@@ -281,29 +271,34 @@ def defect_split(coeffs) -> DefectSplit:
 
 
 def _lossless_completion(h: np.ndarray) -> np.ndarray:
-    """The rows completing a lossless row polynomial to a paraunitary matrix.
+    """The rows completing a lossless row polynomial to a paraunitary matrix,
+    gauged so that their first n columns are lower triangular with positive
+    diagonal at 0.
 
-    ``h[k]`` is the row coefficient of z^k, with h h* = 1 on the circle.  Each
-    peel writes h = h' V(z), V(z) = I - v v* + z v v*, v = h_top* / |h_top|;
-    h' = h V* has no z^(-1) term because h_0 h_top* = 0 (the top Laurent
-    coefficient of h h* = 1).  With W a constant unitary whose first row is
-    the constant row left, U = W V_p ... V_1 is paraunitary with first row h.
-    Returns the rows of U below h as coefficient blocks.
+    ``h[k]`` is the row coefficient of z^k, k = 0..p, with h h* = 1 on the
+    circle and h_p[n] > 0.  Its observer realization (shift S, input rows
+    h_1, ..., h_p) has the tail Gramian P = W W*, W[i, k] = h_{i+1+k}.
+    Balanced by P = L L*, a lossless realization has orthonormal rows
+    (Vaidyanathan, Multirate Systems and Filter Banks, 1993, ch. 14), and
+    the n rows of its unitary extension are (-Y* H* L^(-*), Y*), with
+    H = (h_0; ...; h_(p-1)), h_p Y = 0 and Y* (I + H* P^(-1) H) Y = I, so
+    their coefficients are Y* at 0 and -Y* (P^(-1) H)* W[:, k - 1] at k >= 1.
+    Y = Y_0 R^(-1), Y_0 = (I; -h_p[:n] / h_p[n]) and R* R the Cholesky
+    factorization of Y_0* (I + H* P^(-1) H) Y_0, gives the gauge block R^(-*).
     """
-    vs = []
-    while h.shape[0] > 1:
-        v = h[-1].conj() / np.linalg.norm(h[-1])
-        h = h[:-1] + np.outer(h[1:] @ v - h[:-1] @ v, v.conj())
-        vs.append(v)
-    q, _ = np.linalg.qr(h[0].conj()[:, None], mode="complete")
-    u = q.conj().T[None, 1:]  # the rows of W orthogonal to h[0]
-    for v in reversed(vs):
-        uv = (u @ v)[:, :, None] * v.conj()
-        grown = np.zeros((u.shape[0] + 1,) + u.shape[1:], dtype=complex)
-        grown[:-1] = u - uv
-        grown[1:] += uv
-        u = grown
-    return u
+    p, m = h.shape[0] - 1, h.shape[1]
+    padded = np.zeros((2 * p, m), dtype=complex)
+    padded[:p] = h[1:]
+    hankel = np.ndarray((p, p * m), complex, padded, 0, padded.strides)  # [i, (k, :)] = h_{i+1+k}
+    y0 = np.eye(m, m - 1, dtype=complex)
+    y0[-1] = -h[p, :-1] / h[p, -1]
+    hy = h[:p] @ y0
+    zy = np.linalg.solve(hankel @ hankel.conj().T, hy)  # P^(-1) H Y_0
+    low = np.linalg.cholesky(y0.conj().T @ y0 + hy.conj().T @ zy)  # R*
+    rows = np.empty((p + 1, m - 1, m), dtype=complex)
+    rows[0] = y0.conj().T
+    rows[1:] = -np.swapaxes((zy.conj().T @ hankel).reshape(m - 1, p, m), 0, 1)
+    return np.linalg.solve(low, rows)
 
 
 def row_defect_factor(coeffs, split: DefectSplit) -> FactorizationReport:
@@ -311,11 +306,12 @@ def row_defect_factor(coeffs, split: DefectSplit) -> FactorizationReport:
 
     ``coeffs[i, k]`` is the coefficient of z^k in b_i.  With a the outer
     factor of the scalar defect d = 1 - |B|^2 and a_rev(z) = z^p conj(a(1/conj z)),
-    the row h = (B, a_rev) of degree p is lossless, so peeling gives the
-    paraunitary U = W V_p ... V_1 with first row h (``_lossless_completion``;
-    Vaidyanathan, Multirate Systems and Filter Banks, 1993, ch. 14).  Its
-    columns are orthonormal on the circle, so A = U[1:, :n] has
-    A*A = I - B*B, and det A is a constant times a, so A is outer.  The
+    the row h = (B, a_rev) of degree p is lossless, so the unitary extension
+    of its balanced realization gives a paraunitary U of degree p with first
+    row h (``_lossless_completion``).  Its columns are orthonormal on the
+    circle, so A = U[1:, :n] has A*A = I - B*B, and det A is a constant times
+    a, so A is outer; U is gauged so that A(0) is lower triangular with
+    positive diagonal.  The
     residual is ``defect_identity_bound``: bounded over the whole circle from
     Laurent coefficients, against the unregularized Phi.
 
@@ -335,8 +331,7 @@ def row_defect_factor(coeffs, split: DefectSplit) -> FactorizationReport:
     h = np.zeros((width, n + 1), dtype=complex)
     h[:, :n] = b.T
     h[width - a.size:, n] = np.conj(a[::-1])
-    u = _lossless_completion(h)
-    symbol = MatrixSymbol(trim_blocks(_gauge_fix(u[:, :, :n])))
+    symbol = MatrixSymbol(trim_blocks(_lossless_completion(h)[:, :, :n]))
     residual = defect_identity_bound(symbol.coeffs, b)
     if residual > _CERTIFY_TARGET:
         raise ConvergenceError(

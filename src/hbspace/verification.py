@@ -64,7 +64,7 @@ def _check_isometry(space, rng):
     combo = sum(c * space.kernel_taylor(lam) for c, lam in zip(coeff, pts))
     value = space.embed(combo).norm_sq
     rel = abs(value - target) / target
-    return CheckResult("model-isometry", rel <= 1e-6, f"relative error {rel:.2e}")
+    return CheckResult("model-isometry", rel <= 1e-12, f"relative error {rel:.2e}")
 
 
 def _check_contractivity(space, rng):

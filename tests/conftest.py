@@ -128,3 +128,54 @@ def noncontractive_row():
     rows[:, 0] = 0.0
     samples = np.fft.ifft(rows, n=8192, axis=1) * 8192
     return rows / np.sqrt(np.max(np.sum(np.abs(samples) ** 2, axis=0)))
+
+
+# -- reference oracles for the defect factor ------------------------------------
+
+
+def gauge_fix(coeffs):
+    """Left-multiply by the constant unitary making A(0) lower triangular
+    with positive diagonal."""
+    a0 = coeffs[0]
+    # a0 J = Q R with J the reversal, so u = J Q* gives u a0 = J R J, lower triangular
+    q, _ = np.linalg.qr(a0[:, ::-1])
+    u = q.conj().T[::-1]
+    phases = np.diagonal(u @ a0).copy()
+    phases = np.where(np.abs(phases) < 1e-300, 1.0, phases / np.abs(phases))
+    return np.einsum("ij,kjl->kil", np.diag(np.conj(phases)) @ u, coeffs)
+
+
+def peel_completion(h):
+    """The rows completing a lossless row polynomial to a paraunitary matrix,
+    by the degree-one lattice (Vaidyanathan, Multirate Systems and Filter
+    Banks, 1993, ch. 14), not gauged.
+
+    ``h[k]`` is the row coefficient of z^k, with h h* = 1 on the circle.  Each
+    peel writes h = h' V(z), V(z) = I - v v* + z v v*, v = h_top* / |h_top|;
+    h' = h V* has no z^(-1) term because h_0 h_top* = 0 (the top Laurent
+    coefficient of h h* = 1).  With W a constant unitary whose first row is
+    the constant row left, U = W V_p ... V_1 is paraunitary with first row h.
+    """
+    vs = []
+    while h.shape[0] > 1:
+        v = h[-1].conj() / np.linalg.norm(h[-1])
+        h = h[:-1] + np.outer(h[1:] @ v - h[:-1] @ v, v.conj())
+        vs.append(v)
+    q, _ = np.linalg.qr(h[0].conj()[:, None], mode="complete")
+    u = q.conj().T[None, 1:]  # the rows of W orthogonal to h[0]
+    for v in reversed(vs):
+        uv = (u @ v)[:, :, None] * v.conj()
+        grown = np.zeros((u.shape[0] + 1,) + u.shape[1:], dtype=complex)
+        grown[:-1] = u - uv
+        grown[1:] += uv
+        u = grown
+    return u
+
+
+def lossless_row(rows, split):
+    """The lossless row h = (B, a_rev) of ``row_defect_factor``, shape (p + 1, n + 1)."""
+    b = np.atleast_2d(np.asarray(rows, dtype=complex))
+    h = np.zeros((b.shape[1], b.shape[0] + 1), dtype=complex)
+    h[:, :-1] = b.T
+    h[b.shape[1] - split.outer.size:, -1] = np.conj(split.outer[::-1])
+    return h

@@ -719,6 +719,96 @@ def test_kernel_combination_is_a_finite_szego_sum(two_term, rng):
             shift(pair)
 
 
+# -- closed-form kernel pairs -------------------------------------------------------
+
+
+def _stripped(f):
+    """The same Szego sum without its attached companion numerators."""
+    return SzegoSum.trusted(f.coeffs, f.points)
+
+
+@pytest.mark.parametrize("name", ["rank1-half", "cusp", "rank2-example", "ddelta",
+                                  "two-term", "weighted", "inner-z2"])
+def test_kernel_pair_matches_the_general_route(name, rng):
+    # the attached numerators -A(z) B(lam)* give the pair the general route
+    # (correlation, Laurent product and the solve by A(lam)*) takes for the
+    # same sum without them, term by term
+    space = _named_handle(name)
+    pts = random_interior(rng, 5, radius=0.9)
+    coeff = rng.normal(size=5) + 1j * rng.normal(size=5)
+    combo = sum(c * space.kernel_taylor(complex(lam)) for c, lam in zip(coeff, pts))
+    assert combo.attached[1].shape[:2] == (space.k, 5)
+    closed, general = space.embed(combo), space.embed(_stripped(combo))
+    assert abs(closed.norm_sq - general.norm_sq) <= 1e-13 * general.norm_sq
+    assert closed.residual <= 1e-13 * (1.0 + closed.norm)
+    rows, residual = space.embed_terms(combo)
+    ref_rows, ref_residual = space.embed_terms(_stripped(combo))
+    width = max(rows.width, ref_rows.width) + 8
+    scale = np.sqrt(np.max(rows.term_gram(rows).real))
+    assert np.max(np.abs(rows.heads(width) - ref_rows.heads(width))) <= 1e-13 * scale
+    assert np.max(np.abs(residual.heads(width))) <= 1e-13 * scale
+
+
+def test_kernel_of_another_symbol_takes_the_general_route(cusp, rank1_half, monkeypatch):
+    # numerators keyed by another model are not the companions here; a handle
+    # built again on the same symbol has equal [B*, A*] and keeps them
+    calls = []
+    companions = SpaceHandle._companions
+    monkeypatch.setattr(SpaceHandle, "_companions",
+                        lambda self, c: calls.append(c.shape) or companions(self, c))
+    foreign = rank1_half.kernel_taylor(0.5)
+    pair = cusp.embed(foreign)
+    assert len(calls) == 1
+    general = cusp.embed(_stripped(foreign))
+    assert pair.norm_sq == general.norm_sq and pair.residual == general.residual
+    assert (cusp.kernel_taylor(0.3) + foreign).attached is None
+    SpaceHandle(cusp.symbol).embed(cusp.kernel_taylor(0.3) + 2.0 * cusp.kernel_taylor(-0.4j))
+    assert len(calls) == 2
+
+
+def test_cold_kernel_combination_embed_solves_nothing(monkeypatch, rng):
+    space = _named_handle("ddelta")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel combination needs no correlation and no solve")
+    for name in ("_companions", "_correlation"):
+        monkeypatch.setattr(SpaceHandle, name, refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    pts = random_interior(rng, 3)
+    combo = sum(c * space.kernel_taylor(complex(lam)) for c, lam in zip([1.0, -2.0j, 0.5], pts))
+    target = float(np.real(np.vdot([1.0, -2.0j, 0.5], space.gram(pts) @ [1.0, -2.0j, 0.5])))
+    pair = space.embed(combo)
+    assert abs(pair.norm_sq - target) <= 1e-13 * target
+    assert pair.residual <= 1e-13 * (1.0 + pair.norm)
+
+
+@pytest.mark.parametrize("lam", [0.999, 0.9999])
+def test_deep_kernel_norm_meets_forty_digits(cusp, lam):
+    # ||k_lam||^2 = (1 - |b(lam)|^2) / (1 - |lam|^2) on the cusp, at 40 digits;
+    # dividing the companion by A(lam)*, which nearly vanishes near z = 1, lost
+    # 1e-13 at 0.999 and 1e-12 at 0.9999
+    import mpmath
+
+    got = cusp.embed(cusp.kernel_taylor(lam)).norm_sq
+    with mpmath.workdps(40):
+        w = mpmath.mpf(lam)
+        exact = (1 - (w / 2 + w ** 2 / 2) ** 2) / (1 - w ** 2)
+        assert abs(mpmath.mpf(got) - exact) / exact <= 1e-15
+
+
+def test_deep_complex_kernel_is_no_worse_than_the_kernel(cusp):
+    # off the real axis both values carry the rounding of lam itself
+    import mpmath
+
+    lam = 0.9999 * np.exp(0.7j)
+    values = cusp.embed(cusp.kernel_taylor(lam)).norm_sq, cusp.kernel(lam, lam).real
+    with mpmath.workdps(40):
+        w = mpmath.mpc(lam.real, lam.imag)
+        exact = (1 - abs(w / 2 + w ** 2 / 2) ** 2) / (1 - abs(w) ** 2)
+        got, kernel = (float(abs(mpmath.mpf(v) - exact) / exact) for v in values)
+    assert got <= kernel + 4 * np.finfo(float).eps
+
+
 def test_resolvent_divide_refuses_a_cut_tail():
     space = SpaceHandle(_row_symbol([[0.0, 2 ** -0.5]], N_GRID), n_grid=N_GRID)
     assert space.degree == 256

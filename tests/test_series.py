@@ -297,3 +297,20 @@ def test_szego_taylor_cut_bounds_its_tail():
     with pytest.raises(NumericalError):
         exact.taylor(256)
     assert len(subspaces.model_space_basis(subspaces.BlaschkeProduct([0.6, 0.0]))) == 2
+
+
+def test_attached_rows_follow_multiples_and_sums_with_equal_keys():
+    key = np.arange(3.0)
+    a = SzegoSum([[1.0, 2.0]], [0.5])
+    a.attached = (key, np.array([[[1.0]], [[2.0j]]]))
+    b = SzegoSum([[3.0]], [-0.2j])
+    b.attached = (key.copy(), np.array([[[4.0, 5.0]], [[6.0, 7.0]]]))
+    c = 2.0 * a + b
+    np.testing.assert_array_equal(c.attached[1], [[[2.0, 0.0], [4.0, 5.0]],
+                                                  [[4.0j, 0.0], [6.0, 7.0]]])
+    assert c.attached[0] is key
+    other = SzegoSum([[1.0]], [0.1])
+    other.attached = (key + 1.0, np.ones((2, 1, 1)))
+    assert (a + other).attached is None
+    assert (a + SzegoSum([[1.0]], [0.1])).attached is None
+    assert a.backward().attached is None and SzegoSum.of([1.0]).attached is None

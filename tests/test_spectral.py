@@ -16,8 +16,16 @@ from hbspace.spectral import (
     matrix_outer_factor,
     row_defect_factor,
 )
-from hbspace.symbols import RowSymbol
-from conftest import RANK2_EXAMPLE, ddelta_taylor, noncontractive_row, scaled_row
+from hbspace.symbols import RowSymbol, weighted_space_symbol
+from conftest import (
+    RANK2_EXAMPLE,
+    ddelta_taylor,
+    gauge_fix,
+    lossless_row,
+    noncontractive_row,
+    peel_completion,
+    scaled_row,
+)
 
 N = 1024
 
@@ -169,7 +177,7 @@ def _wilson_reference(phi, max_iter=200, tol=1e-12):
     coeffs = (np.fft.fft(np.transpose(psi, (0, 2, 1)), axis=0) / n_grid)[: n_grid // 2]
     mags = np.max(np.abs(coeffs), axis=(1, 2))
     coeffs = coeffs[: int(np.nonzero(mags > 1e-13 * mags.max())[0][-1]) + 1]
-    return spectral.trim_blocks(spectral._gauge_fix(coeffs))
+    return spectral.trim_blocks(gauge_fix(coeffs))
 
 
 def _min_det_inside(symbol, radius=0.99, count=256):
@@ -331,3 +339,68 @@ def test_real_rows_split_without_the_companion_matrix(monkeypatch):
         np.testing.assert_allclose(space.symbol.defect.circle_roots, [1.0], atol=1e-12)
         assert space.mode == "analytic"
         assert space.defect_identity_residual() <= 1e-12
+
+
+# -- the balanced realization against the peel lattice ---------------------------
+
+
+def _reference_rows():
+    """72 seeded rows, eight for each rank 1..3 and sup 0.5, 0.9, 1.0 (a
+    touching monomial, whose defect vanishes, is drawn again), then the cusp,
+    D(delta_1), the rank-2 example and the weighted symbol."""
+    rng = np.random.default_rng(40)
+    rows = []
+    for rank in (1, 2, 3):
+        for sup in (0.5, 0.9, 1.0):
+            drawn = []
+            while len(drawn) < 8:
+                row = scaled_row(rng, rank, sup)
+                if defect_split(row).outer is not None:
+                    drawn.append(row)
+            rows += drawn
+    return rows + [[[0.0, 0.5, 0.5]], [ddelta_taylor()], RANK2_EXAMPLE,
+                   weighted_space_symbol([1.0, 2.0, 2.5, 3.0]).rows]
+
+
+def _padded(coeffs, width):
+    return np.concatenate([coeffs, np.zeros((width - coeffs.shape[0],) + coeffs.shape[1:])])
+
+
+@pytest.mark.parametrize("rows", _reference_rows())
+def test_realization_matches_the_peel_lattice(rows):
+    split = defect_split(rows)
+    h = lossless_row(rows, split)
+    n = h.shape[1] - 1
+    # [h; completion] is paraunitary: the Laurent coefficients of U U* are delta_m0 I
+    u = np.concatenate([h[:, None, :], spectral._lossless_completion(h)], axis=1)
+    for lag in range(u.shape[0]):
+        e = np.einsum("kij,klj->il", u[: u.shape[0] - lag], u[lag:].conj())
+        assert np.max(np.abs(e - (lag == 0) * np.eye(n + 1))) <= 1e-13
+    ref = spectral.trim_blocks(gauge_fix(peel_completion(h)[:, :, :n]))
+    got = row_defect_factor(rows, split).symbol.coeffs
+    width = max(ref.shape[0], got.shape[0])
+    assert np.max(np.abs(_padded(got, width) - _padded(ref, width))) <= 1e-13
+
+
+def test_factor_linalg_calls_do_not_grow_with_the_degree(monkeypatch):
+    # the completion and its certificate take a fixed number of np.linalg
+    # calls: nothing loops over the degree
+    rng = np.random.default_rng(41)
+    rows = [_degree_row(rng, rank, degree, 0.9, real=False)
+            for rank in (1, 3) for degree in (4, 40)]
+    splits = [defect_split(r) for r in rows]
+    calls = {}
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            def counted(*args, _name=name, _fn=fn, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+    counts = []
+    for r, split in zip(rows, splits):
+        calls.clear()
+        row_defect_factor(r, split)
+        counts.append(dict(calls))
+    assert counts[0] and counts[0] == counts[1]
+    assert counts[2] == counts[3]

@@ -167,15 +167,24 @@ def test_intersect_pairs_are_the_embedded_basis(rank1_half, d_pair):
 
 def test_intersect_membership_filter_drops_candidates(cusp):
     # every Szego kernel is a member, so only a tolerance below the candidates'
-    # roundoff residuals (1.6e-17 on the row, 1.5e-17 on the cusp) drops one
+    # roundoff residuals drops one.  Which of those residuals round to exactly
+    # 0 follows the rounding of the factor, so each expected dimension is read
+    # from the candidates' own exact residuals; at the tolerance 1e-300 at
+    # least one candidate must go
     row = RowSymbol([[0.0, 0.3, 0.2], [0.0, 0.0, 0.4]])
     theta = BlaschkeProduct([0.5, -0.3, 0.0])
-    for space, dim in ((SpaceHandle(row), 3),
-                       (SpaceHandle(row, tol_membership=1e-300), 2),
-                       (SpaceHandle(cusp.symbol, tol_membership=1e-300), 2)):
+    dims = []
+    for space in (SpaceHandle(row), SpaceHandle(row, tol_membership=1e-300),
+                  SpaceHandle(cusp.symbol, tol_membership=1e-300)):
+        rows, residual_rows = space.embed_terms(sum(model_space_basis(theta)))
+        norms = np.sqrt(np.diagonal(rows.term_gram(rows)).real)
+        residuals = np.sqrt(np.abs(np.diagonal(residual_rows.term_gram(residual_rows))))
+        dim = int(np.sum(residuals <= space.tol_membership * (1.0 + norms)))
         basis = intersect_model_space(space, theta)
         assert basis.dim == dim
         assert np.max(np.abs(basis.gram - np.eye(dim))) <= 1e-12
+        dims.append(dim)
+    assert dims[0] == 3 and min(dims[1:]) < 3
 
 
 def test_intersection_embeds_one_batch(monkeypatch):
