@@ -34,7 +34,7 @@ residual is the H^2 norm of a Szego sum: finite, with no Taylor cut.  A
 kernel's companion is -A(z) B(lam)* s_lam in closed form; ``kernel_taylor``
 attaches these numerators to its sum, combinations keep them, and ``embed``
 takes them with no correlation and no solve by A(lam)*, its residual still
-computed from the rows by one direct correlation with [B*, A*].
+computed from the rows by the Laurent product with [B*, A*].
 """
 
 import numpy as np
@@ -244,18 +244,6 @@ class SpaceHandle:
         u = np.fft.ifft(u_hat, axis=-1)[..., : width - 1 + f.shape[-1]]
         return u[..., width - 1:], np.swapaxes(u[..., width - 2::-1], -2, -1)
 
-    def _correlate(self, x: np.ndarray) -> tuple:
-        """``_laurent`` of the stacked rows x = (f, f_1), shape (..., 1 + k, L), by
-        the direct correlation u_m = sum_t w_t x_{m+t} over a strided view."""
-        width, length = self._w.shape[0], x.shape[-1]
-        padded = np.zeros(x.shape[:-1] + (length + 2 * (width - 1),), dtype=complex)
-        padded[..., width - 1: width - 1 + length] = x
-        step = padded.strides[-1]
-        windows = np.ndarray(x.shape[:-1] + (length + width - 1, width), complex, padded, 0,
-                             padded.strides[:-1] + (step, step))  # [..., s, t] = padded[..., s + t]
-        u = np.einsum("tij,...jst->...is", self._w, windows)
-        return u[..., width - 1:], np.swapaxes(u[..., width - 2::-1], -2, -1)
-
     def _pair(self, c: np.ndarray, companions: np.ndarray) -> ModelPair:
         if not self.n:  # the Hardy space, where u = B* f + A* f_1 has no rows
             return ModelPair(c, companions, 0.0)
@@ -295,10 +283,9 @@ class SpaceHandle:
             return rows, k
         if closed:
             rows[1: 1 + k, :, : attached[1].shape[-1]] = attached[1]
-            plus, coanalytic = self._correlate(np.swapaxes(rows[: 1 + k], 0, 1))
         else:
             rows[1: 1 + k] = np.swapaxes(self._companions(p), 0, 1)
-            plus, coanalytic = self._laurent(p, np.swapaxes(rows[1: 1 + k], 0, 1))
+        plus, coanalytic = self._laurent(rows[0], np.swapaxes(rows[1: 1 + k], 0, 1))
         u = self._coanalytic_at(coanalytic, lam)
         if k and not closed:
             a_h = self._factor_adjoint(lam)
