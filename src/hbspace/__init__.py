@@ -5,13 +5,12 @@ reverse-Carleson diagnostics."""
 
 __version__ = "0.1.0"
 
-from .harmonic import BoundaryGrid, DiskFunction, log_diagnostic
+from .harmonic import DiskFunction, log_diagnostic
 from .series import SzegoSum
 from .symbols import (
     DirichletSpace,
     MeasureSpec,
     RowSymbol,
-    delta_boundary,
     dirichlet_norm,
     estimate_rank,
     gram_matrix,
@@ -52,14 +51,12 @@ from .subspaces import (
 from .catalog import space_from_json, named_space
 
 __all__ = [
-    "BoundaryGrid",
     "DiskFunction",
     "log_diagnostic",
     "SzegoSum",
     "DirichletSpace",
     "MeasureSpec",
     "RowSymbol",
-    "delta_boundary",
     "dirichlet_norm",
     "estimate_rank",
     "gram_matrix",

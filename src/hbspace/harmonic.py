@@ -1,7 +1,6 @@
-"""FFT-backed primitives on the unit circle: the sampling grid, boundary
-traces of polynomials and their Taylor coefficients back, and the
-log-integrability diagnostic for sampled data that are no trigonometric
-polynomial.
+"""Primitives on the unit circle: the sampling grid, the coefficient holder
+of a symbol component, and the log-integrability diagnostic for sampled
+data that are no trigonometric polynomial.
 
 Conventions: the circle carries normalized arclength measure and the
 sampling grid is ``zeta_j = exp(2 pi i j / N)`` with N a power of two.
@@ -10,11 +9,11 @@ All objects here are immutable after construction and safe to share between
 threads.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .series import as_coeffs, horner
+from .series import as_coeffs
 
 DEFAULT_GRID = 4096
 
@@ -33,70 +32,16 @@ def grid_points(n: int) -> np.ndarray:
 
 
 @dataclass
-class BoundaryGrid:
-    """Complex samples on the uniform circle grid."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=complex)
-        _check_grid_size(self.samples.size)
-
-    @property
-    def n(self) -> int:
-        return self.samples.size
-
-
-def boundary_from_taylor(taylor, n: int) -> BoundaryGrid:
-    """Boundary samples of a polynomial with the given Taylor coefficients."""
-    c = as_coeffs(taylor)
-    _check_grid_size(n)
-    if c.size > n // 2:
-        raise ValueError(f"degree {c.size - 1} would alias on a grid of size {n}")
-    padded = np.zeros(n, dtype=complex)
-    padded[: c.size] = c
-    return BoundaryGrid(np.fft.ifft(padded) * n)
-
-
-def taylor_from_boundary(grid: BoundaryGrid, degree: int) -> np.ndarray:
-    """Analytic-part Taylor coefficients 0..degree of boundary samples."""
-    if degree >= grid.n // 2:
-        raise ValueError("requested degree exceeds the grid's resolvable band")
-    c = np.fft.fft(grid.samples) / grid.n
-    return c[: degree + 1].copy()
-
-
-@dataclass
 class DiskFunction:
-    """An analytic function held as Taylor coefficients plus its boundary trace.
-
-    The boundary trace is evaluated lazily on a grid of ``n_boundary`` points;
-    for finitely supported coefficients it is exact up to roundoff.
-    """
+    """An analytic function held as its Taylor coefficients; ``n_boundary``
+    is a grid size, checked and kept for callers that pass one."""
 
     taylor: np.ndarray
     n_boundary: int = DEFAULT_GRID
-    _grid: BoundaryGrid | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.taylor = as_coeffs(self.taylor)
         _check_grid_size(self.n_boundary)
-
-    @property
-    def degree(self) -> int:
-        return self.taylor.size - 1
-
-    @property
-    def boundary(self) -> BoundaryGrid:
-        if self._grid is None:
-            self._grid = boundary_from_taylor(self.taylor, self.n_boundary)
-        return self._grid
-
-    def __call__(self, z):
-        return horner(self.taylor, z)
-
-    def at_zero(self) -> complex:
-        return complex(self.taylor[0])
 
 
 @dataclass

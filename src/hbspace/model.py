@@ -8,19 +8,22 @@ bounded over the whole circle from Laurent coefficients.  The squared space
 norm is ||f||_2^2 + ||f_1||_2^2.  The companion count k is n; it is 0 for the
 Hardy space (n = 0) and for a scalar inner b (d = 0), where A has no rows.
 
-For polynomial data the model is finite and exact.  The Taylor coefficients
-g_m (in conj(zeta)) of A*^{-1} B* solve the block lower-triangular Toeplitz
-system sum_k A_k* g_{m-k} = B_m*; a handle computes them once by a block
-recurrence (one dense solve for a first chunk, the rest by matmuls with
-repeated squaring) and grows them on demand by doubling (det A has no zeros
-in the open disk, so the recurrence is stable; zeros on the circle make g
-grow at most polynomially).  The companion of a polynomial is then the
-correlation f_1[j] = -sum_{k >= j} g_{k-j} f_k, the monomial Gram is I + C*C
-with C the block Toeplitz matrix of those companions, and the Szego kernel
-s_w has the companion -A(w)^{-*} B(w)* s_w.  The residual of a pair is the
-norm of the nonnegative Laurent coefficients of B* f + A* f_1, a finite
-sum; its negative coefficients are the co-analytic data that the forward
-shift and the resolvent read.  No circle grid enters the embedding.  A
+For polynomial data the model is finite and exact.  The factor comes from
+the paraunitary completion [[B, a_rev], [A, C]] of the lossless row
+(B, a_rev), so B* a_rev + A* C = 0 on the circle, and the Taylor
+coefficients g_m (in conj(zeta)) of A*^{-1} B* are those of a quotient
+with the scalar denominator conj(a), a the outer factor of the scalar
+defect.  A handle computes them once by one scalar recurrence with n
+right-hand sides (one dense solve for a first chunk, the rest by matmuls
+with repeated squaring) and grows them on demand by doubling (a has no
+zeros in the open disk, so the recurrence is stable; zeros on the circle
+make g grow at most polynomially).  The companion of a polynomial is then
+the correlation f_1[j] = -sum_{k >= j} g_{k-j} f_k, the monomial Gram is
+I + T*T with T the block Toeplitz matrix of those companions, and the
+Szego kernel s_w has the companion -A(w)^{-*} B(w)* s_w.  The residual of
+a pair is the norm of the nonnegative Laurent coefficients of
+B* f + A* f_1, a finite sum; its negative coefficients are the co-analytic
+data that the forward shift and the resolvent read.  No circle grid enters the embedding.  A
 handle caches the spectra of its constants [B*, A*] and g per FFT size, so a
 warm embed transforms only its input; regrowing g drops the g spectra.
 
@@ -194,18 +197,21 @@ class SpaceHandle:
     def _correlation(self, length: int) -> np.ndarray:
         """g_0, ..., g_{length-1} as columns, grown by doubling on demand.
 
-        Multiplied through by A_0*^{-1}, the system sum_k A_k* g_{m-k} = B_m*
-        is the block recurrence g_m = A_0*^{-1} B_m* - sum_{k >= 1}
-        A_0*^{-1} A_k* g_{m-k}, run by ``series.banded_recurrence``: one
-        dense solve for its first chunk, then matmuls.  Only A's own blocks
-        are steps; ``_w`` pads them with zeros to B's degree.
+        The completion [[B, a_rev], [A, C]] (``factorization.column`` is C)
+        has orthonormal columns on the circle, so B* a_rev + A* C = 0 there.
+        With a_rev(zeta) = zeta^p conj(a(zeta)), that makes A*^{-1} B* =
+        -C_rev(w) / conj(a)(w) in w = conj(zeta), where C_rev is C reversed
+        over its p + 1 blocks and conj(a) has the conjugate coefficients of
+        the defect's outer factor a.  The zeros of conj(a) are the conjugates
+        of those of a, so none lies in the open disk, and g is the Taylor
+        series of that quotient: one scalar recurrence with n right-hand
+        sides, run by ``series.banded_recurrence``.
         """
         if self._g.shape[1] < length:
             size = max(length, 2 * self._g.shape[1])
-            lead = np.linalg.inv(self._w[0, :, 1:])  # A_0*^{-1}
-            steps = lead @ self._w[1: self.factor.coeffs.shape[0], :, 1:]  # k >= 1
-            rhs = self._w[:, :, 0] @ lead.T
-            self._g = banded_recurrence(steps, rhs, size).T.copy()
+            den = np.conj(self.symbol.defect.outer)
+            rhs = self._factorization.column[::-1] / -den[0]
+            self._g = banded_recurrence(den[1:] / den[0], rhs, size).T.copy()
             self._spectra = {key: v for key, v in self._spectra.items() if key[0] == "w"}
         return self._g[:, :length]
 

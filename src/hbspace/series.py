@@ -12,7 +12,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import NumericalError
 
-# blocks per chunk in ``banded_recurrence`` for block size 1; n x n blocks take 32 // n
+# least rows per chunk in ``banded_recurrence``: its dense solves are t x t
 _CHUNK = 32
 # largest dropped Taylor tail, relative to the kept coefficients, that a cut accepts
 TAIL_TOL = 1e-10
@@ -110,61 +110,58 @@ def series_divide(num, den, degree) -> np.ndarray:
     b = as_coeffs(den)
     if abs(b[0]) == 0.0:
         raise ZeroDivisionError("denominator vanishes at z = 0")
-    steps = (b[1:] / b[0])[:, None, None]
-    return banded_recurrence(steps, (a[: degree + 1] / b[0])[:, None], degree + 1)[:, 0]
+    return banded_recurrence(b[1:] / b[0], (a[: degree + 1] / b[0])[:, None], degree + 1)[:, 0]
 
 
 def banded_recurrence(steps, rhs, size) -> np.ndarray:
-    """g_0, ..., g_{size-1} of g_m = r_m - sum_{k=1}^{p} S_k g_{m-k}, shape (size, n).
+    """g_0, ..., g_{size-1} of g_m = r_m - sum_{k=1}^{p} s_k g_{m-k}, shape (size, c).
 
-    ``steps`` holds S_1, ..., S_p, shape (p, n, n); ``rhs`` holds r_0, ...,
-    r_{w-1}, shape (w, n), and r_m = 0 for m >= w; g_m = 0 for m < 0.  The
-    system is block unit lower-triangular Toeplitz.  One dense solve, refined
-    once, gives the first chunk of t = max(32 // n, p, w) blocks and the
-    chunk's response Phi to the p blocks before it.  Past the right-hand side
+    ``steps`` holds the scalars s_1, ..., s_p; ``rhs`` holds r_0, ..., r_{w-1},
+    shape (w, c), one column per right-hand side, and r_m = 0 for m >= w;
+    g_m = 0 for m < 0.  The system is unit lower-triangular Toeplitz, so g is
+    the Taylor series of r / (1 + s_1 z + ... + s_p z^p).  One dense solve,
+    refined once, gives the first chunk of t = max(32, p, w) rows and the
+    chunk's response Phi to the p rows before it.  Past the right-hand side
     the recurrence is homogeneous, so chunk j >= 1 is Phi T^(j-1) s, with s
-    the last p blocks of the first chunk and T the last p block rows of Phi:
-    the states s, T s, T^2 s, ... come by doubling ([x, T x] with T squared
-    at each step) and every later chunk from one matmul.  An error in T
+    the last p rows of the first chunk and T the last p rows of Phi: the
+    states s, T s, T^2 s, ... come by doubling ([x, T x] with T squared at
+    each step) and every later chunk from one matmul.  An error in T
     compounds over the chunks (on a symbol touching 1, T has eigenvalues on
-    the circle): unrefined, it reached 3e-13 relative at 2048 blocks, and
-    the refinement keeps it below 1e-13.  Nothing pivots beyond the first
-    chunk, so an overflowing recurrence runs to inf/nan and does not raise.
-    When t covers ``size``, the solve carries the right-hand side alone.
+    the circle), and the refinement keeps it in check.  Nothing pivots
+    beyond the first chunk, so an overflowing recurrence runs to inf/nan and
+    does not raise.  When t covers ``size``, the solve carries the
+    right-hand sides alone.
     """
     rhs = np.asarray(rhs, dtype=complex)[:size]
-    n = rhs.shape[1]
+    c = rhs.shape[1]
     steps = np.asarray(steps, dtype=complex)[: size - 1]  # lags >= size never act
-    p = steps.shape[0]
-    t = min(max(_CHUNK // n, p, rhs.shape[0]), size)
-    # block (m, c) of [coupling | chunk] is S_{m+p-c} for 0 <= c - m <= p and
-    # 0 elsewhere, S_0 = I; the coupling's p block columns act on the previous
-    # chunk's last p blocks.  Block row m is the strip [S_p, ..., S_1, I] moved
-    # right by m blocks, so one strided view (down n rows and right n columns
-    # per step) writes all of its p + 1 block diagonals at once.
-    strip = np.concatenate([steps[::-1], np.eye(n, dtype=complex)[None]])
-    band = np.zeros((t * n, (t + p) * n), dtype=complex)
+    p = steps.size
+    t = min(max(_CHUNK, p, rhs.shape[0]), size)
+    # row m of [coupling | chunk] is the strip [s_p, ..., s_1, 1] moved right
+    # by m, one strided view writing all p + 1 diagonals at once; the
+    # coupling's p columns act on the previous chunk's last p rows
+    band = np.zeros((t, t + p), dtype=complex)
     rows, cols = band.strides
-    as_strided(band, (t, n, (p + 1) * n), (n * (rows + cols), rows, cols),
-               writeable=True)[:] = strip.transpose(1, 0, 2).reshape(n, -1)
-    chunk = band[:, p * n:]
+    as_strided(band, (t, p + 1), (rows + cols, cols),
+               writeable=True)[:] = np.append(steps[::-1], 1.0)
+    chunk = band[:, p:]
     # when the first chunk covers the request, no later chunk needs Phi
-    known = np.zeros((t * n, 1 if t == size else p * n + 1), dtype=complex)
-    known[: rhs.size, 0] = rhs[:t].ravel()
-    known[:, 1:] = -band[:, : known.shape[1] - 1]
+    known = np.zeros((t, c if t == size else c + p), dtype=complex)
+    known[: rhs.shape[0], :c] = rhs[:t]
+    known[:, c:] = -band[:, : known.shape[1] - c]
     solved = np.linalg.solve(chunk, known)
     solved += np.linalg.solve(chunk, known - chunk @ solved)
-    head, phi = solved[:, 0], solved[:, 1:]
+    head, phi = solved[:, :c], solved[:, c:]
     if t == size:
-        return head.reshape(t, n)
+        return head
     later = -(-size // t) - 1
-    states = head[(t - p) * n:, None]
-    power = phi[(t - p) * n:]
-    while states.shape[1] < later:
+    states = head[t - p:]  # (p, c) per chunk, chunk-major columns
+    power = phi[t - p:]
+    while states.shape[1] < later * c:
         states = np.concatenate([states, power @ states], axis=1)
         power = power @ power
-    tail = (phi @ states[:, :later]).T.reshape(later * t, n)
-    return np.concatenate([head.reshape(t, n), tail])[:size]
+    tail = (phi @ states[:, : later * c]).reshape(t, later, c).transpose(1, 0, 2)
+    return np.concatenate([head, tail.reshape(later * t, c)])[:size]
 
 
 def power_table(x, count) -> np.ndarray:

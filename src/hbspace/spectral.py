@@ -86,11 +86,17 @@ class MatrixSymbol:
 
 @dataclass
 class FactorizationReport:
+    """A factor with its certificate.  ``column`` is the last column C of the
+    paraunitary completion [[B, a_rev], [A, C]] of ``row_defect_factor``,
+    shape (p + 1, n), C[k] the coefficient of z^k (None for
+    ``matrix_outer_factor``)."""
+
     symbol: MatrixSymbol
     residual: float
     method: str
     iterations: int
     regularization: float
+    column: np.ndarray | None = None
 
 
 def _as_field(phi) -> np.ndarray:
@@ -311,7 +317,7 @@ def row_defect_factor(coeffs, split: DefectSplit) -> FactorizationReport:
     row h (``_lossless_completion``).  Its columns are orthonormal on the
     circle, so A = U[1:, :n] has A*A = I - B*B, and det A is a constant times
     a, so A is outer; U is gauged so that A(0) is lower triangular with
-    positive diagonal.  The
+    positive diagonal, and its last column C is kept as ``column``.  The
     residual is ``defect_identity_bound``: bounded over the whole circle from
     Laurent coefficients, against the unregularized Phi.
 
@@ -331,7 +337,8 @@ def row_defect_factor(coeffs, split: DefectSplit) -> FactorizationReport:
     h = np.zeros((width, n + 1), dtype=complex)
     h[:, :n] = b.T
     h[width - a.size:, n] = np.conj(a[::-1])
-    symbol = MatrixSymbol(trim_blocks(_lossless_completion(h)[:, :, :n]))
+    completion = _lossless_completion(h)
+    symbol = MatrixSymbol(trim_blocks(completion[:, :, :n]))
     residual = defect_identity_bound(symbol.coeffs, b)
     if residual > _CERTIFY_TARGET:
         raise ConvergenceError(
@@ -339,7 +346,7 @@ def row_defect_factor(coeffs, split: DefectSplit) -> FactorizationReport:
             f"(target {_CERTIFY_TARGET:.3e})",
             residual=residual,
         )
-    return FactorizationReport(symbol, residual, "exact", 0, 0.0)
+    return FactorizationReport(symbol, residual, "exact", 0, 0.0, completion[:, :, n])
 
 
 def matrix_outer_factor(phi) -> FactorizationReport:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation, NumericalError
-from .harmonic import DEFAULT_GRID, DiskFunction, boundary_from_taylor, grid_points
+from .harmonic import DEFAULT_GRID, DiskFunction, grid_points
 from .series import (SzegoSum, as_coeffs, divided_difference, finite_coeffs, h2_norm_sq,
                      horner, power_table, szego_taylor)
 from .spectral import DefectSplit, defect_split
@@ -210,15 +210,6 @@ def gram_matrix(symbol: RowSymbol, points) -> np.ndarray:
     b = row_values(symbol.rows, pts)  # (m, n)
     g = _kernel(b[:, None], b[None, :], pts[:, None], pts[None, :])
     return 0.5 * (g + g.conj().T)
-
-
-def delta_boundary(symbol: RowSymbol, zeta) -> np.ndarray:
-    """Defect matrix (I - B(zeta)* B(zeta))^(1/2) at a boundary point."""
-    row = row_values(symbol.rows, zeta)[None, :]  # 1 x n
-    m = np.eye(symbol.n, dtype=complex) - row.conj().T @ row
-    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
 def weighted_space_symbol(weights, degree: int | None = None,
@@ -459,8 +450,10 @@ def dirichlet_norm(coeffs, measure: MeasureSpec, n_grid: int = DEFAULT_GRID) -> 
     if measure.ac_density is not None:
         raise NotImplementedError("quadrature oracle supports atomic measures only")
     c = as_coeffs(coeffs)
-    f_samples = boundary_from_taylor(c, n_grid).samples
     zeta = grid_points(n_grid)
+    if c.size > n_grid // 2:
+        raise ValueError(f"degree {c.size - 1} would alias on a grid of size {n_grid}")
+    f_samples = np.fft.ifft(c, n_grid) * n_grid  # f at zeta
     total = float(np.mean(np.abs(f_samples) ** 2))
     dcoeffs = c[1:] * np.arange(1, c.size) if c.size > 1 else np.zeros(1)
     for loc, weight in measure.atoms:

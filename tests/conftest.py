@@ -12,6 +12,7 @@ from hbspace.catalog import (
 )
 from hbspace.harmonic import DiskFunction
 from hbspace.model import SpaceHandle
+from hbspace.spectral import defect_split
 from hbspace.symbols import RowSymbol, weighted_space_symbol
 
 N_GRID = 1024
@@ -117,6 +118,22 @@ def scaled_row(rng, rank, sup):
         if curvature < 0.0:  # zero only for a single monomial, whose energy is constant
             t -= energy(t, 1)[0] / curvature
     return rows * np.sqrt(sup / energy(t)[0])
+
+
+def seeded_rows(seed):
+    """72 seeded rows, eight for each rank 1..3 and sup 0.5, 0.9, 1.0 (a
+    touching monomial, whose defect vanishes, is drawn again)."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for rank in (1, 2, 3):
+        for sup in (0.5, 0.9, 1.0):
+            drawn = []
+            while len(drawn) < 8:
+                row = scaled_row(rng, rank, sup)
+                if defect_split(row).outer is not None:
+                    drawn.append(row)
+            rows += drawn
+    return rows
 
 
 def noncontractive_row():

@@ -338,11 +338,21 @@ def _dense_lower_block_toeplitz(blocks, degree):
 
 def test_ddelta_gram_matches_local_dirichlet_closed_form(ddelta):
     # D(delta_1) has <z^k, z^j> = delta_jk + min(j, k); the factor is exact,
-    # so only roundoff separates the two (an eps-floored factor was off by 4e-3)
+    # so only roundoff, relative to each entry, separates the two up to
+    # degree 512 (an eps-floored factor was off by 4e-3)
     assert ddelta.factorization.method == "exact"
-    k = np.arange(21)
-    target = np.eye(21) + np.minimum(k[:, None], k[None, :])
-    assert np.max(np.abs(ddelta.monomial_gram(20) - target)) <= 1e-11
+    k = np.arange(513)
+    low = np.minimum(k[:, None], k[None, :])
+    error = np.abs(ddelta.monomial_gram(512) - np.eye(513) - low)
+    assert np.max(error / (1.0 + low)) <= 1e-13
+
+
+def test_ddelta_monomial_norms_to_degree_2048(ddelta):
+    # ||z^k||^2 = 1 + sum_{m <= k} |g_m|^2 is 1 + k on D(delta_1)
+    g = ddelta._correlation(2049)[0]
+    k = np.arange(2049)
+    norms = 1.0 + np.cumsum(np.abs(g) ** 2)
+    assert np.max(np.abs(norms - (1.0 + k)) / (1.0 + k)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["ddelta", "weighted", "two_term"])

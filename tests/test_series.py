@@ -122,28 +122,25 @@ def test_szego_taylor_is_geometric():
 
 
 def _tbtrs_recurrence(steps, rhs, size):
-    """Reference: the block recurrence as one banded unit lower-triangular
-    LAPACK solve (ztbtrs) of bandwidth n (p + 1) - 1."""
+    """Reference: the recurrence as one banded unit lower-triangular LAPACK
+    solve (ztbtrs) of bandwidth p, one column per right-hand side."""
     steps = np.asarray(steps, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
-    n = rhs.shape[1]
-    # entry (m n + i, (m - k) n + j) = steps[k - 1, i, j] sits in band row
-    # k n + i - j of column (m - k) n + j; the unit diagonal is implied
-    k, i, j = np.indices(steps.shape)
-    pattern = np.zeros((n * (steps.shape[0] + 1), n), dtype=complex)
-    pattern[(k + 1) * n + i - j, j] = steps
-    padded = np.zeros((size, n), dtype=complex)
+    band = np.zeros((steps.size + 1, size), dtype=complex, order="F")
+    band[1:] = steps[:, None]  # band[k, j] is entry (j + k, j); the unit diagonal is implied
+    padded = np.zeros((size, rhs.shape[1]), dtype=complex)
     width = min(size, rhs.shape[0])
     padded[:width] = rhs[:width]
-    band = np.tile(pattern.T, (size, 1)).T  # Fortran order, as LAPACK reads it
-    g, _ = ztbtrs(band, padded.reshape(-1, 1), uplo="L", diag="U")
-    return g.reshape(size, n)
+    g, _ = ztbtrs(band, padded, uplo="L", diag="U")
+    return g
 
 
 def _recurrence_data(space):
-    """S_k = A_0*^{-1} A_k* and r_m = A_0*^{-1} B_m* of a handle's correlation."""
-    lead = np.linalg.inv(space._w[0, :, 1:])
-    return lead @ space._w[1:, :, 1:], space._w[:, :, 0] @ lead.T
+    """s_k = conj(a_k) / conj(a_0) and r_m = -C_rev[m] / conj(a_0) of a handle's
+    correlation: a the outer factor of the defect, C_rev the completion's last
+    column reversed."""
+    den = np.conj(space.symbol.defect.outer)
+    return den[1:] / den[0], -space.factorization.column[::-1] / den[0]
 
 
 def _seeded_row(rng, rank, sup):
@@ -179,18 +176,18 @@ def test_banded_recurrence_matches_tbtrs_on_named_handles(name, request):
 
 def test_banded_recurrence_without_steps_is_the_right_hand_side():
     rhs = np.arange(6.0).reshape(3, 2) + 1j
-    _check_against_tbtrs(np.zeros((0, 2, 2)), rhs)
-    g = banded_recurrence(np.zeros((0, 2, 2)), rhs, 40)
+    _check_against_tbtrs(np.zeros(0), rhs)
+    g = banded_recurrence(np.zeros(0), rhs, 40)
     assert np.array_equal(g[:3], rhs) and not np.any(g[3:])
 
 
 def _check_against_tbtrs(steps, rhs):
-    n, p = rhs.shape[1], steps.shape[0]
-    chunk = max(series._CHUNK // n, p, rhs.shape[0])  # the first chunk's length
+    columns, p = rhs.shape[1], steps.size
+    chunk = max(series._CHUNK, p, rhs.shape[0])  # the first chunk's length
     for size in (1, chunk - 1, chunk, chunk + 1, 257, 1025, 2048):
         got = banded_recurrence(steps, rhs, size)
         ref = _tbtrs_recurrence(steps[: size - 1], rhs, size)
-        assert got.shape == (size, n)
+        assert got.shape == (size, columns)
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
@@ -202,7 +199,7 @@ def test_geometric_divide_equals_the_recurrence(lam_bar, width):
     f = rng.normal(size=width) + 1j * rng.normal(size=width)
     for degree in (0, width - 1, width, 1024):
         got = geometric_divide(f, lam_bar, degree)
-        ref = banded_recurrence([[[-lam_bar]]], f[:, None], degree + 1)[:, 0]
+        ref = banded_recurrence([-lam_bar], f[:, None], degree + 1)[:, 0]
         assert got.shape == (degree + 1,)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 

@@ -25,6 +25,7 @@ from conftest import (
     noncontractive_row,
     peel_completion,
     scaled_row,
+    seeded_rows,
 )
 
 N = 1024
@@ -345,21 +346,10 @@ def test_real_rows_split_without_the_companion_matrix(monkeypatch):
 
 
 def _reference_rows():
-    """72 seeded rows, eight for each rank 1..3 and sup 0.5, 0.9, 1.0 (a
-    touching monomial, whose defect vanishes, is drawn again), then the cusp,
-    D(delta_1), the rank-2 example and the weighted symbol."""
-    rng = np.random.default_rng(40)
-    rows = []
-    for rank in (1, 2, 3):
-        for sup in (0.5, 0.9, 1.0):
-            drawn = []
-            while len(drawn) < 8:
-                row = scaled_row(rng, rank, sup)
-                if defect_split(row).outer is not None:
-                    drawn.append(row)
-            rows += drawn
-    return rows + [[[0.0, 0.5, 0.5]], [ddelta_taylor()], RANK2_EXAMPLE,
-                   weighted_space_symbol([1.0, 2.0, 2.5, 3.0]).rows]
+    """72 seeded rows (``seeded_rows``), then the cusp, D(delta_1), the
+    rank-2 example and the weighted symbol."""
+    return seeded_rows(40) + [[[0.0, 0.5, 0.5]], [ddelta_taylor()], RANK2_EXAMPLE,
+                              weighted_space_symbol([1.0, 2.0, 2.5, 3.0]).rows]
 
 
 def _padded(coeffs, width):
@@ -380,6 +370,33 @@ def test_realization_matches_the_peel_lattice(rows):
     got = row_defect_factor(rows, split).symbol.coeffs
     width = max(ref.shape[0], got.shape[0])
     assert np.max(np.abs(_padded(got, width) - _padded(ref, width))) <= 1e-13
+
+
+def _column_rows():
+    """72 seeded rows, then the cusp, D(delta_1), the two-term symbol, the
+    weighted symbol and the rank-2 example."""
+    return seeded_rows(7) + [[[0.0, 0.5, 0.5]], [ddelta_taylor()],
+                             [[0.0, 2 ** -0.5, 0.0], [0.0, 0.0, 0.5]],
+                             weighted_space_symbol([1.0, 2.0, 2.5, 3.0]).rows, RANK2_EXAMPLE]
+
+
+@pytest.mark.parametrize("rows", _column_rows())
+def test_completion_column_is_orthogonal_to_the_factor_columns(rows):
+    # U = [[B, a_rev], [A, C]] is paraunitary, so B* a_rev + A* C = 0 on the
+    # circle: with M_k = [b_k; A_k] and N_k = [a_rev_k; C_k], every Laurent
+    # coefficient sum_k M_k* N_{k+m} of the report's A and C vanishes
+    split = defect_split(rows)
+    rep = row_defect_factor(rows, split)
+    h = lossless_row(rows, split)
+    p, n = h.shape[0] - 1, h.shape[1] - 1
+    m_blocks = np.zeros((p + 1, n + 1, n), dtype=complex)
+    m_blocks[:, 0] = h[:, :n]
+    m_blocks[: rep.symbol.coeffs.shape[0], 1:] = rep.symbol.coeffs
+    n_rows = np.concatenate([h[:, n:], rep.column], axis=1)
+    for lag in range(-p, p + 1):
+        lo, hi = max(0, -lag), min(p + 1, p + 1 - lag)
+        e = np.einsum("kji,kj->i", m_blocks[lo:hi].conj(), n_rows[lo + lag: hi + lag])
+        assert np.max(np.abs(e)) <= 1e-13
 
 
 def test_factor_linalg_calls_do_not_grow_with_the_degree(monkeypatch):

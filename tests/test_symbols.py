@@ -7,13 +7,13 @@ from hbspace.catalog import named_space, space_from_json
 from hbspace.errors import InvariantViolation, NumericalError
 from hbspace.harmonic import DiskFunction
 from hbspace.model import SpaceHandle
-from hbspace.series import SzegoSum
+from hbspace.series import SzegoSum, horner
+from hbspace.spectral import row_defect_factor
 from hbspace.symbols import (
     DirichletSpace,
     MeasureSpec,
     ModelPair,
     RowSymbol,
-    delta_boundary,
     dirichlet_norm,
     estimate_rank,
     gram_matrix,
@@ -113,22 +113,24 @@ def test_gram_psd_on_random_points(rng):
 
 
 def test_delta_inner_symbol_vanishes():
-    b = RowSymbol([d([0.0, 1.0])])
-    for zeta in (1.0, np.exp(0.4j), -1.0):
-        assert np.max(np.abs(delta_boundary(b, zeta))) < 1e-12
+    # the defect 1 - |b|^2 of the inner b = z vanishes on the whole circle
+    defect = RowSymbol([d([0.0, 1.0])]).defect
+    assert defect.outer is None and np.max(np.abs(defect.laurent)) < 1e-12
 
 
 def test_delta_scalar_value():
-    b = RowSymbol([d([0.0, 1.0 / np.sqrt(2)])])
-    assert abs(delta_boundary(b, np.exp(0.3j))[0, 0] - 1.0 / np.sqrt(2)) < 1e-14
+    # b = z / sqrt(2): the outer factor of the defect has modulus 1 / sqrt(2) on the circle
+    a = RowSymbol([d([0.0, 1.0 / np.sqrt(2)])]).defect.outer
+    assert abs(abs(horner(a, np.exp(0.3j))) - 1.0 / np.sqrt(2)) < 1e-14
 
 
 def test_delta_squared_complements_symbol():
+    # the exact defect factor completes the row at a boundary point: A*A + B*B = I
     b = RowSymbol([d([0.0, 0.5]), d([0.0, 0.0, 0.5])])
     zeta = np.exp(1.1j)
     row = row_values(b.rows, zeta)[None, :]
-    delta = delta_boundary(b, zeta)
-    total = delta @ delta + row.conj().T @ row
+    a = row_defect_factor(b.rows, b.defect).symbol.at(zeta)
+    total = a.conj().T @ a + row.conj().T @ row
     assert np.max(np.abs(total - np.eye(2))) < 1e-12
 
 
