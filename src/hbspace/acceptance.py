@@ -273,7 +273,7 @@ def criterion_11(quick=False) -> tuple[bool, str]:
     degrees = (24,) if quick else (24, 48)
     for name, space, expect in expectations:
         for d in degrees:
-            got = estimate_rank(space.monomial_gram(d), tol=1e-6)
+            got = estimate_rank(space.monomial_gram(d))
             if got != expect:
                 return False, f"{name} at Gram degree {d}: rank {got}, want {expect}"
     return True, "ranks (0, 1, 2) stable under Gram-degree doubling"

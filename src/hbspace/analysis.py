@@ -183,15 +183,16 @@ def cauchy_dual(gram: np.ndarray) -> np.ndarray:
     satisfies the normalized nondecreasing-weight axioms.
     """
     g = np.asarray(gram, dtype=complex)
-    m = g.shape[0]
+    if not np.all(np.isfinite(g)):
+        raise ValueError("non-finite value in the Gram")
     off = g - np.diag(np.diagonal(g))
     if np.max(np.abs(off)) > 1e-10 * max(np.max(np.abs(g)), 1.0):
         raise NotImplementedError("Cauchy dual is supported for diagonal Grams only")
     w = np.diagonal(g).real
     if abs(w[0] - 1.0) > 1e-12:
         raise ValueError("normalization requires the constant to have norm 1")
-    if np.any(np.diff(w) > 1e-12):
-        raise ValueError("dualization requires nonincreasing diagonal weights")
+    if np.any(np.diff(w) > 1e-12) or not np.all(w > 0):
+        raise ValueError("dualization requires positive nonincreasing diagonal weights")
     return np.diag(1.0 / w)
 
 

@@ -3,8 +3,8 @@
 Subcommands: kernel, embed, norm, norm-formula, carleson, mz-test,
 poly-density, factor, rank, dual, verify, suite.  Exit codes: 0 success,
 1 invariant failure, 2 configuration error, 3 numerical failure.  ``--quick``
-(reduced schedules) belongs to kernel, norm-formula, poly-density, rank and
-suite, the subcommands that read it.  ``kernel`` evaluates its whole table in
+(reduced schedules) belongs to kernel, norm-formula, poly-density and suite,
+the subcommands that read it.  ``kernel`` evaluates its whole table in
 one broadcast kernel call, so outputs are byte-identical for identical
 (config, seed).
 """
@@ -31,7 +31,6 @@ from .errors import ConfigError, HBSpaceError, InvariantViolation, NumericalErro
 from .reporting import heatmap, line_plot, write_csv
 from .series import SzegoSum
 from .subspaces import poly_density_residual
-from .symbols import estimate_rank
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -272,35 +271,25 @@ def cmd_factor(args) -> int:
     report = space.factorization
     if report is None:
         raise ConfigError("factor output needs an analytic-model symbol space")
-    print(f"method: {report.method}  iterations: {report.iterations}")
-    print(f"residual: {report.residual:.6e}  regularization: {report.regularization:g}")
     coeffs = report.symbol.coeffs
-    rows = []
-    for k in range(coeffs.shape[0]):
-        for i in range(coeffs.shape[1]):
-            for j in range(coeffs.shape[2]):
-                rows.append((k, i, j, coeffs[k, i, j]))
+    facts = {"residual": report.residual, "degree": coeffs.shape[0] - 1}
+    print(f"residual: {report.residual:.6e}  degree: {facts['degree']}")
     if args.out:
+        rows = [(k, i, j, coeffs[k, i, j]) for k, i, j in np.ndindex(coeffs.shape)]
         write_csv(_out_path(args, "factor.csv"), ["power", "row", "col", "value"],
-                  rows, {"command": "factor", "seed": args.seed,
-                         "method": report.method})
-    _emit_json(args, {"command": "factor", "method": report.method,
-                      "residual": report.residual,
-                      "degree": int(coeffs.shape[0] - 1)})
+                  rows, {"command": "factor", "seed": args.seed, **facts})
+    _emit_json(args, {"command": "factor", **facts})
     return EXIT_OK
 
 
 def cmd_rank(args) -> int:
     space = _load_space(args)
-    degree = 24 if args.quick else args.gram_degree
-    gram = space.monomial_gram(degree)
-    rank = estimate_rank(gram, tol=args.tol)
-    label = ""
-    if space.truncated:
-        label = " (truncated symbol: lower bound only)"
-    print(f"numerical defect rank: {rank}{label}")
-    _emit_json(args, {"command": "rank", "rank": int(rank),
-                      "gram_degree": degree, "truncated": bool(space.truncated)})
+    if not space.mz_invariant:
+        raise NumericalError("defect rank undefined: the space is not forward-shift invariant")
+    label = " (truncated symbol: lower bound only)" if space.truncated else ""
+    print(f"defect rank: {space.n}{label}")
+    _emit_json(args, {"command": "rank", "rank": space.n,
+                      "truncated": bool(space.truncated)})
     return EXIT_OK
 
 
@@ -389,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("mz-test", cmd_mz_test, "forward-shift invariance test", True, False),
         ("poly-density", cmd_poly_density, "polynomial approximation residuals", True, True),
         ("factor", cmd_factor, "outer defect factor", True, False),
-        ("rank", cmd_rank, "numerical defect rank", True, False),
+        ("rank", cmd_rank, "defect rank of a forward-shift-invariant space", True, False),
         ("dual", cmd_dual, "Cauchy dual of diagonal weights", False, False),
         ("verify", cmd_verify, "run the invariant battery on a space", True, False),
         ("suite", cmd_suite, "run all acceptance criteria", False, False),
@@ -401,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
             _add_space_args(p)
         if needs_function:
             _add_function_args(p)
-        if name in ("kernel", "norm-formula", "poly-density", "rank", "suite"):
+        if name in ("kernel", "norm-formula", "poly-density", "suite"):
             p.add_argument("--quick", action="store_true", help="reduced schedules")
         if name == "kernel":
             p.add_argument("--pairs", help="explicit z:lam pairs, ';' separated")
@@ -411,9 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "poly-density":
             p.add_argument("--max-degree", type=int, default=24)
             p.add_argument("--step", type=int, default=2)
-        if name == "rank":
-            p.add_argument("--gram-degree", type=int, default=48)
-            p.add_argument("--tol", type=float, default=1e-6)
         if name == "dual":
             p.add_argument("--weights", help="diagonal Gram weights, comma separated")
         p.set_defaults(fn=fn)

@@ -20,7 +20,9 @@ from .series import (SzegoSum, as_coeffs, divided_difference, finite_coeffs, h2_
                      horner, power_table, szego_taylor)
 from .spectral import DefectSplit, defect_split
 
-_INDEPENDENCE_TOL = 1e-10
+# singular values of the coefficient matrix at or below this fraction of the
+# largest are dropped: the kernel moves by their sigma^2, below eps relative
+_RANK_CUT = np.sqrt(np.finfo(float).eps)
 
 
 @dataclass
@@ -112,18 +114,25 @@ class RowSymbol:
 
     ``truncated`` marks symbols standing in for an infinite-rank space, so
     that rank and invariance verdicts can be labeled as inconclusive.
-    ``defect`` is the split of 1 - sum_i |b_i|^2 taken at validation; the
-    boundary verdicts and the handle's defect factor read it.  ``rows`` is
-    the read-only coefficient matrix (n, W), component i in row i, which
-    every kernel and the handle read.  Validation
-    raises InvariantViolation when a component does not vanish at 0, the
-    components are dependent or the row is not a contraction, and
-    ConvergenceError when the root split of its defect fails numerically.
+    ``rows`` is the read-only coefficient matrix (n, W) that every kernel
+    and the handle read.  The kernel sees the components only through R^T
+    conj(R), R their coefficient matrix, so the singular values of R decide
+    the rank: when the smallest exceeds sqrt(eps) times the largest, ``rows``
+    is R as given, component i in row i; otherwise it is Sigma V* of the
+    singular values above that cut, and ``dropped_mass`` (0 for a full-rank
+    R) is the sum of the dropped sigma^2, a bound on the kernel's change.
+    ``n`` is the row count of ``rows``.  ``defect`` is the split of
+    1 - sum_i |b_i|^2 taken at validation; the boundary verdicts and the
+    handle's defect factor read it.  Validation raises ValueError for a
+    non-finite coefficient, InvariantViolation when a component does not
+    vanish at 0 or the row is not a contraction, and ConvergenceError when
+    the root split of its defect fails numerically.
     """
 
     components: list
     truncated: bool = False
     rows: np.ndarray = field(init=False, repr=False, compare=False)
+    dropped_mass: float = field(init=False, repr=False, compare=False)
     defect: DefectSplit = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -135,23 +144,26 @@ class RowSymbol:
 
     @property
     def n(self) -> int:
-        return len(self.components)
+        return self.rows.shape[0]
 
     def _validate(self):
-        for c in self.components:
-            if abs(c.taylor[0]) > 1e-12:
-                raise InvariantViolation("every symbol component must vanish at the origin")
-        mat = np.zeros((self.n, max((c.taylor.size for c in self.components), default=1)),
+        mat = np.zeros((len(self.components),
+                        max((c.taylor.size for c in self.components), default=1)),
                        dtype=complex)
         for i, c in enumerate(self.components):
             mat[i, : c.taylor.size] = c.taylor
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("non-finite coefficient in a symbol component")
+        if np.any(np.abs(mat[:, 0]) > 1e-12):
+            raise InvariantViolation("every symbol component must vanish at the origin")
+        self.dropped_mass = 0.0
         if self.components:
             sv = np.linalg.svd(mat, compute_uv=False)
-            if sv[-1] <= _INDEPENDENCE_TOL:
-                raise InvariantViolation(
-                    "symbol components are numerically linearly dependent "
-                    f"(smallest singular value {sv[-1]:.2e})"
-                )
+            if np.count_nonzero(sv > _RANK_CUT * sv[0]) < mat.shape[0]:
+                _, sv, vh = np.linalg.svd(mat, full_matrices=False)
+                kept = sv > _RANK_CUT * sv[0]
+                mat = sv[kept, None] * vh[kept]
+                self.dropped_mass = float(np.sum(sv[~kept] ** 2))
         mat.flags.writeable = False
         self.rows = mat
         # the split refuses a defect that is negative on the circle; by the
@@ -223,6 +235,8 @@ def weighted_space_symbol(weights, degree: int | None = None,
     cuts off a still-increasing tail the symbol is marked truncated.
     """
     w = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("non-finite value in the weight sequence")
     if w.size == 0 or abs(w[0] - 1.0) > 1e-14:
         raise ValueError("weight sequence must start at w_0 = 1")
     if np.any(np.diff(w) < -1e-14) or np.any(w <= 0):
@@ -254,6 +268,8 @@ class MeasureSpec:
         for loc, weight in self.atoms:
             loc = complex(loc)
             weight = float(weight)
+            if not (np.isfinite(loc) and np.isfinite(weight)):
+                raise ValueError("non-finite atom location or weight")
             if weight <= 0:
                 raise ValueError("atom weights must be positive")
             if abs(loc) > 1.0 + 1e-12:
@@ -293,10 +309,6 @@ class DirichletSpace:
         self._gram_cache: dict[int, np.ndarray] = {}
         self._companion_cache: dict[int, np.ndarray] = {}
         self._solver_cache: dict[int, np.ndarray] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.measure.atoms)
 
     @property
     def kernel_radius(self) -> float:
@@ -468,13 +480,14 @@ def dirichlet_norm(coeffs, measure: MeasureSpec, n_grid: int = DEFAULT_GRID) -> 
     return float(np.sqrt(total))
 
 
-def estimate_rank(gram: np.ndarray, tol: float = 1e-6,
-                  keep: int | None = None) -> int:
-    """Numerical rank of I - L L* read off a monomial Gram matrix.
+def estimate_rank(gram: np.ndarray) -> int:
+    """Numerical rank of I - L L* read off a monomial Gram matrix, an
+    estimate independent of the space's own rank ``n``.
 
     The adjoint of the backward shift is compressed to the span of the
-    monomials; only the leading ``keep`` block of the resulting quadratic
-    form is trusted (the top corner carries pure truncation artifacts).
+    monomials; only the leading half of the resulting quadratic form is
+    trusted (the top corner carries pure truncation artifacts), and its
+    eigenvalues above 1e-6 times the largest are counted.
     """
     g = np.asarray(gram, dtype=complex)
     m = g.shape[0]
@@ -486,10 +499,9 @@ def estimate_rank(gram: np.ndarray, tol: float = 1e-6,
     shift = np.eye(m, k=1)  # matrix of L on monomial coefficients
     adj = np.linalg.solve(g, shift.conj().T @ g)  # compression of L*
     q = g - g @ (shift @ adj)
-    keep = m // 2 if keep is None else keep
-    qk = q[:keep, :keep]
+    qk = q[: m // 2, : m // 2]
     spectrum = np.linalg.eigvalsh(0.5 * (qk + qk.conj().T))
     top = float(spectrum[-1]) if spectrum.size else 0.0
     if top <= 1e-12 * max(np.trace(g).real, 1.0):
         return 0
-    return int(np.sum(spectrum > tol * top))
+    return int(np.sum(spectrum > 1e-6 * top))

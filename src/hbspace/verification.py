@@ -108,8 +108,8 @@ def _check_dirichlet_norms(space, rng):
 
 def _check_dirichlet_rank(space, rng):
     got = estimate_rank(space.monomial_gram(48))
-    return CheckResult("defect-rank", got == space.rank,
-                       f"numerical rank {got}, declared {space.rank}")
+    return CheckResult("defect-rank", got == space.n,
+                       f"numerical rank {got}, declared {space.n}")
 
 
 def verify_space(space, seed: int = 0) -> list[CheckResult]:

@@ -453,6 +453,13 @@ def test_cauchy_dual_examples():
     assert np.allclose(np.diagonal(cauchy_dual(dyadic)).real, 2.0 ** k)
 
 
+def test_cauchy_dual_refuses_non_finite_and_zero_weights():
+    with pytest.raises(ValueError, match="non-finite"):
+        cauchy_dual(np.diag([1.0, np.nan, 0.3]))
+    with pytest.raises(ValueError, match="positive"):
+        cauchy_dual(np.diag([1.0, 0.5, 0.0]))
+
+
 def test_cauchy_dual_guards():
     with pytest.raises(NotImplementedError):
         cauchy_dual(np.array([[1.0, 0.1], [0.1, 1.0]]))

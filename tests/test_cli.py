@@ -1,13 +1,20 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import hbspace
+from hbspace.catalog import space_from_json
 from hbspace.cli import build_parser, main
-from conftest import ODD_ROOT_ROW, noncontractive_row
+from hbspace.symbols import estimate_rank
+from conftest import (RANK2_EXAMPLE, ODD_ROOT_ROW, ddelta_taylor, noncontractive_row,
+                      scaled_row)
 
 
 def run(args, capsys):
@@ -186,12 +193,18 @@ def test_poly_density_subcommand(tmp_path, capsys):
     assert (tmp_path / "poly_density.csv").exists()
 
 
-def test_factor_subcommand(capsys):
-    code, out, _ = run(["factor", "--named", "cusp"], capsys)
+def test_factor_subcommand(tmp_path, capsys):
+    # the cusp's defect factor is a = (1 - z) / 2, of degree 1
+    code, out, _ = run(["factor", "--named", "cusp", "--json", "--out", str(tmp_path)],
+                       capsys)
     assert code == 0
-    assert "residual" in out
-    assert "method: exact  iterations: 0" in out
-    assert "regularization: 0\n" in out
+    text, brace, tail = out.partition("{")
+    residual = float(re.fullmatch(r"residual: (\S+)  degree: 1\n", text).group(1))
+    report = json.loads(brace + tail)
+    assert report == {"command": "factor", "residual": report["residual"], "degree": 1}
+    assert residual == float(f"{report['residual']:.6e}") and residual <= 1e-12
+    meta = (tmp_path / "factor.csv").read_text().splitlines()[0]
+    assert f"degree=1 residual={report['residual']}" in meta
 
 
 def test_kernel_at_outside_the_disk_exits_2(capsys):
@@ -211,9 +224,72 @@ def test_imaginary_unit_parsing(capsys):
 
 
 def test_rank_subcommand(capsys):
-    code, out, _ = run(["rank", "--named", "dirichlet-pair", "--quick"], capsys)
+    code, out, _ = run(["rank", "--named", "dirichlet-pair"], capsys)
     assert code == 0
-    assert "numerical defect rank: 2" in out
+    assert out == "defect rank: 2\n"
+    for option in (["--quick"], ["--gram-degree", "24"], ["--tol", "1e-6"]):
+        code, _, err = run(["rank", "--named", "dirichlet-pair"] + option, capsys)
+        assert code == 2
+        assert option[0] in err
+
+
+def _explicit(rows):
+    return {"kind": "explicit",
+            "components": [[[c.real, c.imag] for c in np.asarray(row, dtype=complex)]
+                           for row in rows]}
+
+
+_SEED_RNG = np.random.default_rng(7)
+RANK_SPECS = {
+    **{name: {"kind": "named", "name": name}
+       for name in ("h2", "rank1-half", "cusp", "dirichlet-origin", "dirichlet-half",
+                    "dirichlet-pair")},
+    "two-term": _explicit([[0.0, 1.0 / np.sqrt(2.0)], [0.0, 0.0, 0.5]]),
+    "weighted": {"kind": "weighted", "weights": [1.0, 2.0, 2.5, 3.0]},
+    "ddelta": _explicit([ddelta_taylor()]),
+    "rank2-example": _explicit(RANK2_EXAMPLE),
+    # four rows for each rank 1..3 and sup 0.5, 0.9, 1; one is a touching
+    # monomial, a scalar inner row
+    **{f"seeded-{rank}-{sup}-{i}": _explicit(scaled_row(_SEED_RNG, rank, sup))
+       for rank in (1, 2, 3) for sup in (0.5, 0.9, 1.0) for i in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", RANK_SPECS)
+def test_rank_is_the_space_rank_and_the_gram_estimate(name, capsys):
+    text = json.dumps(RANK_SPECS[name])
+    space = space_from_json(text)
+    code, out, err = run(["rank", "--space", text, "--json"], capsys)
+    if not space.mz_invariant:  # only a touching monomial is inner
+        assert name.startswith("seeded-1-1.0-")
+        assert code == 3 and "not forward-shift invariant" in err
+        return
+    assert code == 0
+    rank = json.loads(out[out.index("{"):])["rank"]
+    assert rank == space.n
+    for degree in (24, 48):
+        assert estimate_rank(space.monomial_gram(degree)) == rank
+
+
+def test_rank_refuses_an_inner_handle(capsys):
+    code, out, err = run(["rank", "--space", json.dumps(_explicit([[0.0, 1.0]]))], capsys)
+    assert code == 3
+    assert out == "" and "not forward-shift invariant" in err
+
+
+def test_non_finite_definitions_exit_2(capsys):
+    dirichlet = '{"kind": "dirichlet", "atoms": [{"z": %s, "c": %s}]}'
+    for args in (["norm", "--space", dirichlet % ("[0.5, 0]", "NaN"), "--coeffs", "0,1"],
+                 ["norm", "--space", dirichlet % ("[0.5, 0]", "Infinity"), "--coeffs", "0,1"],
+                 ["norm", "--space", dirichlet % ("[NaN, 0]", "1"), "--coeffs", "0,1"],
+                 ["verify", "--space", '{"kind": "weighted", "weights": [1, NaN, 3]}'],
+                 ["norm", "--space", json.dumps(_explicit([[0.0, np.nan]])),
+                  "--coeffs", "0,1"],
+                 ["dual", "--weights", "1,nan,0.3", "--json"]):
+        code, out, err = run(args, capsys)
+        assert code == 2, args
+        assert "non-finite" in err
+        assert out == ""
 
 
 def test_dual_subcommand(capsys):
@@ -259,10 +335,10 @@ def test_kernel_outputs_are_deterministic(tmp_path, capsys):
 
 def test_quick_belongs_to_the_subcommands_that_read_it(capsys):
     parser = build_parser()
-    for argv in (["kernel"], ["norm-formula"], ["poly-density"], ["rank"], ["suite"]):
+    for argv in (["kernel"], ["norm-formula"], ["poly-density"], ["suite"]):
         assert parser.parse_args(argv + ["--quick"]).quick
-    for argv in (["embed"], ["norm"], ["carleson"], ["mz-test"], ["factor"], ["dual"],
-                 ["verify"]):
+    for argv in (["embed"], ["norm"], ["carleson"], ["mz-test"], ["factor"], ["rank"],
+                 ["dual"], ["verify"]):
         code, _, err = run(argv + ["--quick"], capsys)
         assert code == 2
         assert "--quick" in err

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hbspace.analysis import reverse_carleson
 from hbspace.catalog import named_space, space_from_json
 from hbspace.errors import InvariantViolation, NumericalError
 from hbspace.harmonic import DiskFunction
@@ -21,7 +22,7 @@ from hbspace.symbols import (
     row_values,
     weighted_space_symbol,
 )
-from conftest import RANK2_EXAMPLE, random_interior
+from conftest import RANK2_EXAMPLE, random_interior, seeded_rows
 
 N = 512
 
@@ -40,9 +41,71 @@ def test_contraction_bound_enforced():
         RowSymbol([d([0.0, 1.2])])
 
 
-def test_linear_independence_enforced():
-    with pytest.raises(InvariantViolation):
-        RowSymbol([d([0.0, 0.5]), d([0.0, 0.5])])
+def test_dependent_rows_reduce_to_their_rank():
+    # R of (z/2, z/2) has rank 1: the kernel is that of b = z / sqrt(2)
+    sym = RowSymbol([d([0.0, 0.5]), d([0.0, 0.5])])
+    assert sym.n == 1 and len(sym.components) == 2
+    assert sym.dropped_mass <= np.finfo(float).eps
+    assert np.max(np.abs(np.abs(sym.rows[0]) - [0.0, 1.0 / np.sqrt(2.0)])) < 1e-15
+
+
+def test_dependent_row_matches_its_canonical_row(rng):
+    row = np.array([0.0, 0.3, 0.1])
+    dependent = SpaceHandle(RowSymbol([d(row), d(2.0 * row)]), n_grid=N)
+    canonical = SpaceHandle(RowSymbol([d(np.sqrt(5.0) * row)]), n_grid=N)
+    assert dependent.n == 1
+    assert dependent.symbol.dropped_mass <= np.finfo(float).eps
+    pts = random_interior(rng, 6)
+
+    def gap(get):
+        want = get(canonical)
+        return np.max(np.abs(get(dependent) - want)) / np.max(np.abs(want))
+
+    assert gap(lambda s: s.kernel(pts[:, None], pts[None, :])) <= 1e-14
+    assert gap(lambda s: s.gram(pts)) <= 1e-14
+    assert gap(lambda s: s.monomial_gram(48)) <= 1e-14
+    assert gap(lambda s: reverse_carleson(s).constant) <= 1e-14
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-12])
+def test_near_dependent_rows_cut_at_sqrt_eps(eps, rng):
+    r = np.array([[0.0, 0.5, 0.0], [0.0, 0.5, eps]], dtype=complex)
+    sym = RowSymbol([d(row) for row in r])
+    if eps >= 1e-6:  # sigma_min = eps / sqrt(2) is above sqrt(eps) sigma_max
+        assert sym.n == 2 and sym.dropped_mass == 0.0
+        assert np.array_equal(sym.rows, r)
+        return
+    assert sym.n == 1 and sym.dropped_mass <= eps ** 2
+    pts = random_interior(rng, 8)
+    b = row_values(r, pts)  # the kernel formula with the input R
+    kernel = (1.0 - b @ b.conj().T) / (1.0 - pts[:, None] * np.conj(pts[None, :]))
+    assert np.max(np.abs(SpaceHandle(sym, n_grid=N).gram(pts) - kernel)) <= 1e-15 + eps ** 2
+
+
+def test_full_rank_rows_are_kept_as_given():
+    for row in seeded_rows(7)[::3] + [np.array(RANK2_EXAMPLE, dtype=complex)]:
+        sym = RowSymbol(list(row))
+        assert np.array_equal(sym.rows, row)
+        assert sym.n == row.shape[0] and sym.dropped_mass == 0.0
+
+
+def test_zero_row_is_the_hardy_space():
+    sym = RowSymbol([d([0.0, 0.0, 0.0])])
+    assert sym.n == 0 and sym.dropped_mass == 0.0
+    z, lam = 0.3 + 0.1j, -0.2 + 0.4j
+    assert abs(kernel_eval(sym, z, lam) - 1.0 / (1.0 - np.conj(lam) * z)) < 1e-15
+    assert SpaceHandle(sym, n_grid=N).poly_norm_sq([0.0, 1.0, 2.0]) == 5.0
+
+
+def test_non_finite_inputs_are_refused():
+    for build in (lambda: RowSymbol([d([0.0, np.nan])]),
+                  lambda: weighted_space_symbol([1.0, np.nan, 3.0]),
+                  lambda: MeasureSpec(atoms=[(0.5, np.nan)]),
+                  lambda: MeasureSpec(atoms=[(0.5, np.inf)]),
+                  lambda: MeasureSpec(atoms=[(complex(np.nan, 0.0), 1.0)])):
+        with pytest.raises(ValueError, match="non-finite") as caught:
+            build()
+        assert type(caught.value) is ValueError
 
 
 def test_kernel_szego_case():
