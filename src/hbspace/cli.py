@@ -118,7 +118,6 @@ def _emit_json(args, payload) -> None:
 
 def cmd_kernel(args) -> int:
     space = _load_space(args)
-    rng = np.random.default_rng(args.seed)
     if args.pairs:
         pts = []
         for chunk in args.pairs.split(";"):
@@ -131,6 +130,7 @@ def cmd_kernel(args) -> int:
         count = len(pts)
     else:
         count = 16 if args.quick else 64
+        rng = np.random.default_rng(args.seed)
         pts = rng.uniform(0.05, 0.9, (count, 2)) * np.exp(
             2j * np.pi * rng.uniform(0, 1, (count, 2)))
     rows = list(zip(pts[:, 0], pts[:, 1], space.kernel(pts[:, 0], pts[:, 1])))

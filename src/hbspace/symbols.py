@@ -119,8 +119,9 @@ class RowSymbol:
     conj(R), R their coefficient matrix, so the singular values of R decide
     the rank: when the smallest exceeds sqrt(eps) times the largest, ``rows``
     is R as given, component i in row i; otherwise it is Sigma V* of the
-    singular values above that cut, and ``dropped_mass`` (0 for a full-rank
-    R) is the sum of the dropped sigma^2, a bound on the kernel's change.
+    singular values above that cut, taken of the columns of order >= 1 so
+    that column 0 is exactly 0, and ``dropped_mass`` (0 for a full-rank R)
+    is the sum of the dropped sigma^2, a bound on the kernel's change.
     ``n`` is the row count of ``rows``.  ``defect`` is the split of
     1 - sum_i |b_i|^2 taken at validation; the boundary verdicts and the
     handle's defect factor read it.  Validation raises ValueError for a
@@ -160,9 +161,10 @@ class RowSymbol:
         if self.components:
             sv = np.linalg.svd(mat, compute_uv=False)
             if np.count_nonzero(sv > _RANK_CUT * sv[0]) < mat.shape[0]:
-                _, sv, vh = np.linalg.svd(mat, full_matrices=False)
-                kept = sv > _RANK_CUT * sv[0]
-                mat = sv[kept, None] * vh[kept]
+                # of the orders >= 1 only, so that column 0 stays exactly 0
+                _, sv, vh = np.linalg.svd(mat[:, 1:], full_matrices=False)
+                kept = sv > _RANK_CUT * sv[:1]  # sv is empty for constant components
+                mat = np.pad(sv[kept, None] * vh[kept], ((0, 0), (1, 0)))
                 self.dropped_mass = float(np.sum(sv[~kept] ** 2))
         mat.flags.writeable = False
         self.rows = mat
@@ -179,10 +181,13 @@ def _check_strict_interior(*points):
             raise ValueError(f"kernel arguments must satisfy |z| < 1, got |z| = {radius}")
 
 
-def _check_distinct(points: np.ndarray):
-    """A Gram of kernel functions at a repeated point is singular."""
-    if np.unique(np.round(points, 14)).size != points.size:
-        raise ValueError("Gram points must be distinct")
+def _check_distinct(points, message="Gram points must be distinct"):
+    """Refuse points equal to 14 digits: a Gram of kernel functions at a
+    repeated point is singular.  Sort and compare, as np.unique does, which
+    would also import numpy.ma."""
+    pts = np.sort(np.asarray(points).round(14), axis=None)
+    if (pts[1:] == pts[:-1]).any():
+        raise ValueError(message)
 
 
 def row_values(rows: np.ndarray, points) -> np.ndarray:
@@ -301,9 +306,8 @@ class DirichletSpace:
             )
         if not measure.atoms:
             raise ValueError("measure must carry at least one atom")
-        locs = [loc for loc, _ in measure.atoms]
-        if np.unique(np.round(locs, 14)).size != len(locs):
-            raise ValueError("atoms must be at distinct locations")
+        _check_distinct([loc for loc, _ in measure.atoms],
+                        "atoms must be at distinct locations")
         self.measure = measure
         self.degree = degree
         self._gram_cache: dict[int, np.ndarray] = {}

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hbspace
 from hbspace.catalog import (
     cusp_symbol,
     dirichlet_half,
@@ -20,6 +26,18 @@ RANK2_EXAMPLE = [[0.0, 0.4, 0.4, 0.0, 0.0], [0.0, 0.0, 0.0, 0.3, 0.3]]
 # b = 1.1 z (1 + z) / 2: the defect 0.395 - 0.605 cos(theta) changes sign at
 # two simple circle roots, cos(theta) = 0.395 / 0.605
 ODD_ROOT_ROW = [[0.0, 0.55, 0.55]]
+
+
+def run_fresh(*args) -> str:
+    """stdout of ``python *args`` in a fresh interpreter that imports hbspace
+    from the tree under test; a nonzero exit fails the test with its stderr."""
+    src = str(Path(hbspace.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, *args], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-2000:]
+    return done.stdout
 
 
 @pytest.fixture(scope="session")

@@ -1,20 +1,15 @@
 import json
 import math
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import hbspace
 from hbspace.catalog import space_from_json
 from hbspace.cli import build_parser, main
 from hbspace.symbols import estimate_rank
 from conftest import (RANK2_EXAMPLE, ODD_ROOT_ROW, ddelta_taylor, noncontractive_row,
-                      scaled_row)
+                      run_fresh, scaled_row)
 
 
 def run(args, capsys):
@@ -345,24 +340,45 @@ def test_quick_belongs_to_the_subcommands_that_read_it(capsys):
 
 
 def test_import_stays_light():
-    # scipy.linalg alone is about two thirds of the import time of a cold command
-    src = str(Path(hbspace.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    # scipy.linalg alone is about two thirds of the import time of a cold command;
     # no scipy module loads on import, nor while the quick suite runs; the CLI
     # runs no thread pool, so concurrent.futures is not imported either
-    done = subprocess.run([sys.executable, "-c",
-                           "import sys\n"
-                           "from hbspace.cli import main\n"
-                           "assert 'concurrent.futures' not in sys.modules\n"
-                           "def scipy_modules():\n"
-                           "    return sorted(name for name in sys.modules\n"
-                           "                  if name == 'scipy' or name.startswith('scipy.'))\n"
-                           "assert not scipy_modules(), scipy_modules()\n"
-                           "assert main(['suite', '--quick']) == 0\n"
-                           "assert not scipy_modules(), scipy_modules()"],
-                          env=env, timeout=120, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr[-2000:]
+    run_fresh("-c",
+              "import sys\n"
+              "from hbspace.cli import main\n"
+              "assert 'concurrent.futures' not in sys.modules\n"
+              "def scipy_modules():\n"
+              "    return sorted(name for name in sys.modules\n"
+              "                  if name == 'scipy' or name.startswith('scipy.'))\n"
+              "assert not scipy_modules(), scipy_modules()\n"
+              "assert main(['suite', '--quick']) == 0\n"
+              "assert not scipy_modules(), scipy_modules()")
+
+
+@pytest.mark.parametrize("argv", [["kernel", "--named", "rank1-half", "--pairs", "0.5:0.5"],
+                                  ["rank", "--named", "dirichlet-pair"]])
+def test_cold_command_loads_no_unused_numpy_module(argv):
+    # numpy.random serves only the sampled kernel table and numpy.ma no command;
+    # each costs about 10 ms of a cold process
+    run_fresh("-c",
+              "import sys\n"
+              "from hbspace.cli import main\n"
+              f"assert main({argv!r}) == 0\n"
+              "loaded = [m for m in ('numpy.random', 'numpy.ma') if m in sys.modules]\n"
+              "assert not loaded, loaded")
+
+
+def test_kernel_sampled_table_is_pinned(capsys):
+    # the seeded points of the default table, drawn from default_rng(seed)
+    code, out, _ = run(["kernel", "--named", "rank1-half"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "k(0.4194+0.4170j, -0.0666+0.2713j) = 1.03377917465-0.0825850225514j",
+        "k(-0.0727-0.0437j, -0.0604-0.0214j) = 1.00267534674+0.000548891780343j",
+        "k(0.2716-0.6897j, -0.7669-0.3063j) = 0.864187586593+0.223603922881j",
+        "k(-0.1352+0.5492j, -0.5722+0.3487j) = 1.10334936679-0.220442865018j",
+        "k(0.2125-0.4659j, -0.5917-0.6030j) = 0.981759883511+0.230279560863j",
+    ]
 
 
 def test_norm_dirichlet_space_reports_membership(capsys):

@@ -1,21 +1,13 @@
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
-import hbspace
+from conftest import run_fresh
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def _run_script(name, out_dir) -> str:
-    src = str(Path(hbspace.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, str(SCRIPTS / name), str(out_dir)],
-                          env=env, capture_output=True, text=True, check=True, timeout=120)
-    return done.stdout
+    return run_fresh(str(SCRIPTS / name), str(out_dir))
 
 
 def test_radial_norm_sweep_script(tmp_path):

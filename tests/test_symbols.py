@@ -65,6 +65,9 @@ def test_dependent_row_matches_its_canonical_row(rng):
     assert gap(lambda s: s.gram(pts)) <= 1e-14
     assert gap(lambda s: s.monomial_gram(48)) <= 1e-14
     assert gap(lambda s: reverse_carleson(s).constant) <= 1e-14
+    # reduced over the orders >= 1, so B(0) = 0 and k(z, 0) = 1 hold exactly
+    assert dependent.symbol.rows[0, 0] == 0.0
+    assert np.all(dependent.kernel(pts, 0.0) == 1.0)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-12])
@@ -75,7 +78,7 @@ def test_near_dependent_rows_cut_at_sqrt_eps(eps, rng):
         assert sym.n == 2 and sym.dropped_mass == 0.0
         assert np.array_equal(sym.rows, r)
         return
-    assert sym.n == 1 and sym.dropped_mass <= eps ** 2
+    assert sym.n == 1 and sym.dropped_mass <= eps ** 2 and sym.rows[0, 0] == 0.0
     pts = random_interior(rng, 8)
     b = row_values(r, pts)  # the kernel formula with the input R
     kernel = (1.0 - b @ b.conj().T) / (1.0 - pts[:, None] * np.conj(pts[None, :]))
@@ -159,6 +162,33 @@ def test_gram_rank_one_pair():
 def test_gram_rejects_duplicates():
     with pytest.raises(ValueError):
         gram_matrix(RowSymbol([]), [0.3, 0.3])
+
+
+# a repeat that equals the first point to 14 digits only
+@pytest.mark.parametrize("points", [[0.3, 0.3], [0.3, 0.3 + 4e-16],
+                                    [0.1 + 0.2j, -0.4, 0.1 + (0.2 + 3e-16) * 1j]])
+def test_points_equal_to_14_digits_are_repeats(points, d_pair):
+    with pytest.raises(ValueError, match="Gram points must be distinct"):
+        gram_matrix(RowSymbol([]), points)
+    with pytest.raises(ValueError, match="Gram points must be distinct"):
+        d_pair.gram(points)
+    with pytest.raises(ValueError, match="atoms must be at distinct locations"):
+        DirichletSpace(MeasureSpec(atoms=[(z, 1.0) for z in points]))
+
+
+def test_points_apart_at_14_digits_are_distinct(d_pair):
+    points = [0.3, 0.3 + 1e-13]
+    assert gram_matrix(RowSymbol([]), points).shape == (2, 2)
+    assert d_pair.gram(points).shape == (2, 2)
+    assert DirichletSpace(MeasureSpec(atoms=[(z, 1.0) for z in points])).degree == 128
+
+
+@pytest.mark.parametrize("points", [[np.nan, 0.3], [np.nan, np.nan], [complex(0.1, np.nan)]])
+def test_gram_refuses_nan_points(points, d_pair):
+    with pytest.raises(ValueError):
+        gram_matrix(RowSymbol([]), points)
+    with pytest.raises(ValueError):
+        d_pair.gram(points)
 
 
 def test_dirichlet_gram_rejects_duplicates(d_pair):

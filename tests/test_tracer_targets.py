@@ -8,6 +8,7 @@ from pathlib import Path
 
 from hbspace.catalog import h2_symbol, inner_symbol, rank1_half_symbol
 from hbspace.model import SpaceHandle
+from conftest import run_fresh
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -47,3 +48,23 @@ def test_embed_route_reads_every_handle_kind():
         assert isinstance(handle.n, int)
         assert handle.mode == mode
         assert isinstance(tracer._embed_route((handle,)), str)
+
+
+def test_tracer_leaves_no_wrapper_bound_in_the_package():
+    # the tracer patches each name in its defining module and puts the original
+    # back on uninstall; the package resolves names there on every access, so a
+    # lookup made while the tracer is installed must leave nothing bound in it
+    run_fresh("-c",
+              "import importlib.util\n"
+              "import hbspace\n"
+              "spec = importlib.util.spec_from_file_location(\n"
+              f"    'perfbench_tracer', {str(TRACER)!r})\n"
+              "module = importlib.util.module_from_spec(spec)\n"
+              "spec.loader.exec_module(module)\n"
+              "tracer = module.Tracer()\n"
+              "tracer.install()\n"
+              "assert hasattr(hbspace.named_space, '__wrapped__')\n"
+              "tracer.uninstall()\n"
+              "assert hbspace.named_space is hbspace.catalog.named_space\n"
+              "assert not hasattr(hbspace.named_space, '__wrapped__')\n"
+              "assert 'named_space' not in vars(hbspace)")
