@@ -23,8 +23,7 @@ _MODULES = {
     "spectral": ["MatrixSymbol", "defect_identity_bound", "factor_residual",
                  "matrix_outer_factor", "row_defect_factor"],
     "model": ["ModelPair", "SpaceHandle"],
-    "analysis": ["LimitSchedule", "backward_iterates", "bergman_dirichlet_unitary",
-                 "cauchy_dual", "dirichlet_reverse_carleson", "mz_test",
+    "analysis": ["LimitSchedule", "cauchy_dual", "dirichlet_reverse_carleson", "mz_test",
                  "norm_identity_deviation", "norm_limit_estimate", "pointwise_defect",
                  "reverse_carleson", "wandering_norm"],
     "subspaces": ["BlaschkeProduct", "SubspaceBasis", "extremal_function",

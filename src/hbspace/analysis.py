@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .report import Report
 from .series import as_coeffs, divided_difference, h2_norm_sq, shift_down, shift_up
 from .spectral import laurent_values
 from .symbols import MeasureSpec, RowSymbol
@@ -63,7 +64,7 @@ def _shift_defects(space, mat: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class LimitEstimate:
+class LimitEstimate(Report):
     rows: list[tuple[float, float]]
     final: float
 
@@ -125,16 +126,6 @@ def wandering_norm(space, coeffs, schedule: LimitSchedule | None = None) -> Limi
                          * _column_norms(space, divided_difference(c, lam)))[0]
 
 
-def backward_iterates(space, coeffs, n_max: int) -> np.ndarray:
-    """Norms of successive backward shifts; nonincreasing by contractivity."""
-    c = as_coeffs(coeffs)
-    out = np.empty(n_max + 1)
-    for k in range(n_max + 1):
-        out[k] = float(np.sqrt(max(space.poly_norm_sq(c), 0.0)))
-        c = shift_down(c)
-    return out
-
-
 def norm_identity_deviation(space, members) -> float:
     """max over the sample of | ||Lf||^2 - (||f||^2 - |f(0)|^2) |."""
     worst = 0.0
@@ -147,11 +138,9 @@ def norm_identity_deviation(space, members) -> float:
 
 
 @dataclass
-class MzReport:
+class MzReport(Report):
     invariant: bool
-    conclusive: bool
     log_estimate: float | None
-    note: str = ""
 
     def __bool__(self):
         return self.invariant
@@ -172,7 +161,7 @@ def mz_test(symbol: RowSymbol) -> MzReport:
     if symbol.truncated:
         note = "truncated symbol: verdict not conclusive for the full space"
     log_estimate = None if a is None else float(2.0 * np.log(a[0].real))
-    return MzReport(a is not None, not symbol.truncated, log_estimate, note)
+    return MzReport(a is not None, log_estimate, conclusive=not symbol.truncated, note=note)
 
 
 def cauchy_dual(gram: np.ndarray) -> np.ndarray:
@@ -196,13 +185,6 @@ def cauchy_dual(gram: np.ndarray) -> np.ndarray:
     return np.diag(1.0 / w)
 
 
-def bergman_dirichlet_unitary(coeffs) -> np.ndarray:
-    """Coefficient action g_k -> g_k / (k + 1) of the averaging integral
-    (1/z) int_0^z g; unitary from the Bergman space onto the Dirichlet space."""
-    c = as_coeffs(coeffs)
-    return c / np.arange(1, c.size + 1)
-
-
 def shift_intertwine_residual(size: int = 64) -> float:
     """Operator-norm defect of U M_z^* U^{-1} = L on coefficient truncations,
     with M_z^* the Bergman-space adjoint of the forward shift."""
@@ -217,7 +199,7 @@ def shift_intertwine_residual(size: int = 64) -> float:
 
 
 @dataclass
-class ReverseCarlesonReport:
+class ReverseCarlesonReport(Report):
     applicable: bool
     admits: bool | None
     constant: float | None
@@ -225,7 +207,6 @@ class ReverseCarlesonReport:
     h2: np.ndarray | None
     g: np.ndarray | None
     radius_h2: float | None
-    note: str = ""
 
 
 def _reciprocal_norm_sq(a: np.ndarray) -> float:
@@ -285,7 +266,7 @@ def reverse_carleson(space, lam_points: int = 64) -> ReverseCarlesonReport:
 
 
 @dataclass
-class DirichletCarlesonReport:
+class DirichletCarlesonReport(Report):
     admits: bool
     integral: float
     lam: np.ndarray
@@ -304,8 +285,6 @@ def dirichlet_reverse_carleson(measure: MeasureSpec, lam_points: int = 64) -> Di
     """Exact reverse-Carleson verdict for an atomic Dirichlet-type measure:
     it admits one iff sum c_i / (1 - |z_i|^2) is finite, and the minimal
     boundary density is h(lam) = 1 + sum c_i / |1 - conj(lam) z_i|^2."""
-    if measure.ac_density is not None:
-        raise NotImplementedError("atomic measures only")
     lam = np.exp(2j * np.pi * np.arange(lam_points) / lam_points)
     report = DirichletCarlesonReport(False, math.inf, lam, None, atoms=list(measure.atoms))
     gaps = [1.0 - abs(loc) ** 2 for loc, _ in report.atoms]

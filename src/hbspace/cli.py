@@ -7,6 +7,12 @@ poly-density, factor, rank, dual, verify, suite.  Exit codes: 0 success,
 the subcommands that read it.  ``kernel`` evaluates its whole table in
 one broadcast kernel call, so outputs are byte-identical for identical
 (config, seed).
+
+Every subcommand reports through one emitter: it prints a non-empty
+``note`` of the result, and its ``--json`` object (also written to
+``report.json`` under ``--out``) holds the subcommand's own fields plus
+``command``, ``conclusive`` and ``note``, and ``residual`` where the result
+carries one (see ``hbspace.report.Report``).
 """
 
 import argparse
@@ -21,6 +27,7 @@ from . import __version__
 from .acceptance import run_all
 from .analysis import (
     LimitSchedule,
+    MzReport,
     cauchy_dual,
     mz_test,
     norm_limit_estimate,
@@ -28,6 +35,7 @@ from .analysis import (
 )
 from .catalog import named_space, space_from_json
 from .errors import ConfigError, HBSpaceError, InvariantViolation, NumericalError
+from .report import Report
 from .reporting import heatmap, line_plot, write_csv
 from .series import SzegoSum
 from .subspaces import poly_density_residual
@@ -106,7 +114,19 @@ def _jsonable(value):
     return value
 
 
-def _emit_json(args, payload) -> None:
+def _emit(args, command, report: Report | None = None, **fields) -> None:
+    """Print the report's note when it has one, and write the JSON payload
+    (to stdout under --json, to report.json under --out): the subcommand's
+    fields with ``command``, the report's ``conclusive`` and ``note``, and
+    its ``residual`` when it has one."""
+    if report is None:  # not ``report or``: a negative verdict is falsy
+        report = Report()
+    if report.note:
+        print(report.note)
+    payload = {**fields, "command": command, "conclusive": report.conclusive,
+               "note": report.note}
+    if report.residual is not None:
+        payload["residual"] = report.residual
     text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
     if args.json:
         print(text)
@@ -142,8 +162,8 @@ def cmd_kernel(args) -> int:
                 title="Re k on the 0.9-radius torus grid")
     for z, lam, k in rows[: 5 if not args.json else 0]:
         print(f"k({z:.4f}, {lam:.4f}) = {k:.12g}")
-    _emit_json(args, {"command": "kernel", "seed": args.seed, "count": count,
-                      "rows": [[str(z), str(lam), str(k)] for z, lam, k in rows]})
+    _emit(args, "kernel", seed=args.seed, count=count,
+          rows=[[str(z), str(lam), str(k)] for z, lam, k in rows])
     return EXIT_OK
 
 
@@ -164,8 +184,7 @@ def cmd_embed(args) -> int:
         cols = ["k", "f"] + [f"f1_{i + 1}" for i in range(n)]
         write_csv(_out_path(args, "embed.csv"), cols, rows,
                   {"command": "embed", "seed": args.seed})
-    _emit_json(args, {"command": "embed", "residual": residual,
-                      "norm": norm, "n": n})
+    _emit(args, "embed", residual=residual, norm=norm, n=n)
     return EXIT_OK
 
 
@@ -176,8 +195,7 @@ def cmd_norm(args) -> int:
     print(f"member: {report.member}  residual: {report.residual:.6e}")
     if report.member:
         print(f"norm: {report.norm:.12g}")
-    _emit_json(args, {"command": "norm", "member": bool(report.member),
-                      "residual": report.residual, "norm": report.norm})
+    _emit(args, "norm", report, member=bool(report.member), norm=report.norm)
     return EXIT_OK
 
 
@@ -200,8 +218,7 @@ def cmd_norm_formula(args) -> int:
                    "direct": [direct] * len(est.rows)},
                   title="radial norm estimates", xlabel="r", ylabel="estimate")
     rel = abs(est.final - direct) / max(direct, 1e-30)
-    _emit_json(args, {"command": "norm-formula", "direct": direct,
-                      "final": est.final, "relative_gap": rel})
+    _emit(args, "norm-formula", est, direct=direct, final=est.final, relative_gap=rel)
     return EXIT_OK
 
 
@@ -209,8 +226,7 @@ def cmd_carleson(args) -> int:
     space = _load_space(args)
     report = reverse_carleson(space)
     if not report.applicable:
-        print(report.note)
-        _emit_json(args, {"command": "carleson", "applicable": False})
+        _emit(args, "carleson", report, applicable=False)
         return EXIT_OK
     print(f"admits reverse Carleson measure: {report.admits}")
     print(f"reverse-Carleson constant: {report.constant:.16g}")
@@ -222,27 +238,21 @@ def cmd_carleson(args) -> int:
                   {"command": "carleson", "seed": args.seed})
     # no measure: null, since JSON has no infinity
     constant = report.constant if report.admits else None
-    _emit_json(args, {"command": "carleson", "admits": report.admits,
-                      "constant": constant, "radius_h2": report.radius_h2})
+    _emit(args, "carleson", report, admits=report.admits, constant=constant,
+          radius_h2=report.radius_h2)
     return EXIT_OK
 
 
 def cmd_mz_test(args) -> int:
     space = _load_space(args)
     symbol = getattr(space, "symbol", None)
-    if symbol is None:
-        print("invariant: True (Dirichlet-type spaces are forward-shift invariant)")
-        _emit_json(args, {"command": "mz-test", "invariant": True, "conclusive": True})
-        return EXIT_OK
-    report = mz_test(symbol)
+    # a Dirichlet-type space is forward-shift invariant, with no symbol to test
+    report = MzReport(True, None) if symbol is None else mz_test(symbol)
     print(f"invariant: {report.invariant}  conclusive: {report.conclusive}")
     if report.log_estimate is not None:
         print(f"log-defect integral: {report.log_estimate:.10g}")
-    if report.note:
-        print(report.note)
-    _emit_json(args, {"command": "mz-test", "invariant": report.invariant,
-                      "conclusive": report.conclusive,
-                      "log_estimate": report.log_estimate})
+    _emit(args, "mz-test", report, invariant=report.invariant,
+          log_estimate=report.log_estimate)
     return EXIT_OK
 
 
@@ -260,9 +270,8 @@ def cmd_poly_density(args) -> int:
         line_plot(_out_path(args, "poly_density.svg"), result.degrees,
                   {"residual": result.residuals}, title="polynomial approximation",
                   xlabel="degree", ylabel="residual")
-    _emit_json(args, {"command": "poly-density",
-                      "degrees": [int(d) for d in result.degrees],
-                      "residuals": [float(r) for r in result.residuals]})
+    _emit(args, "poly-density", result, degrees=[int(d) for d in result.degrees],
+          residuals=[float(r) for r in result.residuals])
     return EXIT_OK
 
 
@@ -272,13 +281,14 @@ def cmd_factor(args) -> int:
     if report is None:
         raise ConfigError("factor output needs an analytic-model symbol space")
     coeffs = report.symbol.coeffs
-    facts = {"residual": report.residual, "degree": coeffs.shape[0] - 1}
-    print(f"residual: {report.residual:.6e}  degree: {facts['degree']}")
+    degree = coeffs.shape[0] - 1
+    print(f"residual: {report.residual:.6e}  degree: {degree}")
     if args.out:
         rows = [(k, i, j, coeffs[k, i, j]) for k, i, j in np.ndindex(coeffs.shape)]
-        write_csv(_out_path(args, "factor.csv"), ["power", "row", "col", "value"],
-                  rows, {"command": "factor", "seed": args.seed, **facts})
-    _emit_json(args, {"command": "factor", **facts})
+        write_csv(_out_path(args, "factor.csv"), ["power", "row", "col", "value"], rows,
+                  {"command": "factor", "seed": args.seed, "residual": report.residual,
+                   "degree": degree})
+    _emit(args, "factor", report, degree=degree)
     return EXIT_OK
 
 
@@ -286,10 +296,10 @@ def cmd_rank(args) -> int:
     space = _load_space(args)
     if not space.mz_invariant:
         raise NumericalError("defect rank undefined: the space is not forward-shift invariant")
-    label = " (truncated symbol: lower bound only)" if space.truncated else ""
-    print(f"defect rank: {space.n}{label}")
-    _emit_json(args, {"command": "rank", "rank": space.n,
-                      "truncated": bool(space.truncated)})
+    print(f"defect rank: {space.n}")
+    note = "truncated symbol: the defect rank is a lower bound only" if space.truncated else ""
+    _emit(args, "rank", Report(conclusive=not space.truncated, note=note), rank=space.n,
+          truncated=bool(space.truncated))
     return EXIT_OK
 
 
@@ -305,8 +315,7 @@ def cmd_dual(args) -> int:
     if args.out:
         write_csv(_out_path(args, "dual.csv"), ["k", "weight", "dual_weight"], rows,
                   {"command": "dual", "seed": args.seed})
-    _emit_json(args, {"command": "dual", "weights": w,
-                      "dual_weights": [float(x) for x in dual_w]})
+    _emit(args, "dual", weights=w, dual_weights=[float(x) for x in dual_w])
     return EXIT_OK
 
 
@@ -318,9 +327,8 @@ def cmd_verify(args) -> int:
     for c in checks:
         print(c.line())
     passed = all(c.passed for c in checks)
-    _emit_json(args, {"command": "verify", "passed": passed,
-                      "checks": [{"name": c.name, "passed": c.passed,
-                                  "detail": c.detail} for c in checks]})
+    _emit(args, "verify", passed=passed,
+          checks=[{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks])
     return EXIT_OK if passed else EXIT_INVARIANT
 
 
@@ -332,14 +340,10 @@ def cmd_suite(args) -> int:
     if not args.json:
         print(f"total runtime: {elapsed:.2f}s  "
               f"({sum(r.passed for r in results)}/{len(results)} criteria passed)")
-    _emit_json(args, {
-        "tool": "hbspace", "version": __version__, "command": "suite",
-        "seed": args.seed, "quick": bool(args.quick),
-        "elapsed_seconds": elapsed, "passed": passed,
-        "results": [{"id": r.cid, "name": r.name, "passed": r.passed,
-                     "detail": r.detail, "elapsed_seconds": r.elapsed}
-                    for r in results],
-    })
+    _emit(args, "suite", tool="hbspace", version=__version__, seed=args.seed,
+          quick=bool(args.quick), elapsed_seconds=elapsed, passed=passed,
+          results=[{"id": r.cid, "name": r.name, "passed": r.passed,
+                    "detail": r.detail, "elapsed_seconds": r.elapsed} for r in results])
     return EXIT_OK if passed else EXIT_INVARIANT
 
 

@@ -32,6 +32,7 @@ from numpy.polynomial.chebyshev import chebroots
 
 from .errors import ConvergenceError, ExtremeTypeError, InvariantViolation
 from .harmonic import log_diagnostic
+from .report import Report
 from .series import trim
 
 # exact route: roots with |log |r|| <= _CIRCLE_TOL (a test symmetric under
@@ -85,14 +86,13 @@ class MatrixSymbol:
 
 
 @dataclass
-class FactorizationReport:
+class FactorizationReport(Report):
     """A factor with its certificate.  ``column`` is the last column C of the
     paraunitary completion [[B, a_rev], [A, C]] of ``row_defect_factor``,
     shape (p + 1, n), C[k] the coefficient of z^k (None for
     ``matrix_outer_factor``)."""
 
     symbol: MatrixSymbol
-    residual: float
     method: str
     iterations: int
     regularization: float
@@ -346,7 +346,7 @@ def row_defect_factor(coeffs, split: DefectSplit) -> FactorizationReport:
             f"(target {_CERTIFY_TARGET:.3e})",
             residual=residual,
         )
-    return FactorizationReport(symbol, residual, "exact", 0, 0.0, completion[:, :, n])
+    return FactorizationReport(symbol, "exact", 0, 0.0, completion[:, :, n], residual=residual)
 
 
 def matrix_outer_factor(phi) -> FactorizationReport:
@@ -389,8 +389,8 @@ def matrix_outer_factor(phi) -> FactorizationReport:
             f"{residual:.3e} (target {target:.3e})",
             residual=residual,
         )
-    return FactorizationReport(MatrixSymbol(trim_blocks(symbol.coeffs)), residual,
-                               "roots", 0, 0.0)
+    return FactorizationReport(MatrixSymbol(trim_blocks(symbol.coeffs)), "roots", 0, 0.0,
+                               residual=residual)
 
 
 def trim_blocks(coeffs: np.ndarray, tol: float = 1e-14) -> np.ndarray:

@@ -19,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .analysis import LimitSchedule, _radial_limit, _shift_defects
+from .analysis import LimitEstimate, LimitSchedule, _radial_limit, _shift_defects
 from .errors import ConfigError, ConvergenceError, NumericalError
 from .model import SpaceHandle
 from .series import (SzegoSum, convolve, divided_difference, finite_coeffs, horner,
                      series_divide, trim)
 from .spectral import _CIRCLE_TOL
-from .symbols import ModelPair
+from .report import Report
+from .symbols import MembershipReport, ModelPair, _check_distinct
 
 # a remainder of f by phi's closed-disk zeros above this, relative to max |f_k|, is a pole
 _REMAINDER_TOL = 1e-10
@@ -78,8 +79,7 @@ def model_space_basis(theta: BlaschkeProduct) -> list[SzegoSum]:
     nonzero zero a (distinct nonzero zeros required)."""
     at_zero = sum(1 for a in theta.zeros if a == 0)
     others = [a for a in theta.zeros if a != 0]
-    if len({(round(a.real, 14), round(a.imag, 14)) for a in others}) != len(others):
-        raise ValueError("nonzero Blaschke zeros must be distinct")
+    _check_distinct(others, "nonzero Blaschke zeros must be distinct")
     one = np.ones((1, 1), dtype=complex)
     return ([SzegoSum.trusted(np.eye(1, j + 1, j, dtype=complex), np.zeros(1, dtype=complex))
              for j in range(at_zero)]
@@ -183,7 +183,7 @@ def backward_invariance_residual(space, basis: SubspaceBasis) -> float:
 
 
 @dataclass
-class PolyDensityResult:
+class PolyDensityResult(Report):
     degrees: list[int]
     residuals: np.ndarray
 
@@ -252,9 +252,7 @@ def extremal_function(space) -> np.ndarray:
 
 
 @dataclass
-class NearlyInvariantResult:
-    rows: list[tuple[float, float]]
-    final: float
+class NearlyInvariantResult(LimitEstimate):
     quotient_norm_sq: float
     nodes: int
 
@@ -312,15 +310,6 @@ def nearly_invariant_norm(space, phi, f, schedule=None) -> NearlyInvariantResult
         m *= 2
 
 
-@dataclass
-class QuotientMembershipReport:
-    member: bool
-    evidence: dict
-
-    def __bool__(self):
-        return self.member
-
-
 def _split_radius(phi, c, m) -> float:
     """How far rounding moves the roots of an m-fold zero of phi at c:
     (eps sum_k |phi_k| |c|^k / |t_m|)^(1/m), t_m = phi^(m)(c) / m! the
@@ -358,7 +347,7 @@ def _closed_disk_zeros(phi) -> np.ndarray:
     return np.array(sum(kept, []), dtype=complex)
 
 
-def shift_subspace_membership(space, phi, f) -> QuotientMembershipReport:
+def shift_subspace_membership(space, phi, f) -> MembershipReport:
     """Membership of f in the shift-invariant subspace generated by phi.
 
     Criterion: f/phi belongs to the Hardy space and (f/phi) phi_1 to the
@@ -367,9 +356,10 @@ def shift_subspace_membership(space, phi, f) -> QuotientMembershipReport:
     first, which holds iff every zero of phi in the closed disk is a zero of
     f of at least the same order.  Exact division of f by those zeros, a
     multiple zero taken once per order at the centroid of the roots it
-    splits into (``_closed_disk_zeros``), certifies it: ``evidence`` holds the
-    zeros, the remainder (its largest Newton coefficient relative to
-    max |f_k|) and, for a non-member, ``pole``.
+    splits into (``_closed_disk_zeros``), certifies it: ``residual`` is the
+    remainder, its largest Newton coefficient relative to max |f_k|, and
+    ``evidence`` holds the zeros, that remainder and, for a non-member,
+    ``pole``.  ``norm`` is None.
     """
     phi = finite_coeffs(phi)
     f = finite_coeffs(f)
@@ -388,4 +378,4 @@ def shift_subspace_membership(space, phi, f) -> QuotientMembershipReport:
     member = rel <= _REMAINDER_TOL  # an overflowed, NaN remainder is no member
     if not member:
         evidence["pole"] = "f/phi has a pole in the closed disk"
-    return QuotientMembershipReport(member, evidence)
+    return MembershipReport(member, None, evidence, residual=rel)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import InvariantViolation, NumericalError
 from .harmonic import DEFAULT_GRID, DiskFunction, grid_points
+from .report import Report
 from .series import (SzegoSum, as_coeffs, divided_difference, finite_coeffs, h2_norm_sq,
                      horner, power_table, szego_taylor)
 from .spectral import DefectSplit, defect_split
@@ -98,9 +99,8 @@ def pair_inner(pair_a: ModelPair, pair_b: ModelPair) -> complex:
 
 
 @dataclass
-class MembershipReport:
+class MembershipReport(Report):
     member: bool
-    residual: float
     norm: float | None
     evidence: dict
 
@@ -262,11 +262,9 @@ def weighted_space_symbol(weights, degree: int | None = None,
 
 @dataclass
 class MeasureSpec:
-    """Finite positive Borel measure: point masses in the closed disk plus an
-    optional absolutely continuous boundary density."""
+    """Finite positive Borel measure of point masses in the closed disk."""
 
     atoms: list = field(default_factory=list)
-    ac_density: np.ndarray | None = None
 
     def __post_init__(self):
         cleaned = []
@@ -300,10 +298,6 @@ class DirichletSpace:
     tol_membership = 1e-7
 
     def __init__(self, measure: MeasureSpec, degree: int = 128):
-        if measure.ac_density is not None:
-            raise NotImplementedError(
-                "Dirichlet-type spaces are supported for purely atomic measures"
-            )
         if not measure.atoms:
             raise ValueError("measure must carry at least one atom")
         _check_distinct([loc for loc, _ in measure.atoms],
@@ -344,7 +338,12 @@ class DirichletSpace:
         return [np.sqrt(w) * divided_difference(c, loc) for loc, w in self.measure.atoms]
 
     def embed(self, coeffs) -> ModelPair:
-        """The model pair of f; exact, so its residual is 0."""
+        """The model pair of f; exact, so its residual is 0.  A ``SzegoSum``
+        gets its exact pair, with Szego-sum parts, from its term rows."""
+        if isinstance(coeffs, SzegoSum):
+            rows, _ = self.embed_terms(coeffs)
+            return ModelPair(coeffs, SzegoSum.trusted(rows.coeffs[1:], coeffs.points), 0.0,
+                             _norm_sq=rows.norm_sq)
         c = finite_coeffs(coeffs)
         return ModelPair(c, np.array(self.companions(c)), 0.0)
 
@@ -374,9 +373,10 @@ class DirichletSpace:
         return SzegoSum.trusted(rows, f.points), SzegoSum.trusted(rows[:0], f.points)
 
     def membership(self, coeffs) -> MembershipReport:
-        """Every polynomial is a member of a Dirichlet-type space."""
+        """Every polynomial and every Szego sum is a member of a Dirichlet-type space."""
         norm = self.embed(coeffs).norm
-        return MembershipReport(True, 0.0, norm, {"residual": 0.0, "degree": self.degree})
+        return MembershipReport(True, norm, {"residual": 0.0, "degree": self.degree},
+                                residual=0.0)
 
     def companions_at(self, coeffs, lam) -> np.ndarray:
         return np.array([horner(q, lam) for q in self.companions(coeffs)])
@@ -386,6 +386,8 @@ class DirichletSpace:
         return h2_norm_sq(c) + sum(h2_norm_sq(q) for q in self.companions(c))
 
     def norm(self, coeffs) -> float:
+        if isinstance(coeffs, SzegoSum):
+            return self.embed(coeffs).norm
         return float(np.sqrt(max(self.poly_norm_sq(coeffs), 0.0)))
 
     def inner(self, pair_a: ModelPair, pair_b: ModelPair) -> complex:
@@ -463,8 +465,6 @@ class DirichletSpace:
 def dirichlet_norm(coeffs, measure: MeasureSpec, n_grid: int = DEFAULT_GRID) -> float:
     """Dirichlet-type norm by direct boundary quadrature (independent of the
     embedding): ||f||_2^2 plus one local-energy integral per atom."""
-    if measure.ac_density is not None:
-        raise NotImplementedError("quadrature oracle supports atomic measures only")
     c = as_coeffs(coeffs)
     zeta = grid_points(n_grid)
     if c.size > n_grid // 2:

@@ -7,8 +7,6 @@ from hbspace import analysis
 from hbspace.analysis import (
     LimitSchedule,
     _column_norms,
-    backward_iterates,
-    bergman_dirichlet_unitary,
     cauchy_dual,
     dirichlet_reverse_carleson,
     mz_test,
@@ -172,21 +170,6 @@ def test_wandering_norm_tends_to_zero(h2, rank1_half, inner_space):
     assert all(0.4 < r < 0.6 for r in ratios)  # O(1 - r) decay
     assert wandering_norm(h2, z, LimitSchedule(4, 9)).final < 1e-2
     assert wandering_norm(inner_space, np.array([1.0]), LimitSchedule(4, 6)).final == 0.0
-
-
-def test_backward_iterates_polynomial_terminates(rank1_half):
-    norms = backward_iterates(rank1_half, np.array([1.0, 0.0, 2.0]), 5)
-    assert norms[3] == 0.0 and norms[4] == 0.0
-    assert all(norms[i + 1] <= norms[i] + 1e-12 for i in range(5))
-    constant = backward_iterates(rank1_half, np.array([1.0]), 2)
-    assert constant[0] == 1.0 and constant[1] == 0.0
-
-
-def test_backward_iterates_geometric_rate(rank1_half):
-    f = szego_taylor(0.9, 220)
-    norms = backward_iterates(rank1_half, f, 12)
-    ratios = norms[1:] / norms[:-1]
-    assert np.all(np.abs(ratios[2:] - 0.9) < 0.02)
 
 
 def test_norm_identity_deviation_split(inner_space, h2, rank1_half, rng):
@@ -469,12 +452,7 @@ def test_cauchy_dual_guards():
         cauchy_dual(np.diag([2.0, 1.0]))  # normalization violated
 
 
-def test_bergman_dirichlet_unitary_action():
-    assert np.allclose(bergman_dirichlet_unitary([1.0]), [1.0])
-    e5 = np.zeros(6)
-    e5[5] = 1.0
-    out = bergman_dirichlet_unitary(e5)
-    assert out[5] == pytest.approx(1.0 / 6.0)
+def test_shift_intertwine_residual():
     assert shift_intertwine_residual(64) <= 1e-12
 
 

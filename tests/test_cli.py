@@ -1,13 +1,17 @@
 import json
 import math
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hbspace import cli
 from hbspace.catalog import space_from_json
 from hbspace.cli import build_parser, main
-from hbspace.symbols import estimate_rank
+from hbspace.model import SpaceHandle
+from hbspace.symbols import estimate_rank, weighted_space_symbol
 from conftest import (RANK2_EXAMPLE, ODD_ROOT_ROW, ddelta_taylor, noncontractive_row,
                       run_fresh, scaled_row)
 
@@ -181,6 +185,64 @@ def test_mz_test_subcommand(capsys):
     assert abs(report["log_estimate"] + 2.0 * math.log(2.0)) <= 1e-12
 
 
+def test_mz_test_emits_one_key_set_on_both_space_kinds(capsys):
+    keys = []
+    for name in ("dirichlet-pair", "cusp"):
+        code, out, _ = run(["mz-test", "--named", name, "--json"], capsys)
+        assert code == 0
+        keys.append(set(json.loads(out[out.index("{"):])))
+    assert keys[0] == keys[1] == {"command", "conclusive", "invariant", "log_estimate", "note"}
+
+
+def _readme_commands():
+    """The argument lists of the README's command table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.partition("#")[0])[1:] for line in table.splitlines()
+            if line.startswith("hbspace ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_commands_report_conclusive_and_note(argv, tmp_path, capsys):
+    argv = [str(tmp_path) if arg == "out/" else arg for arg in argv]
+    code, out, _ = run(argv + ["--json"] * ("--json" not in argv), capsys)
+    assert code == 0
+    report = json.loads(out[out.index("{\n"):])
+    assert report["command"] == argv[0]
+    assert report["conclusive"] is True and report["note"] == ""
+
+
+def test_notes_are_printed_and_reported(monkeypatch, capsys):
+    code, out, _ = run(["carleson", "--space", json.dumps(_explicit([[0.0, 1.0]])), "--json"],
+                       capsys)
+    assert code == 0
+    text, brace, tail = out.partition("{")
+    report = json.loads(brace + tail)
+    assert text == report["note"] + "\n" and "inapplicable" in text
+    assert report == {"command": "carleson", "applicable": False, "conclusive": True,
+                      "note": report["note"]}
+    # a truncated symbol: the rank is a lower bound and the invariance verdict inconclusive
+    truncated = SpaceHandle(weighted_space_symbol([1.0, 2.0, 3.0], truncated=True))
+    monkeypatch.setattr(cli, "_load_space", lambda args: truncated)
+    for command in ("rank", "mz-test"):
+        code, out, _ = run([command, "--json"], capsys)
+        assert code == 0
+        text, brace, tail = out.partition("{")
+        report = json.loads(brace + tail)
+        assert report["conclusive"] is False and "truncated" in report["note"]
+        assert text.endswith(report["note"] + "\n")
+
+
+def test_norm_reports_the_residual_of_a_non_member(capsys):
+    # on H(z) = constants, the part z^3 of f = 1 + z^3 lies outside the space
+    code, out, _ = run(["norm", "--space", json.dumps(_explicit([[0.0, 1.0]])),
+                        "--coeffs", "1,0,0,1", "--json"], capsys)
+    assert code == 0
+    report = json.loads(out[out.index("{"):])
+    assert report["member"] is False and report["norm"] is None
+    assert report["residual"] == pytest.approx(1.0, rel=1e-14)
+
+
 def test_poly_density_subcommand(tmp_path, capsys):
     code, out, _ = run(["poly-density", "--named", "rank1-half",
                         "--kernel-at", "0.5", "--out", str(tmp_path)], capsys)
@@ -196,7 +258,8 @@ def test_factor_subcommand(tmp_path, capsys):
     text, brace, tail = out.partition("{")
     residual = float(re.fullmatch(r"residual: (\S+)  degree: 1\n", text).group(1))
     report = json.loads(brace + tail)
-    assert report == {"command": "factor", "residual": report["residual"], "degree": 1}
+    assert report == {"command": "factor", "residual": report["residual"], "degree": 1,
+                      "conclusive": True, "note": ""}
     assert residual == float(f"{report['residual']:.6e}") and residual <= 1e-12
     meta = (tmp_path / "factor.csv").read_text().splitlines()[0]
     assert f"degree=1 residual={report['residual']}" in meta

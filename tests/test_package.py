@@ -3,7 +3,13 @@ so that ``from hbspace import *`` keeps working after a deletion.  The
 namespace is lazy, so what a bare import loads is checked in fresh
 interpreters."""
 
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
 import hbspace
+from hbspace.report import Report
 from conftest import run_fresh
 
 
@@ -57,3 +63,25 @@ def test_unknown_attribute_raises_attribute_error():
               "import hbspace\n"
               "for name in ('no_such_name', '_private', '__no_dunder__'):\n"
               "    assert not hasattr(hbspace, name), name")
+
+
+def test_every_certified_result_extends_the_one_report_base():
+    results = {"symbols": ["MembershipReport"],
+               "analysis": ["MzReport", "ReverseCarlesonReport", "DirichletCarlesonReport",
+                            "LimitEstimate"],
+               "subspaces": ["NearlyInvariantResult", "PolyDensityResult"],
+               "spectral": ["FactorizationReport"]}
+    for module, names in results.items():
+        for name in names:
+            assert issubclass(getattr(importlib.import_module(f"hbspace.{module}"), name),
+                              Report), name
+    # the base alone declares how a result is certified
+    declaring = []
+    for info in pkgutil.iter_modules(hbspace.__path__):
+        module = importlib.import_module(f"hbspace.{info.name}")
+        for cls in vars(module).values():
+            if (inspect.isclass(cls) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__
+                    and {"conclusive", "note"} & set(cls.__dict__.get("__annotations__", {}))):
+                declaring.append(cls)
+    assert declaring == [Report]

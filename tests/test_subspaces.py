@@ -84,6 +84,19 @@ def test_model_space_basis_rejects_repeats_off_origin():
         model_space_basis(BlaschkeProduct([0.3, 0.3]))
 
 
+@pytest.mark.parametrize("gap, distinct", [(1e-16, False), (1e-12, True)])
+def test_model_space_basis_distinctness_is_the_gram_rule(d_pair, gap, distinct):
+    # one 14-digit rule for both: two zeros 1e-16 apart are a repeat, 1e-12 apart are not
+    zeros = [0.5, 0.5 + gap]
+    assert zeros[0] != zeros[1]
+    for build in (lambda: model_space_basis(BlaschkeProduct(zeros)), lambda: d_pair.gram(zeros)):
+        if distinct:
+            build()
+        else:
+            with pytest.raises(ValueError, match="distinct"):
+                build()
+
+
 def test_intersect_hardy_gives_model_space(h2):
     theta = BlaschkeProduct([0.0, 0.4])
     basis = intersect_model_space(h2, theta)

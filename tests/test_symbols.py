@@ -22,6 +22,7 @@ from hbspace.symbols import (
     row_values,
     weighted_space_symbol,
 )
+from hbspace.subspaces import poly_density_residual
 from conftest import RANK2_EXAMPLE, random_interior, seeded_rows
 
 N = 512
@@ -336,6 +337,30 @@ def test_dirichlet_embed_terms_is_the_cut_embed():
     assert abs(rows.term_gram(rows).sum() - cut.norm_sq) <= 1e-14 * cut.norm_sq
 
 
+@pytest.mark.parametrize("name", ["dirichlet-origin", "dirichlet-half", "dirichlet-pair"])
+def test_dirichlet_space_takes_a_szego_sum(name):
+    # ||s_a||^2 = szego_density(a) / (1 - |a|^2), through embed, norm and membership
+    space = named_space(name)
+    for a in (0.5, 0.9, -0.3 + 0.4j):
+        s_a = SzegoSum(np.ones((1, 1)), [a])
+        target = space.szego_density(a) / (1.0 - abs(a) ** 2)
+        pair = space.embed(s_a)
+        assert pair.exact and pair.residual == 0.0
+        for value in (pair.norm_sq, space.norm(s_a) ** 2, space.membership(s_a).norm ** 2):
+            assert abs(value - target) <= 1e-13 * target
+
+
+def test_dirichlet_poly_density_of_a_szego_sum_matches_its_cut(d_pair):
+    # compared in squares: a residual is sqrt(||f||^2 - sum |projections|^2),
+    # which resolves nothing below about sqrt(eps) ||f||
+    degrees = list(range(0, 25, 2))
+    for a in (0.5, -0.3 + 0.4j):
+        s_a = SzegoSum(np.ones((1, 1)), [a])
+        exact = poly_density_residual(d_pair, s_a, degrees).residuals
+        cut = poly_density_residual(d_pair, s_a.taylor(128), degrees).residuals
+        assert np.max(np.abs(exact ** 2 - cut ** 2)) <= 1e-12 * d_pair.norm(s_a) ** 2
+
+
 def _dirichlet_gram_closed_form(atoms, degree):
     """I + sum c conj(a)^(j - m) a^(k - m) sum_{t < m} |a|^(2t), m = min(j, k)."""
     g = np.eye(degree + 1, dtype=complex)
@@ -411,13 +436,6 @@ def test_named_dirichlet_spaces_honour_degree():
     assert named_space("dirichlet-origin", n_grid=2048).degree == 128
     spec = {"kind": "dirichlet", "atoms": [{"z": [0.5, 0.0], "c": 1.0}]}
     assert space_from_json(spec, degree=32).degree == 32
-
-
-def test_dirichlet_rejects_density():
-    with pytest.raises(NotImplementedError):
-        DirichletSpace(MeasureSpec(atoms=[(0.0, 1.0)], ac_density=np.ones(N)))
-    with pytest.raises(NotImplementedError):
-        dirichlet_norm(np.ones(2), MeasureSpec(atoms=[], ac_density=np.ones(N)))
 
 
 def test_dirichlet_rejects_coincident_atoms():
