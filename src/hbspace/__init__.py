@@ -23,9 +23,9 @@ _MODULES = {
     "spectral": ["MatrixSymbol", "defect_identity_bound", "factor_residual",
                  "matrix_outer_factor", "row_defect_factor"],
     "model": ["ModelPair", "SpaceHandle"],
-    "analysis": ["LimitSchedule", "cauchy_dual", "dirichlet_reverse_carleson", "mz_test",
-                 "norm_identity_deviation", "norm_limit_estimate", "pointwise_defect",
-                 "reverse_carleson", "wandering_norm"],
+    "analysis": ["LimitSchedule", "cauchy_dual", "mz_test", "norm_identity_deviation",
+                 "norm_limit_estimate", "pointwise_defect", "reverse_carleson",
+                 "wandering_norm"],
     "subspaces": ["BlaschkeProduct", "SubspaceBasis", "extremal_function",
                   "intersect_model_space", "model_space_basis", "nearly_invariant_norm",
                   "poly_density_residual", "shift_subspace_membership"],

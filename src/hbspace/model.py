@@ -450,6 +450,5 @@ class SpaceHandle:
         ValueError."""
         pair = self.embed(coeffs)
         member = pair.residual <= self.tol_membership * (1.0 + pair.norm)
-        return MembershipReport(member, pair.norm if member else None,
-                                {"residual": pair.residual, "degree": self.degree},
+        return MembershipReport(member, pair.norm if member else None, {},
                                 residual=pair.residual)

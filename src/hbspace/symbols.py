@@ -374,9 +374,7 @@ class DirichletSpace:
 
     def membership(self, coeffs) -> MembershipReport:
         """Every polynomial and every Szego sum is a member of a Dirichlet-type space."""
-        norm = self.embed(coeffs).norm
-        return MembershipReport(True, norm, {"residual": 0.0, "degree": self.degree},
-                                residual=0.0)
+        return MembershipReport(True, self.embed(coeffs).norm, {}, residual=0.0)
 
     def companions_at(self, coeffs, lam) -> np.ndarray:
         return np.array([horner(q, lam) for q in self.companions(coeffs)])
@@ -484,28 +482,40 @@ def dirichlet_norm(coeffs, measure: MeasureSpec, n_grid: int = DEFAULT_GRID) -> 
     return float(np.sqrt(total))
 
 
-def estimate_rank(gram: np.ndarray) -> int:
-    """Numerical rank of I - L L* read off a monomial Gram matrix, an
-    estimate independent of the space's own rank ``n``.
+def defect_form(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The defect form Q of a D x D monomial Gram G, its ascending
+    eigenvalues and their rounding bound.
 
-    The adjoint of the backward shift is compressed to the span of the
-    monomials; only the leading half of the resulting quadratic form is
-    trusted (the top corner carries pure truncation artifacts), and its
-    eigenvalues above 1e-6 times the largest are counted.
+    For f = sum_k c_k z^k of degree below D, ||f||^2 - ||Lf||^2 - |f(0)|^2 =
+    c* Q c with Q = G - S^T G S - e_0 e_0^T, S the coefficient shift: Q[j, k]
+    = G[j, k] - G[j-1, k-1] for j, k >= 1 and Q[0, k] = G[0, k] - delta_{0k},
+    with no solve.  So Q >= 0 is the paper's hypothesis on these polynomials
+    and rank Q the defect rank seen through them.  By Weyl's inequality each
+    eigenvalue moves by at most the rounding of Q (eps ||Q||_F, one per
+    entry) plus eigvalsh's backward error (about D eps ||Q||_2); since ||Q||_F
+    <= 2 ||G||_F + 1 <= 3 ||G||_F when G[0, 0] = 1, 4 D eps ||G||_F covers
+    both.  Q_D >= -b gives G_D >= (1 - D b) I by induction on D, as c* G_D c
+    = c* Q_D c + c'* G_{D-1} c' + |c_0|^2 with c' = (c_1, c_2, ...) and
+    Q_{D-1} is a leading block of Q_D: a Gram whose form passes is positive
+    definite and needs no check of its own.
     """
     g = np.asarray(gram, dtype=complex)
-    m = g.shape[0]
-    if g.shape != (m, m):
-        raise ValueError("Gram matrix must be square")
-    evals = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
-    if evals[0] < -1e-10 * max(np.trace(g).real, 1.0):
-        raise NumericalError("monomial Gram is not positive semidefinite")
-    shift = np.eye(m, k=1)  # matrix of L on monomial coefficients
-    adj = np.linalg.solve(g, shift.conj().T @ g)  # compression of L*
-    q = g - g @ (shift @ adj)
-    qk = q[: m // 2, : m // 2]
-    spectrum = np.linalg.eigvalsh(0.5 * (qk + qk.conj().T))
-    top = float(spectrum[-1]) if spectrum.size else 0.0
-    if top <= 1e-12 * max(np.trace(g).real, 1.0):
-        return 0
-    return int(np.sum(spectrum > 1e-6 * top))
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or not g.size:
+        raise ValueError("Gram matrix must be square and nonempty")
+    q = g - np.pad(g[:-1, :-1], (1, 0))  # G - S^T G S
+    q[0, 0] -= 1.0
+    bound = 4.0 * g.shape[0] * np.finfo(float).eps * float(np.linalg.norm(g))
+    return q, np.linalg.eigvalsh(q), bound
+
+
+def estimate_rank(gram: np.ndarray) -> int:
+    """Defect rank read off a monomial Gram, independent of the space's own
+    rank ``n``: the count of eigenvalues of ``defect_form`` above its bound.
+    A least eigenvalue below minus the bound refutes a contractive L, and
+    NumericalError names its eigenvector, the witness polynomial."""
+    q, evals, bound = defect_form(gram)
+    if evals[0] < -bound:
+        witness = np.array2string(np.linalg.eigh(q)[1][:, 0], precision=3, suppress_small=True)
+        raise NumericalError(f"||f||^2 - ||Lf||^2 - |f(0)|^2 = {evals[0]:.3e} < -{bound:.2e}: "
+                             f"the Gram refutes a contractive L at the witness f = {witness}")
+    return int(np.sum(evals > bound))

@@ -11,7 +11,7 @@ from hbspace import cli
 from hbspace.catalog import space_from_json
 from hbspace.cli import build_parser, main
 from hbspace.model import SpaceHandle
-from hbspace.symbols import estimate_rank, weighted_space_symbol
+from hbspace.symbols import defect_form, estimate_rank, weighted_space_symbol
 from conftest import (RANK2_EXAMPLE, ODD_ROOT_ROW, ddelta_taylor, noncontractive_row,
                       run_fresh, scaled_row)
 
@@ -327,6 +327,9 @@ def test_rank_is_the_space_rank_and_the_gram_estimate(name, capsys):
     assert rank == space.n
     for degree in (24, 48):
         assert estimate_rank(space.monomial_gram(degree)) == rank
+        # the hypothesis itself, with the margin that estimate_rank refuses below
+        _, evals, bound = defect_form(space.monomial_gram(degree))
+        assert evals[0] >= -bound
 
 
 def test_rank_refuses_an_inner_handle(capsys):
@@ -359,10 +362,36 @@ def test_dual_subcommand(capsys):
 
 
 def test_verify_subcommand_passes(capsys):
-    for name in ("h2", "rank1-half"):
-        code, out, _ = run(["verify", "--named", name], capsys)
-        assert code == 0
+    # the last space has a boundary atom and a weak atom near the circle
+    boundary = json.dumps({"kind": "dirichlet", "atoms": [
+        {"z": 1.0, "c": 0.3}, {"z": [math.cos(2.0), math.sin(2.0)], "c": 2.0},
+        {"z": 0.99, "c": 0.01}]})
+    for space in (["--named", "h2"], ["--named", "rank1-half"], ["--named", "cusp"],
+                  ["--named", "dirichlet-pair"], ["--space", boundary]):
+        code, out, _ = run(["verify"] + space, capsys)
+        assert code == 0, space
         assert "FAIL" not in out
+        assert re.search(r"^\[PASS\] defect-form: least eigenvalue ", out, re.M), space
+        assert "backward-contractivity" not in out and "defect-rank" not in out
+
+
+def test_verify_fails_a_refuted_or_misdeclared_defect_form(monkeypatch, capsys):
+    # dirichlet-pair (rank 2) read through its own Gram with ||z^47||^2 lowered
+    # by 1, which refutes the hypothesis at z^47 and keeps rank 2, and through
+    # the rank-1 Gram of dirichlet-origin
+    space = space_from_json('{"kind": "named", "name": "dirichlet-pair"}')
+    origin = space_from_json('{"kind": "named", "name": "dirichlet-origin"}')
+    own = space.monomial_gram
+    lowered = own(47).copy()
+    lowered[47, 47] -= 1.0
+    monkeypatch.setattr(cli, "_load_space", lambda args: space)
+    for gram, detail in ((lowered, "least eigenvalue -1.00e+00"),
+                         (origin.monomial_gram(47), "rank 1, declared 2")):
+        monkeypatch.setattr(space, "monomial_gram", lambda d: gram if d == 47 else own(d))
+        code, out, _ = run(["verify"], capsys)
+        assert code == 1
+        line = re.search(r"^\[FAIL\] defect-form: .*$", out, re.M).group()
+        assert detail in line
 
 
 def test_suite_quick_json_schema(tmp_path, capsys):

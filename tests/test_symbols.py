@@ -15,6 +15,7 @@ from hbspace.symbols import (
     MeasureSpec,
     ModelPair,
     RowSymbol,
+    defect_form,
     dirichlet_norm,
     estimate_rank,
     gram_matrix,
@@ -453,3 +454,15 @@ def test_estimate_rank_rejects_indefinite():
     bad = np.diag([1.0, -1.0, 1.0])
     with pytest.raises(NumericalError):
         estimate_rank(bad)
+
+
+def test_defect_form_refutes_the_bergman_gram():
+    # ||z||^2 = 1/2 in the Bergman space, so ||Lz||^2 = 1 > ||z||^2 - |z(0)|^2
+    bergman = np.diag(1.0 / np.arange(1.0, 3.0))
+    q, evals, bound = defect_form(bergman)
+    assert np.array_equal(q, np.diag([0.0, -0.5]))
+    assert evals[0] == -0.5 and bound < 1e-14
+    witness = np.linalg.eigh(q)[1][:, 0]
+    assert np.allclose(np.abs(witness), [0.0, 1.0], rtol=0.0, atol=1e-15)  # parallel to z
+    with pytest.raises(NumericalError, match=r"-5\.000e-01 .* witness"):
+        estimate_rank(bergman)
