@@ -175,12 +175,8 @@ def cmd_embed(args) -> int:
     print(f"residual: {residual:.6e}")
     print(f"norm: {norm:.12g}")
     if args.out:
-        f, companions = pair.parts(space.degree + 1)
-        width = max(len(f), companions.shape[1] if companions.size else 0)
-        rows = [(k, f[k] if k < len(f) else 0.0,
-                 *(companions[i, k] if k < companions.shape[1] else 0.0
-                   for i in range(n)))
-                for k in range(width)]
+        columns = np.vstack(pair.parts(space.degree + 1)).T
+        rows = [(k, *column) for k, column in enumerate(columns)]
         cols = ["k", "f"] + [f"f1_{i + 1}" for i in range(n)]
         write_csv(_out_path(args, "embed.csv"), cols, rows,
                   {"command": "embed", "seed": args.seed})

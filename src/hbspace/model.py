@@ -27,6 +27,13 @@ data that the forward shift and the resolvent read.  No circle grid enters the e
 handle caches the spectra of its constants [B*, A*] and g per FFT size, so a
 warm embed transforms only its input; regrowing g drops the g spectra.
 
+A ``ModelPair`` is one block of rows [f; f_1], shape (1 + k, W), which every
+computation on it reads whole: the residual is one Laurent product of the
+rows with [B*, A*], the norm and the inner product are H^2 products of the
+rows, the backward shift drops their first column, and the forward shift
+moves them up a column and sets the companions' constant term.  Each
+producer hands over the rows it builds, with their residual and norm.
+
 Kernel functions are exact: k_lam = N_lam s_lam with the polynomial
 N_lam = 1 - sum_i conj(b_i(lam)) b_i, a ``series.SzegoSum``.  The pair of a
 term P s_lam is (P s_lam, (f_1 - c e_0) s_lam), with f_1 the companion of
@@ -37,7 +44,8 @@ residual is the H^2 norm of a Szego sum: finite, with no Taylor cut.  A
 kernel's companion is -A(z) B(lam)* s_lam in closed form; ``kernel_taylor``
 attaches these numerators to its sum, combinations keep them, and ``embed``
 takes them with no correlation and no solve by A(lam)*, its residual still
-computed from the rows by the Laurent product with [B*, A*].
+computed from the rows by the Laurent product with [B*, A*].  The exact pair
+holds its rows as a ``SzegoSum`` with the leading axis 1 + k.
 """
 
 import numpy as np
@@ -46,13 +54,10 @@ from .errors import ExtremeTypeError, NumericalError
 from .harmonic import DEFAULT_GRID
 from .series import (
     SzegoSum,
-    as_coeffs,
     banded_recurrence,
     finite_coeffs,
     h2_norm_sq,
     power_table,
-    shift_down,
-    shift_up,
 )
 from .spectral import MatrixSymbol, row_defect_factor
 from .symbols import (
@@ -230,39 +235,38 @@ class SpaceHandle:
         spectrum = g_hat * np.fft.fft(c[..., None, ::-1], size)
         return -np.fft.ifft(spectrum, axis=-1)[..., length - 1::-1]
 
-    def _laurent(self, f: np.ndarray, companions: np.ndarray) -> tuple:
-        """Analytic and co-analytic parts of u = B* f + A* f_1.
+    def _laurent(self, rows: np.ndarray) -> tuple:
+        """Analytic and co-analytic parts of u = B* f + A* f_1 from the rows [f; f_1].
 
-        Batched over leading axes of ``f`` (..., L) and ``companions``
-        (..., k, L).  zeta^P u is a polynomial for P the symbol degree, so
-        one FFT product at padded length gives its Laurent coefficients
-        exactly.  Returns the coefficients of the orders 0, ..., L - 1, shape
-        (..., n, L), and of the orders -1, ..., -P, shape (..., P, n).  Its
-        callers answer the Hardy space (n = 0) themselves.
+        Batched over leading axes of ``rows`` (..., 1 + k, L).  zeta^P u is a
+        polynomial for P the symbol degree, so one FFT product at padded
+        length gives its Laurent coefficients exactly.  Returns the
+        coefficients of the orders 0, ..., L - 1, shape (..., n, L), and of
+        the orders -1, ..., -P, shape (..., P, n).  Its callers answer the
+        Hardy space (n = 0) themselves.
         """
-        width = self._w.shape[0]
-        x = np.concatenate([f[..., None, :], companions], axis=-2)
-        size = _fft_size(width + f.shape[-1] - 1)
+        width, length = self._w.shape[0], rows.shape[-1]
+        size = _fft_size(width + length - 1)
         w_hat = self._spectra.get(("w", size))
         if w_hat is None:
             w_hat = self._spectra["w", size] = np.fft.fft(self._w[::-1], size, axis=0)
-        u_hat = np.einsum("tij,...jt->...it", w_hat, np.fft.fft(x, size, axis=-1))
-        u = np.fft.ifft(u_hat, axis=-1)[..., : width - 1 + f.shape[-1]]
+        u_hat = np.einsum("tij,...jt->...it", w_hat, np.fft.fft(rows, size, axis=-1))
+        u = np.fft.ifft(u_hat, axis=-1)[..., : width - 1 + length]
         return u[..., width - 1:], np.swapaxes(u[..., width - 2::-1], -2, -1)
 
-    def _pair(self, c: np.ndarray, companions: np.ndarray) -> ModelPair:
-        if not self.n:  # the Hardy space, where u = B* f + A* f_1 has no rows
-            return ModelPair(c, companions, 0.0)
-        plus, _ = self._laurent(c, companions)
-        return ModelPair(c, companions, float(np.linalg.norm(plus)))
+    def _pair(self, rows: np.ndarray) -> ModelPair:
+        """The pair of the rows [f; f_1] (1 + k, L), with its residual and norm."""
+        # the Hardy space, where u = B* f + A* f_1 has no rows, has residual 0
+        residual = float(np.linalg.norm(self._laurent(rows)[0])) if self.n else 0.0
+        return ModelPair(rows, residual, float(np.vdot(rows, rows).real))
 
     def embed(self, coeffs) -> ModelPair:
         """Compute the model pair of f; the residual certifies the pair.  A
-        ``SzegoSum`` gets its exact pair, with Szego-sum parts."""
+        ``SzegoSum`` gets its exact pair, with Szego-sum rows."""
         if isinstance(coeffs, SzegoSum):
             return self._exact_pair(coeffs)
         c = self._within_budget(finite_coeffs(coeffs))
-        return self._pair(c, self._companions(c))
+        return self._pair(np.concatenate([c[None], self._companions(c)]))
 
     def _within_budget(self, c: np.ndarray) -> np.ndarray:
         if c.shape[-1] - 1 > self.degree:
@@ -291,7 +295,7 @@ class SpaceHandle:
             rows[1: 1 + k, :, : attached[1].shape[-1]] = attached[1]
         else:
             rows[1: 1 + k] = np.swapaxes(self._companions(p), 0, 1)
-        plus, coanalytic = self._laurent(rows[0], np.swapaxes(rows[1: 1 + k], 0, 1))
+        plus, coanalytic = self._laurent(np.swapaxes(rows[: 1 + k], 0, 1))
         u = self._coanalytic_at(coanalytic, lam)
         if k and not closed:
             a_h = self._factor_adjoint(lam)
@@ -315,9 +319,8 @@ class SpaceHandle:
         the rows f, f_1 and residual taken in one pass."""
         rows, k = self._term_rows(f)
         norms = SzegoSum.trusted(rows, f.points).norms_sq()
-        return ModelPair(f, SzegoSum.trusted(rows[1: 1 + k], f.points),
-                         float(np.sqrt(np.sum(norms[1 + k:]))),
-                         _norm_sq=float(np.sum(norms[: 1 + k])))
+        return ModelPair(SzegoSum.trusted(rows[: 1 + k], f.points),
+                         float(np.sqrt(np.sum(norms[1 + k:]))), float(np.sum(norms[: 1 + k])))
 
     @staticmethod
     def _coanalytic_at(coanalytic: np.ndarray, points) -> np.ndarray:
@@ -327,12 +330,20 @@ class SpaceHandle:
         return np.einsum("...m,...mi->...i", powers, coanalytic)
 
     def pair_from_parts(self, coeffs, companions) -> ModelPair:
-        """Assemble a pair from explicit parts, recertifying the residual; a
-        handle with k = 0 takes no companion rows."""
-        c = as_coeffs(coeffs)
-        if not self.k:
-            return self._pair(c, np.zeros((0, c.size), dtype=complex))
-        return self._pair(c, np.atleast_2d(np.asarray(companions, dtype=complex)))
+        """Assemble a pair from explicit parts, recertifying the residual: f
+        and its k companion rows, zero-padded to one row block.  A handle with
+        k = 0 takes ``None`` or an empty array; non-finite parts and any other
+        companion row count raise ValueError."""
+        c = finite_coeffs(coeffs)
+        comp = np.atleast_2d(np.asarray([] if companions is None else companions, dtype=complex))
+        comp = comp if comp.size else comp.reshape(0, 0)
+        if comp.ndim != 2 or comp.shape[0] != self.k:
+            raise ValueError(f"{comp.shape[0]} companion rows given; the handle has k = {self.k}")
+        finite_coeffs(comp.ravel())
+        rows = np.zeros((1 + self.k, max(c.size, comp.shape[1])), dtype=complex)
+        rows[0, : c.size] = c
+        rows[1:, : comp.shape[1]] = comp
+        return self._pair(rows)
 
     def norm(self, coeffs) -> float:
         return self.embed(coeffs).norm
@@ -379,16 +390,14 @@ class SpaceHandle:
     # -- shift actions -------------------------------------------------------
 
     def backward(self, pair: ModelPair) -> ModelPair:
-        """The backward shift acts coordinatewise on a model pair."""
-        f = shift_down(_coefficient_pair(pair).f)
-        comp = np.zeros((pair.n, f.size), dtype=complex)
-        comp[:, : pair.companions.shape[1] - 1] = pair.companions[:, 1:]
-        return self.pair_from_parts(f, comp)
+        """The backward shift acts coordinatewise on a model pair: it drops
+        the first column of the rows (a constant maps to 0)."""
+        rows = _coefficient_pair(pair).rows
+        return self._pair(rows[:, 1:] if rows.shape[1] > 1 else np.zeros_like(rows))
 
     def _coanalytic(self, pair: ModelPair) -> np.ndarray:
         """Coefficients of the orders -1, -2, ... of B* f + A* f_1, shape (P, n)."""
-        _, coanalytic = self._laurent(_coefficient_pair(pair).f, pair.companions)
-        return coanalytic
+        return self._laurent(_coefficient_pair(pair).rows)[1]
 
     def forward_constant(self, pair: ModelPair) -> np.ndarray:
         """The constant companion correction of the forward shift."""
@@ -401,12 +410,13 @@ class SpaceHandle:
         return -np.linalg.solve(a0h, v)
 
     def forward(self, pair: ModelPair) -> ModelPair:
-        """Model pair of z f: companion is z f_1 plus a constant correction."""
-        c = self.forward_constant(pair)
-        comp = np.zeros((self.k, pair.companions.shape[1] + 1), dtype=complex)
-        comp[:, 0] = c
-        comp[:, 1:] = pair.companions
-        return self.pair_from_parts(shift_up(pair.f), comp)
+        """Model pair of z f: the rows shifted up, the companions' constant
+        term the correction."""
+        rows = _coefficient_pair(pair).rows
+        out = np.zeros((rows.shape[0], rows.shape[1] + 1), dtype=complex)
+        out[:, 1:] = rows
+        out[1:, 0] = self.forward_constant(pair)
+        return self._pair(out)
 
     def resolvent_correction(self, pair: ModelPair, lam) -> np.ndarray:
         """The co-analytic correction vector at lam: solve A(lam)* c = u(lam)."""
@@ -427,18 +437,15 @@ class SpaceHandle:
             raise ValueError("evaluation point must satisfy |lam| < 1")
         if not self.mz_invariant:
             raise ExtremeTypeError("resolvent division needs the analytic model")
-        f = _coefficient_pair(pair).f
-        rows = np.zeros((1 + self.k, max(f.size, pair.companions.shape[1])), dtype=complex)
-        rows[0, : f.size] = f  # then the companion numerators f_1 - c e_0
-        rows[1:, : pair.companions.shape[1]] = pair.companions
+        rows = _coefficient_pair(pair).rows.copy()  # f, then the numerators f_1 - c e_0
         rows[1:, 0] -= self.resolvent_correction(pair, lam)
         out = SzegoSum.trusted(rows[:, None], np.array([lam], dtype=complex))
         cut = min(self.degree, out.roundoff_degree())
-        short = out.taylor(cut, self.tol_solve)
-        residual = self.pair_from_parts(short[0], short[1:]).residual
-        # trailing zeros leave B* f + A* f_1 unchanged, so the residual certifies
-        out = np.concatenate([short, np.zeros((1 + self.k, self.degree - cut))], axis=1)
-        return ModelPair(out[0], out[1:], residual)
+        short = self._pair(out.taylor(cut, self.tol_solve))
+        # trailing zeros leave B* f + A* f_1 and the norm unchanged, so both certify
+        padded = np.zeros((len(rows), self.degree + 1), dtype=complex)
+        padded[:, : cut + 1] = short.rows
+        return ModelPair(padded, short.residual, short.norm_sq)
 
     # -- membership ----------------------------------------------------------
 

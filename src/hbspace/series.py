@@ -244,6 +244,18 @@ class SzegoSum:
     def width(self) -> int:
         return self.coeffs.shape[-1]
 
+    def __len__(self) -> int:
+        """The length of the leading axis of a vector-valued sum."""
+        if self.coeffs.ndim == 2:
+            raise TypeError("a scalar Szego sum has no leading axis")
+        return self.coeffs.shape[0]
+
+    def __getitem__(self, index) -> "SzegoSum":
+        """The entries ``index`` (an integer or a slice) of the leading axis."""
+        if self.coeffs.ndim == 2:
+            raise TypeError("a scalar Szego sum has no leading axis")
+        return SzegoSum.trusted(self.coeffs[index], self.points)
+
     def __mul__(self, scalar):
         if np.ndim(scalar) != 0:
             return NotImplemented

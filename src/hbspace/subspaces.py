@@ -145,10 +145,9 @@ def intersect_model_space(space, theta: BlaschkeProduct) -> SubspaceBasis:
     mix = np.linalg.solve(low, np.eye(low.shape[0]))
     basis_gram = mix @ gm @ mix.conj().T
     residuals = np.sqrt(np.abs(np.diagonal(mix @ residual_gram @ mix.conj().T)))
-    coeffs = _mixed(mix, terms, terms.width)
-    pairs = [ModelPair(SzegoSum.trusted(c[0], terms.points),
-                       SzegoSum.trusted(c[1:], terms.points), float(res), _norm_sq=float(g.real))
-             for c, res, g in zip(coeffs, residuals, np.diagonal(basis_gram))]
+    pairs = [ModelPair(SzegoSum.trusted(c, terms.points), float(res), float(g.real))
+             for c, res, g in zip(_mixed(mix, terms, terms.width), residuals,
+                                  np.diagonal(basis_gram))]
     return SubspaceBasis(pairs, basis_gram, gm, terms, mix)
 
 
@@ -209,10 +208,9 @@ def poly_density_residual(space, coeffs, degrees) -> PolyDensityResult:
     comp = space.monomial_companions(dmax)  # first, so that the Gram can reuse it
     gm = space.monomial_gram(dmax)
     pair = space.embed(coeffs)
-    f, f1 = pair.parts(dmax + 1)
+    rows = np.vstack(pair.parts(dmax + 1))[:, : dmax + 1]
     head = np.zeros((1 + comp.shape[0], dmax + 1), dtype=complex)  # f and f_1, cut or padded
-    head[0, : f.size] = f[: dmax + 1]
-    head[1:, : f1.shape[1]] = f1[:, : dmax + 1]
+    head[:, : rows.shape[1]] = rows
     b = head[0] + np.einsum("iw,iwj->j", head[1:], comp.conj())  # b[j] = <f, z^j>
     low = np.linalg.cholesky(0.5 * (gm + gm.conj().T))
     proj_sq = np.cumsum(np.abs(np.linalg.solve(low, b)) ** 2)[degrees]

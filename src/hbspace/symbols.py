@@ -26,44 +26,37 @@ from .spectral import DefectSplit, defect_split
 _RANK_CUT = np.sqrt(np.finfo(float).eps)
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelPair:
-    """A member together with its companion coefficients, one row per component.
+    """A member f and its companions f_1, stacked as the rows [f; f_1].
 
-    Both parts are coefficient arrays, or both are ``SzegoSum``s (the exact
-    pair of a Szego-sum input, companions with one leading row per component);
-    the builder of an exact pair may pass its squared norm as ``_norm_sq``.
+    ``rows`` is a complex array (1 + k, W), or a ``SzegoSum`` with that
+    leading axis (the exact pair of a Szego-sum input).  Its producer passes
+    the residual that certifies it and ``norm_sq``, the squared H^2 norm of
+    the rows, which is the squared space norm of f.  ``f``, ``companions``
+    and ``n`` read the rows.
     """
 
-    f: np.ndarray | SzegoSum
-    companions: np.ndarray | SzegoSum
+    rows: np.ndarray | SzegoSum
     residual: float
-    _norm_sq: float | None = field(default=None, repr=False, compare=False)
+    norm_sq: float
 
-    def __post_init__(self):
-        if not isinstance(self.f, SzegoSum):
-            self.f = as_coeffs(self.f)
-            self.companions = np.atleast_2d(np.asarray(self.companions, dtype=complex))
+    @property
+    def f(self) -> np.ndarray | SzegoSum:
+        return self.rows[0]
+
+    @property
+    def companions(self) -> np.ndarray | SzegoSum:
+        return self.rows[1:]
+
+    @property
+    def n(self) -> int:
+        return len(self.rows) - 1
 
     @property
     def exact(self) -> bool:
         """True for the pair of a Szego sum."""
-        return isinstance(self.f, SzegoSum)
-
-    @property
-    def n(self) -> int:
-        return (self.companions.coeffs if self.exact else self.companions).shape[0]
-
-    @property
-    def norm_sq(self) -> float:
-        if self._norm_sq is not None:
-            return self._norm_sq
-        if self.exact:
-            return self.f.norm_sq + self.companions.norm_sq
-        total = h2_norm_sq(self.f)
-        if self.companions.size:
-            total += float(np.sum(np.abs(self.companions) ** 2))
-        return total
+        return isinstance(self.rows, SzegoSum)
 
     @property
     def norm(self) -> float:
@@ -72,30 +65,21 @@ class ModelPair:
     def parts(self, count) -> tuple[np.ndarray, np.ndarray]:
         """(f, companions) as coefficient arrays; an exact pair gives its
         first ``count`` Taylor coefficients."""
-        if self.exact:
-            return self.f.coefficients(count), self.companions.coefficients(count)
-        return self.f, self.companions
+        rows = self.rows.coefficients(count) if self.exact else self.rows
+        return rows[0], rows[1:]
 
     def companion_at(self, lam) -> np.ndarray:
-        if self.n == 0:
-            return np.zeros(0, dtype=complex)
-        return np.array([horner(row, lam) for row in self.companions])
+        """f_1(lam), every companion row by one product with the powers of lam."""
+        return self.companions @ power_table(lam, self.rows.shape[1])
 
 
 def pair_inner(pair_a: ModelPair, pair_b: ModelPair) -> complex:
-    """Space inner product <a, b> of two model pairs."""
+    """Space inner product <a, b> of two model pairs: the H^2 product of their rows."""
+    a, b = pair_a.rows, pair_b.rows
     if pair_a.exact or pair_b.exact:
-        total = SzegoSum.of(pair_a.f).inner(SzegoSum.of(pair_b.f))
-        if pair_a.n and pair_b.n:
-            total += SzegoSum.of(pair_a.companions).inner(SzegoSum.of(pair_b.companions))
-        return total
-    m = min(pair_a.f.size, pair_b.f.size)
-    total = complex(np.vdot(pair_b.f[:m], pair_a.f[:m]))
-    if pair_a.n and pair_b.n:
-        w = min(pair_a.companions.shape[1], pair_b.companions.shape[1])
-        total += complex(np.vdot(pair_b.companions[:, :w].ravel(),
-                                 pair_a.companions[:, :w].ravel()))
-    return total
+        return SzegoSum.of(a).inner(SzegoSum.of(b))
+    m = min(a.shape[1], b.shape[1])
+    return complex(np.vdot(b[:, :m], a[:, :m]))
 
 
 @dataclass
@@ -342,10 +326,12 @@ class DirichletSpace:
         gets its exact pair, with Szego-sum parts, from its term rows."""
         if isinstance(coeffs, SzegoSum):
             rows, _ = self.embed_terms(coeffs)
-            return ModelPair(coeffs, SzegoSum.trusted(rows.coeffs[1:], coeffs.points), 0.0,
-                             _norm_sq=rows.norm_sq)
+            return ModelPair(rows, 0.0, rows.norm_sq)
         c = finite_coeffs(coeffs)
-        return ModelPair(c, np.array(self.companions(c)), 0.0)
+        rows = np.zeros((1 + self.n, c.size), dtype=complex)  # companions padded to f's width
+        rows[0] = c
+        rows[1:, : max(c.size - 1, 1)] = self.companions(c)
+        return ModelPair(rows, 0.0, float(np.vdot(rows, rows).real))
 
     def _rows(self, p: np.ndarray, mu: np.ndarray) -> np.ndarray:
         """Rows (f, then one coordinate per atom) of each term P_j s_{mu_j},

@@ -20,7 +20,7 @@ from hbspace.analysis import (
 from hbspace.catalog import cusp_symbol, h2_symbol, inner_symbol, rank1_half_symbol
 from hbspace.errors import ConfigError, InvariantViolation
 from hbspace.model import SpaceHandle
-from hbspace.series import divided_difference, h2_norm_sq, szego_taylor
+from hbspace.series import divided_difference, h2_norm_sq, horner, szego_taylor
 from hbspace.spectral import laurent_values
 from hbspace.symbols import MeasureSpec, RowSymbol, weighted_space_symbol
 from conftest import ODD_ROOT_ROW, RANK2_EXAMPLE, random_interior, scaled_row
@@ -138,9 +138,15 @@ def test_pointwise_defect_across_five_spaces(h2, rank1_half, cusp, d_origin,
     for space in (h2, rank1_half, cusp, d_origin, d_pair):
         f = rng.normal(size=6) + 1j * rng.normal(size=6)
         scale = 1.0 + space.poly_norm_sq(f)
+        pair = space.embed(f)
         for lam in random_interior(rng, 20):
             lhs, rhs = pointwise_defect(space, f, complex(lam))
             assert abs(lhs - rhs) <= 1e-6 * scale
+            # the batched f_1(lam) against Horner per row, within its rounding bound
+            ref = np.array([horner(row, lam) for row in pair.companions])
+            bound = 4 * f.size * np.finfo(float).eps * (np.abs(pair.companions)
+                                                        @ np.abs(lam) ** np.arange(f.size))
+            assert np.all(np.abs(pair.companion_at(lam) - ref) <= bound)
 
 
 def test_pointwise_defect_kernel_at_origin(rank1_half, rng):

@@ -8,6 +8,7 @@ from hbspace.model import SpaceHandle
 from hbspace.series import SzegoSum, geometric_divide, shift_down, szego_taylor
 from hbspace import spectral
 from hbspace.spectral import MatrixSymbol, factor_residual
+from hbspace.subspaces import BlaschkeProduct, intersect_model_space
 from hbspace.symbols import RowSymbol, weighted_space_symbol
 from conftest import (
     N_GRID,
@@ -25,6 +26,36 @@ def test_hardy_handle_is_degenerate(h2):
     pair = h2.embed(np.array([1.0, 2.0, 3.0]))
     assert pair.residual == 0.0
     assert pair.norm_sq == pytest.approx(14.0)
+    # k = 0: no companion rows, given as None or empty; a given row is refused
+    for none in (None, [], np.zeros((0, 3))):
+        assert h2.pair_from_parts([1.0, 2.0, 3.0], none).norm_sq == pytest.approx(14.0)
+    with pytest.raises(ValueError, match="1 companion rows given; the handle has k = 0"):
+        h2.pair_from_parts([1.0, 2.0, 3.0], [[0.0, 1.0]])
+
+
+@pytest.mark.parametrize("name", ["h2", "rank1_half", "cusp", "two_term", "d_origin", "d_pair"])
+def test_every_producer_keeps_the_pair_contract(name, request, rng):
+    # a pair is one row block [f; f_1] with its norm, whichever routine builds it
+    space = request.getfixturevalue(name)
+    c = rng.normal(size=6) + 1j * rng.normal(size=6)
+    pair = space.embed(c)
+    pairs = [pair, space.embed(SzegoSum.of(c)),
+             space.embed(SzegoSum(rng.normal(size=(2, 3)) + 0j, [0.5, -0.3j]))]
+    if isinstance(space, SpaceHandle):
+        pairs += [space.pair_from_parts(pair.f, pair.companions), space.forward(pair),
+                  space.backward(pair), space.resolvent_divide(pair, 0.4 - 0.2j)]
+    pairs += intersect_model_space(space, BlaschkeProduct([0.0, 0.5, -0.3j])).pairs
+    assert len(pairs) >= 6
+    parts = lambda x: (x.coeffs, x.points) if isinstance(x, SzegoSum) else (x,)
+    for p in pairs:
+        assert p.n == space.n
+        for got, ref in ((p.f, p.rows[0]), (p.companions, p.rows[1:])):
+            assert all(np.array_equal(a, b) for a, b in zip(parts(got), parts(ref)))
+        h2_norm_sq = SzegoSum.of(p.rows).norm_sq  # an array block is one term at 0
+        assert abs(p.norm_sq - h2_norm_sq) <= 1e-14 * h2_norm_sq
+        assert abs(space.inner(p, p) - p.norm_sq) <= 1e-14 * p.norm_sq
+    mixed = space.inner(space.embed(SzegoSum.of(c)), pair)
+    assert abs(mixed - pair.norm_sq) <= 1e-14 * pair.norm_sq
 
 
 def test_embed_constant_gives_zero_companion(h2, rank1_half, cusp):
@@ -486,6 +517,12 @@ def test_two_component_handle(two_term, rng):
     assert space.defect_identity_residual() < 1e-10
     pair = space.embed(np.array([0.0, 1.0]))
     assert pair.residual < 1e-10
+    # the parts give the pair back; a companion row count other than k = 2 is refused
+    again = space.pair_from_parts(pair.f, pair.companions)
+    assert np.array_equal(again.rows, pair.rows) and again.residual == pair.residual
+    for count in (0, 1, 3):
+        with pytest.raises(ValueError, match=f"{count} companion rows given; the handle has k = 2"):
+            space.pair_from_parts(pair.f, np.zeros((count, 2)) if count else None)
     # norm matches the kernel diagonal through a combination check
     pts = random_interior(rng, 4)
     g = space.gram(pts)
@@ -535,6 +572,10 @@ def test_non_finite_coefficients_rejected(request, space_name, method, bad):
     space = request.getfixturevalue(space_name)
     with pytest.raises(ValueError, match="finite"):
         getattr(space, method)([bad, 1.0])
+    if space_name == "rank1_half" and method == "embed":  # and assembled pairs, both parts
+        for parts in (([bad, 1.0], [[0.0, 1.0]]), ([0.0, 1.0], [[bad, 1.0]])):
+            with pytest.raises(ValueError, match="finite"):
+                space.pair_from_parts(*parts)
 
 
 def _row_symbol(rows, n_grid):

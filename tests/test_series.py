@@ -272,6 +272,13 @@ def test_szego_sum_arithmetic():
         f + np.ones(3)
     with pytest.raises(TypeError):
         np.ones(3) * f
+    # a vector-valued sum is indexed along its leading axis; a scalar sum has none
+    v = _random_sum(rng, (3,), 2, 4, 0.5)
+    assert len(v) == 3 and np.array_equal(v[0].coeffs, v.coeffs[0])
+    assert np.array_equal(v[1:].coeffs, v.coeffs[1:]) and v[1:].points is v.points
+    for index in (len, lambda x: x[0]):
+        with pytest.raises(TypeError):
+            index(f)
 
 
 def test_szego_sum_refuses_bad_input():

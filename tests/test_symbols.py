@@ -317,7 +317,8 @@ def test_dirichlet_embed_is_exact(d_pair):
     c = np.array([1.0, -0.5, 0.25j, 2.0])
     pair = d_pair.embed(c)
     assert pair.residual == 0.0
-    assert np.array_equal(pair.companions, np.array(d_pair.companions(c)))
+    # the companions (degree 2) are zero-padded to the width of f
+    assert np.array_equal(pair.companions, np.pad(d_pair.companions(c), ((0, 0), (0, 1))))
     assert pair.norm_sq == pytest.approx(d_pair.poly_norm_sq(c), rel=1e-15)
     e = d_pair.embed(np.array([0.0, 1.0]))
     assert d_pair.inner(pair, e) == pytest.approx(d_pair.monomial_gram(3)[1] @ c, rel=1e-14)
@@ -387,7 +388,8 @@ def test_dirichlet_monomial_gram_closed_form():
         width = exact.companions.shape[1]
         assert np.max(np.abs(comp[:, :width, k] - exact.companions)) <= 1e-15 * k
         assert not np.any(comp[:, width:, k])
-    pairs = [ModelPair(np.eye(1, 49, k)[0], comp[:, :, k], 0.0) for k in (7, 3)]
+    pairs = [ModelPair(np.vstack([np.eye(1, 49, k), comp[:, :, k]]), 0.0, gram[k, k].real)
+             for k in (7, 3)]
     assert abs(space.inner(*pairs) - gram[3, 7]) <= 1e-14 * abs(gram[3, 7])
 
 
