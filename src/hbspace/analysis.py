@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .report import Report
-from .series import as_coeffs, divided_difference, h2_norm_sq, shift_down, shift_up
+from .series import as_coeffs, divided_difference, h2_norm_sq, shift_down
 from .spectral import laurent_values
 from .symbols import MeasureSpec, RowSymbol
 
@@ -110,10 +110,10 @@ def norm_limit_estimate(space, coeffs, schedule: LimitSchedule | None = None) ->
 
 def pointwise_defect(space, coeffs, lam) -> tuple[float, float]:
     """Both sides of the pointwise identity
-    ||z L_lam f||^2 - ||L_lam f||^2 = ||f_1(lam)||^2."""
+    ||z L_lam f||^2 - ||L_lam f||^2 = ||f_1(lam)||^2, the left one
+    ``_shift_defects`` form on the monomial Gram."""
     c = as_coeffs(coeffs)
-    q = divided_difference(c, lam)
-    lhs = space.poly_norm_sq(shift_up(q)) - space.poly_norm_sq(q)
+    lhs = _shift_defects(space, divided_difference(c, lam)[:, None])[0]
     rhs = float(np.sum(np.abs(space.companions_at(c, lam)) ** 2))
     return float(lhs), rhs
 

@@ -28,11 +28,16 @@ handle caches the spectra of its constants [B*, A*] and g per FFT size, so a
 warm embed transforms only its input; regrowing g drops the g spectra.
 
 A ``ModelPair`` is one block of rows [f; f_1], shape (1 + k, W), which every
-computation on it reads whole: the residual is one Laurent product of the
-rows with [B*, A*], the norm and the inner product are H^2 products of the
-rows, the backward shift drops their first column, and the forward shift
-moves them up a column and sets the companions' constant term.  Each
-producer hands over the rows it builds, with their residual and norm.
+computation on it reads whole, and the Laurent block of u = B* f + A* f_1 on
+the orders -P, ..., W - 1 (P the symbol degree) that the handle computed
+with it by one Laurent product of the rows with [B*, A*].  The residual is
+the norm of the block's orders >= 0, and the norm and the inner product are
+H^2 products of the rows.  The backward shift drops the rows' first column
+and the forward shift moves them up a column and sets the companions'
+constant term; both update the block in closed form, with no second
+product, and the resolvent reads its negative orders.  Each producer hands
+over the rows it builds, with their block, residual and norm; a pair built
+elsewhere gets its block computed once, when a shift action first reads it.
 
 Kernel functions are exact: k_lam = N_lam s_lam with the polynomial
 N_lam = 1 - sum_i conj(b_i(lam)) b_i, a ``series.SzegoSum``.  The pair of a
@@ -122,6 +127,8 @@ class SpaceHandle:
         self._w = np.zeros((max(a.shape[0], rows.shape[1]), symbol.n, 1 + self.k), dtype=complex)
         self._w[: rows.shape[1], :, 0] = rows.T.conj()
         self._w[: a.shape[0], :, 1:] = np.conj(np.transpose(a, (0, 2, 1)))
+        self._a_transpose = np.conj(self._w[:, :, 1:])  # [t, i, j] = A_t[j, i]
+        self._depth = self._w.shape[0] - 1  # P: u = B* f + A* f_1 has no order below -P
 
     # -- basic structure ---------------------------------------------------
 
@@ -168,12 +175,12 @@ class SpaceHandle:
         N_lam = 1 - sum_i conj(b_i(lam)) b_i.  ``.taylor(d)`` cuts it.  It carries
         its companion numerators -A(z) B(lam)*, keyed by [B*, A*]."""
         _check_strict_interior(lam)
-        b_lam = row_values(self.symbol.rows, lam)
-        num = -np.conj(b_lam) @ self.symbol.rows
+        conj_b = np.conj(row_values(self.symbol.rows, lam))
+        num = -conj_b @ self.symbol.rows
         num[0] += 1.0
         out = SzegoSum.trusted(num[None], np.array([lam], dtype=complex))
-        if self.n:  # A_t = (w[t, :, 1:])*, so A_t conj(b) = conj(b w[t, :, 1:])
-            out.attached = (self._w, -np.conj(b_lam @ self._w[:, :, 1:]).T[:, None])
+        if self.n:  # A_t conj(b) = conj(b w[t, :, 1:]) = conj(b) conj(w[t, :, 1:])
+            out.attached = (self._w, -(conj_b @ self._a_transpose).T[:, None])
         return out
 
     def szego_density(self, points) -> np.ndarray:
@@ -230,19 +237,20 @@ class SpaceHandle:
         size = _fft_size(2 * length - 1)
         g_hat = self._spectra.get(("g", size))
         if g_hat is None:  # _correlation may regrow g, dropping the g spectra
-            g_hat = np.fft.fft(self._correlation(size // 2), size, axis=1)
-            self._spectra["g", size] = g_hat
+            g_hat = -np.fft.fft(self._correlation(size // 2), size, axis=1)
+            self._spectra["g", size] = g_hat  # of -g, so the product needs no negation
         spectrum = g_hat * np.fft.fft(c[..., None, ::-1], size)
-        return -np.fft.ifft(spectrum, axis=-1)[..., length - 1::-1]
+        return np.fft.ifft(spectrum, axis=-1)[..., length - 1::-1]
 
-    def _laurent(self, rows: np.ndarray) -> tuple:
-        """Analytic and co-analytic parts of u = B* f + A* f_1 from the rows [f; f_1].
+    def _laurent(self, rows: np.ndarray) -> np.ndarray:
+        """The Laurent block of the rows [f; f_1]: the coefficients of
+        u = B* f + A* f_1 on the orders -P, ..., L - 1, order m at index P + m.
 
-        Batched over leading axes of ``rows`` (..., 1 + k, L).  zeta^P u is a
-        polynomial for P the symbol degree, so one FFT product at padded
-        length gives its Laurent coefficients exactly.  Returns the
-        coefficients of the orders 0, ..., L - 1, shape (..., n, L), and of
-        the orders -1, ..., -P, shape (..., P, n).  Its callers answer the
+        Batched over leading axes of ``rows`` (..., 1 + k, L), shape
+        (..., n, P + L).  zeta^P u is a polynomial of degree below P + L, so
+        one FFT product at padded length gives all of u exactly.  Its orders
+        >= 0 give the residual, its negative orders the co-analytic data that
+        the forward shift and the resolvent read.  Its callers answer the
         Hardy space (n = 0) themselves.
         """
         width, length = self._w.shape[0], rows.shape[-1]
@@ -251,14 +259,24 @@ class SpaceHandle:
         if w_hat is None:
             w_hat = self._spectra["w", size] = np.fft.fft(self._w[::-1], size, axis=0)
         u_hat = np.einsum("tij,...jt->...it", w_hat, np.fft.fft(rows, size, axis=-1))
-        u = np.fft.ifft(u_hat, axis=-1)[..., : width - 1 + length]
-        return u[..., width - 1:], np.swapaxes(u[..., width - 2::-1], -2, -1)
+        return np.fft.ifft(u_hat, axis=-1)[..., : width - 1 + length]
 
-    def _pair(self, rows: np.ndarray) -> ModelPair:
-        """The pair of the rows [f; f_1] (1 + k, L), with its residual and norm."""
-        # the Hardy space, where u = B* f + A* f_1 has no rows, has residual 0
-        residual = float(np.linalg.norm(self._laurent(rows)[0])) if self.n else 0.0
-        return ModelPair(rows, residual, float(np.vdot(rows, rows).real))
+    def _pair(self, rows: np.ndarray, block: np.ndarray | None = None) -> ModelPair:
+        """The pair of the rows [f; f_1] (1 + k, L) carrying their Laurent block,
+        by one FFT product unless given; the residual is the norm of its orders >= 0."""
+        if block is None:  # the Hardy space's u has no rows and needs no product
+            block = (self._laurent(rows) if self.n else
+                     np.zeros((0, self._depth + rows.shape[1]), dtype=complex))
+        plus = block[:, self._depth:]
+        return ModelPair(rows, float(np.sqrt(np.vdot(plus, plus).real)),
+                         float(np.vdot(rows, rows).real), (self._w, block))
+
+    def _carried(self, pair: ModelPair) -> np.ndarray:
+        """The Laurent block of a coefficient pair, computed once for a pair
+        that carries none keyed by this handle."""
+        if pair.laurent is None or pair.laurent[0] is not self._w:
+            pair.laurent = self._pair(_coefficient_pair(pair).rows).laurent
+        return pair.laurent[1]
 
     def embed(self, coeffs) -> ModelPair:
         """Compute the model pair of f; the residual certifies the pair.  A
@@ -266,7 +284,9 @@ class SpaceHandle:
         if isinstance(coeffs, SzegoSum):
             return self._exact_pair(coeffs)
         c = self._within_budget(finite_coeffs(coeffs))
-        return self._pair(np.concatenate([c[None], self._companions(c)]))
+        rows = np.empty((1 + self.k, c.size), dtype=complex)
+        rows[0], rows[1:] = c, self._companions(c)
+        return self._pair(rows)
 
     def _within_budget(self, c: np.ndarray) -> np.ndarray:
         if c.shape[-1] - 1 > self.degree:
@@ -285,7 +305,8 @@ class SpaceHandle:
             raise ValueError("embed takes a scalar Szego sum")
         p, lam = self._within_budget(f.coeffs), f.points
         k, attached = self.k, f.attached
-        closed = attached is not None and np.array_equal(attached[0], self._w)
+        closed = attached is not None and (attached[0] is self._w
+                                           or np.array_equal(attached[0], self._w))
         width = max(p.shape[1], attached[1].shape[-1]) if closed else p.shape[1]
         rows = np.zeros((1 + k + self.n, p.shape[0], width), dtype=complex)
         rows[0, :, : p.shape[1]] = p
@@ -295,8 +316,8 @@ class SpaceHandle:
             rows[1: 1 + k, :, : attached[1].shape[-1]] = attached[1]
         else:
             rows[1: 1 + k] = np.swapaxes(self._companions(p), 0, 1)
-        plus, coanalytic = self._laurent(np.swapaxes(rows[: 1 + k], 0, 1))
-        u = self._coanalytic_at(coanalytic, lam)
+        block = self._laurent(np.swapaxes(rows[: 1 + k], 0, 1))
+        plus, u = block[..., self._depth:], self._coanalytic_at(block, lam)
         if k and not closed:
             a_h = self._factor_adjoint(lam)
             c = np.linalg.solve(a_h, u[..., None])
@@ -322,12 +343,11 @@ class SpaceHandle:
         return ModelPair(SzegoSum.trusted(rows[: 1 + k], f.points),
                          float(np.sqrt(np.sum(norms[1 + k:]))), float(np.sum(norms[: 1 + k])))
 
-    @staticmethod
-    def _coanalytic_at(coanalytic: np.ndarray, points) -> np.ndarray:
+    def _coanalytic_at(self, block: np.ndarray, points) -> np.ndarray:
         """U(conj(lam)) = sum_{m >= 1} u_{-m} conj(lam)**m from the orders
-        -1, ..., -P of ``coanalytic`` (..., P, n), one point per leading index."""
-        powers = power_table(np.conj(points), coanalytic.shape[-2] + 1)[..., 1:]
-        return np.einsum("...m,...mi->...i", powers, coanalytic)
+        -1, ..., -P of the Laurent block (..., n, P + L), one point per leading index."""
+        powers = power_table(np.conj(points), self._depth + 1)[..., 1:]
+        return np.einsum("...m,...im->...i", powers, block[..., : self._depth][..., ::-1])
 
     def pair_from_parts(self, coeffs, companions) -> ModelPair:
         """Assemble a pair from explicit parts, recertifying the residual: f
@@ -385,19 +405,24 @@ class SpaceHandle:
         return float(np.real(np.vdot(c, g @ c)))
 
     def companions_at(self, coeffs, lam) -> np.ndarray:
-        return self.embed(coeffs).companion_at(lam)
+        """f_1(lam) with no pair built; a ``SzegoSum`` through its exact pair."""
+        if isinstance(coeffs, SzegoSum):
+            return self.embed(coeffs).companion_at(lam)
+        c = self._within_budget(finite_coeffs(coeffs))
+        return self._companions(c) @ power_table(lam, c.size)
 
     # -- shift actions -------------------------------------------------------
 
     def backward(self, pair: ModelPair) -> ModelPair:
         """The backward shift acts coordinatewise on a model pair: it drops
-        the first column of the rows (a constant maps to 0)."""
-        rows = _coefficient_pair(pair).rows
-        return self._pair(rows[:, 1:] if rows.shape[1] > 1 else np.zeros_like(rows))
-
-    def _coanalytic(self, pair: ModelPair) -> np.ndarray:
-        """Coefficients of the orders -1, -2, ... of B* f + A* f_1, shape (P, n)."""
-        return self._laurent(_coefficient_pair(pair).rows)[1]
+        the first column of the rows (a constant maps to 0).  Its Laurent
+        block is (u - [B*, A*] r_0) / zeta, r_0 that column: u'_m = u_{m+1}
+        - w[-m-1] r_0 for m < 0 and u_{m+1} above."""
+        block, rows, depth = self._carried(pair), pair.rows, self._depth
+        moved = np.zeros((self.n, depth + max(rows.shape[1] - 1, 1)), dtype=complex)
+        moved[:, : block.shape[1] - 1] = block[:, 1:]
+        moved[:, :depth] -= (self._w[:depth][::-1] @ rows[:, 0]).T
+        return self._pair(rows[:, 1:] if rows.shape[1] > 1 else np.zeros_like(rows), moved)
 
     def forward_constant(self, pair: ModelPair) -> np.ndarray:
         """The constant companion correction of the forward shift."""
@@ -405,18 +430,24 @@ class SpaceHandle:
             raise ExtremeTypeError("forward shift unsupported for inner-type spaces")
         if not self.k:
             return np.zeros(0, dtype=complex)
-        v = self._coanalytic(pair)[0]  # coefficient of zeta**(-1), the constant mode of zeta * u
+        v = self._carried(pair)[:, self._depth - 1]  # order -1, the constant mode of zeta * u
         a0h = self.factor.at_zero().conj().T
         return -np.linalg.solve(a0h, v)
 
     def forward(self, pair: ModelPair) -> ModelPair:
         """Model pair of z f: the rows shifted up, the companions' constant
-        term the correction."""
-        rows = _coefficient_pair(pair).rows
+        term the correction c_0.  Its Laurent block is zeta u + A* c_0:
+        u'_m = u_{m-1} + w[-m][:, 1:] c_0 for m <= 0 and u_{m-1} above, so its
+        order 0, u_{-1} + A_0* c_0, is what c_0 is solved to cancel."""
+        block, rows = self._carried(pair), pair.rows
+        c0 = self.forward_constant(pair)
         out = np.zeros((rows.shape[0], rows.shape[1] + 1), dtype=complex)
         out[:, 1:] = rows
-        out[1:, 0] = self.forward_constant(pair)
-        return self._pair(out)
+        out[1:, 0] = c0
+        moved = np.zeros((self.n, block.shape[1] + 1), dtype=complex)
+        moved[:, 1:] = block
+        moved[:, : self._depth + 1] += (self._w[::-1, :, 1:] @ c0).T
+        return self._pair(out, moved)
 
     def resolvent_correction(self, pair: ModelPair, lam) -> np.ndarray:
         """The co-analytic correction vector at lam: solve A(lam)* c = u(lam)."""
@@ -426,7 +457,7 @@ class SpaceHandle:
             return np.zeros(0, dtype=complex)
         if abs(lam) >= 1.0:
             raise ValueError("evaluation point must satisfy |lam| < 1")
-        u = self._coanalytic_at(self._coanalytic(pair), lam)
+        u = self._coanalytic_at(self._carried(pair), lam)
         return np.linalg.solve(self._factor_adjoint(lam), u)
 
     def resolvent_divide(self, pair: ModelPair, lam) -> ModelPair:
@@ -445,7 +476,9 @@ class SpaceHandle:
         # trailing zeros leave B* f + A* f_1 and the norm unchanged, so both certify
         padded = np.zeros((len(rows), self.degree + 1), dtype=complex)
         padded[:, : cut + 1] = short.rows
-        return ModelPair(padded, short.residual, short.norm_sq)
+        block = np.zeros((self.n, self._depth + self.degree + 1), dtype=complex)
+        block[:, : self._depth + cut + 1] = short.laurent[1]
+        return self._pair(padded, block)
 
     # -- membership ----------------------------------------------------------
 

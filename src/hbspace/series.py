@@ -168,9 +168,9 @@ def power_table(x, count) -> np.ndarray:
     """x**0, ..., x**(count - 1) for each entry of x, shape x.shape + (count,)."""
     x = np.asarray(x, dtype=complex)
     out = np.empty(x.shape + (count,), dtype=complex)
+    out[...] = x[..., None]
     out[..., :1] = 1.0
-    out[..., 1:] = x[..., None]
-    return np.cumprod(out, axis=-1, out=out)
+    return out.cumprod(axis=-1, out=out)
 
 
 def convolve(a, b) -> np.ndarray:
@@ -276,7 +276,8 @@ class SzegoSum:
         out = SzegoSum.trusted(_stack_terms(self.coeffs, other.coeffs),
                                np.concatenate([self.points, other.points]))
         mine, theirs = self.attached, other.attached
-        if mine is not None and theirs is not None and np.array_equal(mine[0], theirs[0]):
+        if mine is not None and theirs is not None and (
+                mine[0] is theirs[0] or np.array_equal(mine[0], theirs[0])):
             out.attached = (mine[0], _stack_terms(mine[1], theirs[1]))
         return out
 

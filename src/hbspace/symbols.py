@@ -34,12 +34,16 @@ class ModelPair:
     leading axis (the exact pair of a Szego-sum input).  Its producer passes
     the residual that certifies it and ``norm_sq``, the squared H^2 norm of
     the rows, which is the squared space norm of f.  ``f``, ``companions``
-    and ``n`` read the rows.
+    and ``n`` read the rows.  ``laurent`` is None or (key, block): the
+    coefficients of u = B* f + A* f_1 on the orders -P, ..., W - 1, shape
+    (n, P + W), for the handle whose [B*, A*] is ``key`` (compared by
+    identity); that handle's shift actions read and update it.
     """
 
     rows: np.ndarray | SzegoSum
     residual: float
     norm_sq: float
+    laurent: tuple | None = None
 
     @property
     def f(self) -> np.ndarray | SzegoSum:
@@ -69,7 +73,12 @@ class ModelPair:
         return rows[0], rows[1:]
 
     def companion_at(self, lam) -> np.ndarray:
-        """f_1(lam), every companion row by one product with the powers of lam."""
+        """f_1(lam), every companion row by one product with the powers of lam;
+        an exact pair in closed form, sum_j P_j(lam) / (1 - conj(mu_j) lam)."""
+        if self.exact:
+            rows = self.companions
+            return ((rows.coeffs @ power_table(lam, rows.width))
+                    @ (1.0 / (1.0 - np.conj(rows.points) * lam)))
         return self.companions @ power_table(lam, self.rows.shape[1])
 
 
@@ -363,7 +372,7 @@ class DirichletSpace:
         return MembershipReport(True, self.embed(coeffs).norm, {}, residual=0.0)
 
     def companions_at(self, coeffs, lam) -> np.ndarray:
-        return np.array([horner(q, lam) for q in self.companions(coeffs)])
+        return self.embed(coeffs).companion_at(lam)
 
     def poly_norm_sq(self, coeffs) -> float:
         c = finite_coeffs(coeffs)

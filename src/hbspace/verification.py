@@ -70,9 +70,14 @@ def _check_isometry(space, rng):
 def _check_roundtrip_shift(space, rng):
     c = rng.normal(size=7) + 1j * rng.normal(size=7)
     pair = space.embed(c)
-    back = space.backward(space.forward(pair))
+    shifted = space.forward(pair)
+    back = space.backward(shifted)
     err = float(np.max(np.abs(back.rows - pair.rows)))  # both rows have the width of c
-    return CheckResult("shift-roundtrip", err <= 1e-10, f"max coefficient error {err:.2e}")
+    # the residuals the shifts carry in closed form, against ones recomputed from the rows
+    gap = max(abs(p.residual - space.pair_from_parts(p.f, p.companions).residual)
+              for p in (shifted, back))
+    return CheckResult("shift-roundtrip", err <= 1e-10 and gap <= 1e-12 * (1.0 + pair.norm),
+                       f"max coefficient error {err:.2e}, carried residuals off by {gap:.2e}")
 
 
 def _check_membership_constant(space, rng):

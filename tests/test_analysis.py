@@ -20,7 +20,7 @@ from hbspace.analysis import (
 from hbspace.catalog import cusp_symbol, h2_symbol, inner_symbol, rank1_half_symbol
 from hbspace.errors import ConfigError, InvariantViolation
 from hbspace.model import SpaceHandle
-from hbspace.series import divided_difference, h2_norm_sq, horner, szego_taylor
+from hbspace.series import divided_difference, h2_norm_sq, horner, shift_up, szego_taylor
 from hbspace.spectral import laurent_values
 from hbspace.symbols import MeasureSpec, RowSymbol, weighted_space_symbol
 from conftest import ODD_ROOT_ROW, RANK2_EXAMPLE, random_interior, scaled_row
@@ -467,3 +467,17 @@ def test_norm_limit_on_dirichlet_space(d_pair, rng):
     est = norm_limit_estimate(d_pair, f, LimitSchedule(4, 9))
     target = d_pair.poly_norm_sq(f)
     assert abs(est.final - target) / target < 2e-2
+
+
+@pytest.mark.parametrize("name", ["h2", "rank1_half", "cusp", "two_term", "weighted",
+                                  "inner_space", "d_origin", "d_pair"])
+def test_pointwise_defect_form_is_the_two_norm_difference(name, request, rng):
+    # one form on the monomial Gram, against ||z q||^2 - ||q||^2 by two norms
+    space = request.getfixturevalue(name)
+    for size in (1, 3, 7):
+        f = rng.normal(size=size) + 1j * rng.normal(size=size)
+        for lam in random_interior(rng, 4):
+            q = divided_difference(f, complex(lam))
+            old = space.poly_norm_sq(shift_up(q)) - space.poly_norm_sq(q)
+            lhs, _ = pointwise_defect(space, f, complex(lam))
+            assert abs(lhs - old) <= 1e-13 * (1.0 + space.poly_norm_sq(f))

@@ -6,10 +6,10 @@ from hbspace.errors import ExtremeTypeError, InvariantViolation, NumericalError
 from hbspace.harmonic import DiskFunction
 from hbspace.model import SpaceHandle
 from hbspace.series import SzegoSum, geometric_divide, shift_down, szego_taylor
-from hbspace import spectral
+from hbspace import spectral, verification
 from hbspace.spectral import MatrixSymbol, factor_residual
 from hbspace.subspaces import BlaschkeProduct, intersect_model_space
-from hbspace.symbols import RowSymbol, weighted_space_symbol
+from hbspace.symbols import ModelPair, RowSymbol, row_values, weighted_space_symbol
 from conftest import (
     N_GRID,
     RANK2_EXAMPLE,
@@ -960,3 +960,96 @@ def test_warm_embed_skips_the_constant_ffts(monkeypatch):
             space.embed(f)
             counts.append(len(calls))
         assert counts[0] - counts[1] == 2
+
+
+CARRIERS = ["h2", "rank1-half", "cusp", "two-term", "weighted", "ddelta", "rank2-example"]
+
+
+@pytest.mark.parametrize("name", CARRIERS)
+def test_carried_laurent_block_matches_a_fresh_product(name, rng):
+    # every producer carries the Laurent block of u = B* f + A* f_1, which the
+    # shifts update in closed form; it and the residual match one product of the rows
+    space = _named_handle(name)
+    c = rng.normal(size=7) + 1j * rng.normal(size=7)
+    pair = space.embed(c)
+    pairs = [pair, space.pair_from_parts(pair.f, pair.companions), space.forward(pair),
+             space.backward(pair), space.resolvent_divide(pair, 0.4 - 0.2j),
+             space.resolvent_divide(pair, 0.9), space.backward(space.embed([2.0]))]
+    chain = pair
+    for step in [space.forward] * 3 + [space.backward] * 3:
+        chain = step(chain)
+        pairs.append(chain)
+    for p in pairs:
+        key, block = p.laurent
+        assert key is space._w
+        fresh = space._laurent(p.rows)
+        tol = 1e-14 * (1.0 + np.linalg.norm(p.rows))
+        assert block.shape == fresh.shape == (space.n, space._depth + p.rows.shape[1])
+        assert np.max(np.abs(block - fresh), initial=0.0) <= tol
+        assert abs(p.residual - np.linalg.norm(fresh[:, space._depth:])) <= tol
+
+
+def test_a_pair_without_this_handles_block_gets_one_once(monkeypatch, rng):
+    space, twin, other = _named_handle("cusp"), _named_handle("cusp"), _named_handle("rank1-half")
+    c = rng.normal(size=5) + 1j * rng.normal(size=5)
+    pair = space.embed(c)
+    # a directly built pair, a twin handle's pair and another symbol's pair,
+    # each against the forward shift of this handle's pair of the same rows
+    given = [ModelPair(pair.rows.copy(), pair.residual, pair.norm_sq),
+             twin.embed(c), other.embed(c)]
+    refs = [space.forward(space.pair_from_parts(g.f, g.companions)) for g in given]
+    calls = []
+    laurent = SpaceHandle._laurent
+    monkeypatch.setattr(SpaceHandle, "_laurent",
+                        lambda self, rows: calls.append(self) or laurent(self, rows))
+    for g, ref in zip(given, refs):
+        calls.clear()
+        for _ in range(2):
+            got = space.forward(g)
+            assert g.laurent[0] is space._w
+            assert abs(got.residual - ref.residual) <= 1e-14 * ref.norm
+            for x, y in ((got.rows, ref.rows), (got.laurent[1], ref.laurent[1])):
+                assert np.max(np.abs(x - y)) <= 1e-14 * np.max(np.abs(y))
+        assert calls == [space]  # once, for the given pair; the shift runs none
+
+
+@pytest.mark.parametrize("name", ["h2", "rank1-half", "cusp", "two-term", "weighted", "ddelta"])
+def test_companions_at_is_the_embed_companion_value(name, rng):
+    space = _named_handle(name)
+    for size in (1, 4, 9):
+        c = rng.normal(size=size) + 1j * rng.normal(size=size)
+        for lam in random_interior(rng, 4, radius=0.95):
+            got, ref = space.companions_at(c, lam), space.embed(c).companion_at(lam)
+            assert got.shape == ref.shape == (space.k,)
+            assert np.all(np.abs(got - ref) <= 1e-15 * (1.0 + np.abs(ref)))
+
+
+@pytest.mark.parametrize("name", CARRIERS)
+def test_kernel_taylor_is_the_closed_form_bit_for_bit(name, rng):
+    # 1 - conj(B(lam)) B with the numerators -conj(B(lam) [A_t*]) attached
+    space = _named_handle(name)
+    for lam in [0.0, 0.5, *random_interior(rng, 6, radius=0.95)]:
+        k = space.kernel_taylor(lam)
+        b = row_values(space.symbol.rows, lam)
+        num = -np.conj(b) @ space.symbol.rows
+        num[0] += 1.0
+        assert np.array_equal(k.coeffs, num[None])
+        if space.n:
+            assert k.attached[0] is space._w
+            assert np.array_equal(k.attached[1], -np.conj(b @ space._w[:, :, 1:]).T[:, None])
+    total = sum(c * space.kernel_taylor(lam) for c, lam in zip([1.0, 2j, -0.5], [0.1, 0.4j, -0.6]))
+    assert space.n == 0 or total.attached[0] is space._w
+
+
+def test_verify_compares_the_carried_residuals(cusp, monkeypatch):
+    # shift-roundtrip recomputes the residuals that forward and backward carry
+    check = verification._check_roundtrip_shift(cusp, np.random.default_rng(0))
+    assert check.passed and "carried residuals off by" in check.detail
+    forward = SpaceHandle.forward
+
+    def stale(self, pair):
+        out = forward(self, pair)
+        out.residual += 1e-9
+        return out
+    monkeypatch.setattr(SpaceHandle, "forward", stale)
+    assert not verification._check_roundtrip_shift(cusp, np.random.default_rng(0)).passed

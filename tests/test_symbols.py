@@ -468,3 +468,33 @@ def test_defect_form_refutes_the_bergman_gram():
     assert np.allclose(np.abs(witness), [0.0, 1.0], rtol=0.0, atol=1e-15)  # parallel to z
     with pytest.raises(NumericalError, match=r"-5\.000e-01 .* witness"):
         estimate_rank(bergman)
+
+
+@pytest.mark.parametrize("name", ["rank1-half", "cusp", "dirichlet-pair"])
+def test_exact_pair_companion_value_is_the_closed_form(name):
+    # sum_j P_j(lam) / (1 - conj(mu_j) lam) over the companion rows, against
+    # Horner on a degree-200 cut of each row
+    space = named_space(name)
+    sums = [SzegoSum([[1.0, -0.5j], [0.3, 0.2]], [0.5, -0.3j])]
+    if isinstance(space, SpaceHandle):
+        sums += [space.kernel_taylor(0.5), 2.0 * space.kernel_taylor(0.5) + space.kernel_taylor(-0.4j)]
+    for f in sums:
+        cut = space.embed(f).companions.taylor(200)
+        for lam in (0.3, 0.0, -0.6 + 0.2j):
+            got = space.companions_at(f, lam)
+            ref = np.array([horner(row, lam) for row in cut])
+            assert got.shape == (space.n,)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("name", ["dirichlet-origin", "dirichlet-pair", "dirichlet-half"])
+def test_dirichlet_companion_values_match_horner_per_atom(name, rng):
+    # one power-table product of the companion rows, against one Horner call per atom
+    space = named_space(name)
+    for size in (1, 2, 7, 12):
+        c = rng.normal(size=size) + 1j * rng.normal(size=size)
+        for lam in random_interior(rng, 5, radius=0.95):
+            rows = space.companions(c)
+            ref = np.array([horner(q, lam) for q in rows])
+            scale = np.array([np.abs(q) @ np.abs(lam) ** np.arange(q.size) for q in rows])
+            assert np.all(np.abs(space.companions_at(c, lam) - ref) <= 1e-15 * scale)
